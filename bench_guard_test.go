@@ -64,13 +64,11 @@ const genSpeedupFloor = 1.3
 
 func guardEngine(t *testing.T, name string) diffrun.Engine {
 	t.Helper()
-	for _, e := range diffrun.Engines() {
-		if e.Name == name {
-			return e
-		}
+	e, ok := diffrun.Lookup(name)
+	if !ok {
+		t.Fatalf("unknown guard engine %q", name)
 	}
-	t.Fatalf("unknown guard engine %q", name)
-	return diffrun.Engine{}
+	return e
 }
 
 // measureMcps returns the best-of-reps simulation rate of one engine on
@@ -181,7 +179,7 @@ func measureLoadMcps(t *testing.T) float64 {
 		hs := httptest.NewServer(s)
 		ld, err := loadgen.New(loadgen.Config{
 			Target: hs.URL, Seed: 7, Jobs: 40, Rate: 2000,
-			Corpus: loadgen.CorpusConfig{Seed: 7, Programs: 8, Kernels: []string{"crc"}},
+			Corpus:       loadgen.CorpusConfig{Seed: 7, Programs: 8, Kernels: []string{"crc"}},
 			PollInterval: 2 * time.Millisecond,
 			Client:       hs.Client(),
 		})

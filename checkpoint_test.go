@@ -19,90 +19,69 @@ import (
 	"testing"
 
 	"rcpn/internal/arm"
-	"rcpn/internal/bpred"
+	"rcpn/internal/batch"
 	"rcpn/internal/ckpt"
 	"rcpn/internal/diffrun"
 	"rcpn/internal/iss"
-	"rcpn/internal/machine"
 	"rcpn/internal/mem"
-	"rcpn/internal/pipe5"
-	"rcpn/internal/ssim"
+	"rcpn/internal/tpar"
 	"rcpn/internal/workload"
 )
 
-// csim wraps one cycle simulator instance behind uniform closures.
-type csim struct {
-	runN     func(n uint64) error
-	run      func() error
-	cycles   func() int64
-	instret  func() uint64
-	snapshot func() (*ckpt.Checkpoint, error)
-	restore  func(*ckpt.Checkpoint) error
-	state    func() diffrun.State
+// cycleEngines returns the registry's cycle-accurate rows (the functional
+// engines have no timing to hand off).
+func cycleEngines() []diffrun.Engine {
+	var out []diffrun.Engine
+	for _, e := range diffrun.Engines() {
+		if !e.Functional {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
-// cycleSims returns a builder per simulator; each call builds a fresh
-// instance on p.
-func cycleSims() map[string]func(p *arm.Program) *csim {
-	return map[string]func(p *arm.Program) *csim{
-		"strongarm": func(p *arm.Program) *csim {
-			m := machine.NewStrongARM(p, machine.Config{})
-			return &csim{
-				runN:     func(n uint64) error { return m.RunN(n, 0) },
-				run:      func() error { return m.Run(0) },
-				cycles:   func() int64 { return m.Net.CycleCount() },
-				instret:  func() uint64 { return m.Instret },
-				snapshot: m.Checkpoint,
-				restore:  m.Restore,
-				state: func() diffrun.State {
-					return diffrun.StateOf(m.Reg, m.Flags(), m.Mem, m.Instret, m.ExitCode, m.Output, m.Text)
-				},
-			}
-		},
-		"xscale": func(p *arm.Program) *csim {
-			m := machine.NewXScale(p, machine.Config{})
-			return &csim{
-				runN:     func(n uint64) error { return m.RunN(n, 0) },
-				run:      func() error { return m.Run(0) },
-				cycles:   func() int64 { return m.Net.CycleCount() },
-				instret:  func() uint64 { return m.Instret },
-				snapshot: m.Checkpoint,
-				restore:  m.Restore,
-				state: func() diffrun.State {
-					return diffrun.StateOf(m.Reg, m.Flags(), m.Mem, m.Instret, m.ExitCode, m.Output, m.Text)
-				},
-			}
-		},
-		"pipe5": func(p *arm.Program) *csim {
-			s := pipe5.New(p, pipe5.Config{})
-			return &csim{
-				runN:     func(n uint64) error { return s.RunN(n, 0) },
-				run:      func() error { return s.Run(0) },
-				cycles:   func() int64 { return s.Cycles },
-				instret:  func() uint64 { return s.Instret },
-				snapshot: s.Checkpoint,
-				restore:  s.Restore,
-				state: func() diffrun.State {
-					return diffrun.StateOf(func(r arm.Reg) uint32 { return s.R[r] },
-						s.F, s.Mem, s.Instret, s.ExitCode, s.Output, s.Text)
-				},
-			}
-		},
-		"ssim": func(p *arm.Program) *csim {
-			s := ssim.New(p, ssim.Config{})
-			return &csim{
-				runN:     func(n uint64) error { return s.RunN(n, 0) },
-				run:      func() error { return s.Run(0) },
-				cycles:   func() int64 { return s.Cycles },
-				instret:  func() uint64 { return s.Instret },
-				snapshot: s.Checkpoint,
-				restore:  s.Restore,
-				state: func() diffrun.State {
-					return diffrun.StateOf(s.Reg, s.Flags(), s.Mem(), s.Instret, s.ExitCode(), s.Output(), s.Text())
-				},
-			}
-		},
+// csim is one built engine instance: the simulator behind its stepper
+// surface plus the registry's final-state extractor.
+type csim struct {
+	batch.CheckpointStepper
+	state func() diffrun.State
+}
+
+func buildSim(t *testing.T, e diffrun.Engine, p *arm.Program) *csim {
+	t.Helper()
+	st, state, err := e.Build(p)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return &csim{st, state}
+}
+
+// runN runs until at least n more instructions retire, then drains to a
+// checkpointable boundary.
+func (s *csim) runN(n uint64) error {
+	if _, err := s.StepToRetired(s.instret()+n, 1<<40); err != nil {
+		return err
+	}
+	return s.DrainBoundary()
+}
+
+func (s *csim) run() error { return diffrun.Finish(s, 1<<40) }
+
+func (s *csim) cycles() int64 {
+	c, _ := s.Progress()
+	return c
+}
+
+func (s *csim) instret() uint64 {
+	_, i := s.Progress()
+	return i
+}
+
+// warmLeader returns an ISS fast-forwarder carrying e's default warm units.
+func warmLeader(e diffrun.Engine, p *arm.Program) *iss.CPU {
+	c := iss.New(p, 0)
+	tpar.DefaultWarm(e.Name)(c)
+	return c
 }
 
 // TestBitExactResume: donor runs N instructions, checkpoints at the drained
@@ -115,15 +94,15 @@ func TestBitExactResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, build := range cycleSims() {
-			t.Run(name+"/"+wname, func(t *testing.T) {
-				donor := build(p)
+		for _, e := range cycleEngines() {
+			t.Run(e.Name+"/"+wname, func(t *testing.T) {
+				donor := buildSim(t, e, p)
 				if err := donor.runN(5000); err != nil {
 					t.Fatal(err)
 				}
 				boundaryCycles := donor.cycles()
 				boundaryInstret := donor.instret()
-				ck, err := donor.snapshot()
+				ck, err := donor.Checkpoint()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -141,8 +120,8 @@ func TestBitExactResume(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				resumed := build(p)
-				if err := resumed.restore(decoded); err != nil {
+				resumed := buildSim(t, e, p)
+				if err := resumed.Restore(decoded); err != nil {
 					t.Fatal(err)
 				}
 				if got := resumed.instret(); got != boundaryInstret {
@@ -157,7 +136,7 @@ func TestBitExactResume(t *testing.T) {
 				if got := resumed.instret() - boundaryInstret; got != afterInstret {
 					t.Errorf("post-handoff instret %d, donor %d", got, afterInstret)
 				}
-				diffState(t, name+"(resumed)", resumed.state(), donor.state())
+				diffState(t, e.Name+"(resumed)", resumed.state(), donor.state())
 			})
 		}
 	}
@@ -178,43 +157,27 @@ func TestISSHandoff(t *testing.T) {
 	ref := diffrun.StateOf(func(r arm.Reg) uint32 { return golden.R[r] },
 		golden.F, golden.Mem, golden.Instret, golden.Exit, golden.Output, golden.Text)
 
-	warms := map[string]func(c *iss.CPU){
-		"strongarm": func(c *iss.CPU) {
-			h := mem.DefaultStrongARM()
-			c.WarmI, c.WarmD, c.WarmPred = h.I, h.D, bpred.NewNotTaken()
-		},
-		"xscale": func(c *iss.CPU) {
-			h := mem.DefaultXScale()
-			c.WarmI, c.WarmD, c.WarmPred = h.I, h.D, bpred.NewBimodal(128)
-		},
-		"pipe5": func(c *iss.CPU) {
-			h := mem.DefaultStrongARM()
-			c.WarmI, c.WarmD, c.WarmPred = h.I, h.D, bpred.NewNotTaken()
-		},
-		"ssim": func(c *iss.CPU) {
-			h := mem.DefaultStrongARM()
-			c.WarmI, c.WarmD, c.WarmPred = h.I, h.D, bpred.NewNotTaken()
-		},
-	}
-	for name, build := range cycleSims() {
-		t.Run(name, func(t *testing.T) {
-			ff := iss.New(p, 0)
-			warms[name](ff)
+	for _, e := range cycleEngines() {
+		t.Run(e.Name, func(t *testing.T) {
+			ff := warmLeader(e, p)
 			if _, err := ff.RunN(5000); err != nil {
 				t.Fatal(err)
 			}
-			ck := ff.Checkpoint()
+			ck, err := ff.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if ck.ICache == nil || ck.DCache == nil {
 				t.Fatal("functional warming produced no cache state")
 			}
-			s := build(p)
-			if err := s.restore(ck); err != nil {
+			s := buildSim(t, e, p)
+			if err := s.Restore(ck); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.run(); err != nil {
 				t.Fatal(err)
 			}
-			diffState(t, name, s.state(), ref)
+			diffState(t, e.Name, s.state(), ref)
 		})
 	}
 }
@@ -243,9 +206,9 @@ func TestSampledCPIAccuracy(t *testing.T) {
 	total := golden.Instret
 
 	for _, name := range []string{"strongarm", "pipe5"} {
+		e, _ := diffrun.Lookup(name)
 		t.Run(name, func(t *testing.T) {
-			build := cycleSims()[name]
-			full := build(p)
+			full := buildSim(t, e, p)
 			if err := full.run(); err != nil {
 				t.Fatal(err)
 			}
@@ -254,14 +217,16 @@ func TestSampledCPIAccuracy(t *testing.T) {
 			var cyc int64
 			var ins uint64
 			for i := 0; i < k; i++ {
-				ff := iss.New(p, 0)
-				h := mem.DefaultStrongARM()
-				ff.WarmI, ff.WarmD, ff.WarmPred = h.I, h.D, bpred.NewNotTaken()
+				ff := warmLeader(e, p)
 				if _, err := ff.RunN(total * uint64(i) / k); err != nil {
 					t.Fatal(err)
 				}
-				s := build(p)
-				if err := s.restore(ff.Checkpoint()); err != nil {
+				ck, err := ff.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := buildSim(t, e, p)
+				if err := s.Restore(ck); err != nil {
 					t.Fatal(err)
 				}
 				base := s.instret()
@@ -289,10 +254,9 @@ func TestCheckpointRequiresDrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, build := range cycleSims() {
-		s := build(p)
-		if _, err := s.snapshot(); err != nil {
-			t.Errorf("%s: fresh simulator not checkpointable: %v", name, err)
+	for _, e := range cycleEngines() {
+		if _, err := buildSim(t, e, p).Checkpoint(); err != nil {
+			t.Errorf("%s: fresh simulator not checkpointable: %v", e.Name, err)
 		}
 	}
 	// A warm snapshot from mismatched cache geometry must be refused.
@@ -302,8 +266,12 @@ func TestCheckpointRequiresDrained(t *testing.T) {
 	if _, err := ff.RunN(100); err != nil {
 		t.Fatal(err)
 	}
-	m := machine.NewStrongARM(p, machine.Config{})
-	if err := m.Restore(ff.Checkpoint()); err == nil {
+	ck, err := ff.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	strongarm, _ := diffrun.Lookup("strongarm")
+	if err := buildSim(t, strongarm, p).Restore(ck); err == nil {
 		t.Error("geometry-mismatched warm state restored without error")
 	}
 }

@@ -25,11 +25,10 @@ import (
 	"rcpn/internal/batch"
 	"rcpn/internal/core"
 	"rcpn/internal/cpn"
+	"rcpn/internal/diffrun"
 	"rcpn/internal/iss"
 	"rcpn/internal/machine"
 	"rcpn/internal/mem"
-	"rcpn/internal/pipe5"
-	"rcpn/internal/ssim"
 	"rcpn/internal/stats"
 	"rcpn/internal/workload"
 )
@@ -74,38 +73,46 @@ func die(err error) {
 	os.Exit(1)
 }
 
-// runner abstracts the three measured simulators.
+// runner is one measured simulator: a report label and the registry engine
+// behind it.
 type runner struct {
-	name string
-	run  func(p *arm.Program) (cycles int64, instret uint64, err error)
+	name   string
+	engine diffrun.Engine
+}
+
+// runnerLabels maps the report labels to registry engine names: the paper's
+// three bars plus, beyond them, a hand-written direct-style five-stage
+// simulator, showing the generated RCPN simulator reaches hand-written
+// performance (the paper's §5 FastSim comparison).
+var runnerLabels = []struct{ label, engine string }{
+	{"SimpleScalar-Arm", "ssim"},
+	{"RCPN-XScale", "xscale"},
+	{"RCPN-StrongARM", "strongarm"},
+	{"hand-written-5stage", "pipe5"},
 }
 
 func runners() []runner {
-	return []runner{
-		{"SimpleScalar-Arm", func(p *arm.Program) (int64, uint64, error) {
-			s := ssim.New(p, ssim.Config{})
-			err := s.Run(0)
-			return s.Cycles, s.Instret, err
-		}},
-		{"RCPN-XScale", func(p *arm.Program) (int64, uint64, error) {
-			m := machine.NewXScale(p, machine.Config{})
-			err := m.Run(0)
-			return m.Net.CycleCount(), m.Instret, err
-		}},
-		{"RCPN-StrongARM", func(p *arm.Program) (int64, uint64, error) {
-			m := machine.NewStrongARM(p, machine.Config{})
-			err := m.Run(0)
-			return m.Net.CycleCount(), m.Instret, err
-		}},
-		// Extra, beyond the paper's three bars: a hand-written direct-style
-		// five-stage simulator, showing the generated RCPN simulator reaches
-		// hand-written performance (the paper's §5 FastSim comparison).
-		{"hand-written-5stage", func(p *arm.Program) (int64, uint64, error) {
-			s := pipe5.New(p, pipe5.Config{})
-			err := s.Run(0)
-			return s.Cycles, s.Instret, err
-		}},
+	var rs []runner
+	for _, l := range runnerLabels {
+		e, ok := diffrun.Lookup(l.engine)
+		if !ok {
+			die(fmt.Errorf("engine %q is not in the registry", l.engine))
+		}
+		rs = append(rs, runner{name: l.label, engine: e})
 	}
+	return rs
+}
+
+// run simulates p to completion and returns the cycle and instruction
+// counts.
+func (r runner) run(p *arm.Program) (int64, uint64, error) {
+	st, _, err := r.engine.Build(p)
+	if err != nil {
+		return 0, 0, err
+	}
+	err = diffrun.Finish(st, 1<<40)
+	cycles, instret := st.Progress()
+	return cycles, instret, err
 }
 
 // workers is the -j flag: the size of the measurement worker pool.

@@ -28,14 +28,9 @@ import (
 
 	"rcpn/internal/arm"
 	"rcpn/internal/batch"
-	"rcpn/internal/bpred"
 	"rcpn/internal/ckpt"
+	"rcpn/internal/diffrun"
 	"rcpn/internal/iss"
-	"rcpn/internal/machine"
-	"rcpn/internal/mem"
-	"rcpn/internal/pipe5"
-	"rcpn/internal/simrun"
-	"rcpn/internal/ssim"
 	"rcpn/internal/stats"
 	"rcpn/internal/workload"
 )
@@ -123,110 +118,63 @@ func intervalSuffix(r batch.Result) string {
 
 // ---- simulator registry ---------------------------------------------------
 
-// simdef describes one measured simulator: how to run it to completion, how
-// to build geometry-matched warm units for ISS fast-forwarding, and how to
-// run a detailed interval from a checkpoint. Full runs go through
-// batch.Drive, so a per-job deadline or a canceled sweep stops the
-// simulator at the next chunk boundary instead of leaking the goroutine.
+// simdef is one measured simulator: a report label of the paper's Figure 10
+// bars and the registry engine behind it.
 type simdef struct {
-	name string
-	full func(ctx context.Context, p *arm.Program) (batch.Metrics, error)
-	// warm returns I-cache, D-cache and predictor instances matching the
-	// simulator's default geometry, for attachment to the functional ISS.
-	warm func() (*mem.Cache, *mem.Cache, bpred.Predictor)
-	// interval restores ck into a fresh simulator, runs n more instructions
-	// to the next drained boundary, and returns the cycles and instructions
-	// simulated after the handoff.
-	interval func(p *arm.Program, ck *ckpt.Checkpoint, n uint64) (batch.Metrics, error)
+	name   string
+	engine diffrun.Engine
+}
+
+// simLabels maps the report labels to registry engine names.
+var simLabels = []struct{ label, engine string }{
+	{"SimpleScalar-Arm", "ssim"},
+	{"RCPN-XScale", "xscale"},
+	{"RCPN-StrongARM", "strongarm"},
+	{"hand-written-5stage", "pipe5"},
 }
 
 func allSims() []simdef {
-	return []simdef{
-		{
-			name: "SimpleScalar-Arm",
-			full: func(ctx context.Context, p *arm.Program) (batch.Metrics, error) {
-				s := ssim.New(p, ssim.Config{})
-				err := batch.Drive(ctx, simrun.SSim(s), 0, 0, nil)
-				return batch.Metrics{Cycles: s.Cycles, Instret: s.Instret}, err
-			},
-			warm: func() (*mem.Cache, *mem.Cache, bpred.Predictor) {
-				h := mem.DefaultStrongARM()
-				return h.I, h.D, bpred.NewNotTaken()
-			},
-			interval: func(p *arm.Program, ck *ckpt.Checkpoint, n uint64) (batch.Metrics, error) {
-				s := ssim.New(p, ssim.Config{})
-				if err := s.Restore(ck); err != nil {
-					return batch.Metrics{}, err
-				}
-				base := s.Instret
-				err := s.RunN(n, 0)
-				return batch.Metrics{Cycles: s.Cycles, Instret: s.Instret - base}, err
-			},
-		},
-		{
-			name: "RCPN-XScale",
-			full: func(ctx context.Context, p *arm.Program) (batch.Metrics, error) {
-				m := machine.NewXScale(p, machine.Config{})
-				err := batch.Drive(ctx, simrun.Machine(m), 0, 0, nil)
-				return batch.Metrics{Cycles: m.Net.CycleCount(), Instret: m.Instret}, err
-			},
-			warm: func() (*mem.Cache, *mem.Cache, bpred.Predictor) {
-				h := mem.DefaultXScale()
-				return h.I, h.D, bpred.NewBimodal(128)
-			},
-			interval: func(p *arm.Program, ck *ckpt.Checkpoint, n uint64) (batch.Metrics, error) {
-				m := machine.NewXScale(p, machine.Config{})
-				if err := m.Restore(ck); err != nil {
-					return batch.Metrics{}, err
-				}
-				base := m.Instret
-				err := m.RunN(n, 0)
-				return batch.Metrics{Cycles: m.Net.CycleCount(), Instret: m.Instret - base}, err
-			},
-		},
-		{
-			name: "RCPN-StrongARM",
-			full: func(ctx context.Context, p *arm.Program) (batch.Metrics, error) {
-				m := machine.NewStrongARM(p, machine.Config{})
-				err := batch.Drive(ctx, simrun.Machine(m), 0, 0, nil)
-				return batch.Metrics{Cycles: m.Net.CycleCount(), Instret: m.Instret}, err
-			},
-			warm: func() (*mem.Cache, *mem.Cache, bpred.Predictor) {
-				h := mem.DefaultStrongARM()
-				return h.I, h.D, bpred.NewNotTaken()
-			},
-			interval: func(p *arm.Program, ck *ckpt.Checkpoint, n uint64) (batch.Metrics, error) {
-				m := machine.NewStrongARM(p, machine.Config{})
-				if err := m.Restore(ck); err != nil {
-					return batch.Metrics{}, err
-				}
-				base := m.Instret
-				err := m.RunN(n, 0)
-				return batch.Metrics{Cycles: m.Net.CycleCount(), Instret: m.Instret - base}, err
-			},
-		},
-		{
-			name: "hand-written-5stage",
-			full: func(ctx context.Context, p *arm.Program) (batch.Metrics, error) {
-				s := pipe5.New(p, pipe5.Config{})
-				err := batch.Drive(ctx, simrun.Pipe5(s), 0, 0, nil)
-				return batch.Metrics{Cycles: s.Cycles, Instret: s.Instret}, err
-			},
-			warm: func() (*mem.Cache, *mem.Cache, bpred.Predictor) {
-				h := mem.DefaultStrongARM()
-				return h.I, h.D, bpred.NewNotTaken()
-			},
-			interval: func(p *arm.Program, ck *ckpt.Checkpoint, n uint64) (batch.Metrics, error) {
-				s := pipe5.New(p, pipe5.Config{})
-				if err := s.Restore(ck); err != nil {
-					return batch.Metrics{}, err
-				}
-				base := s.Instret
-				err := s.RunN(n, 0)
-				return batch.Metrics{Cycles: s.Cycles, Instret: s.Instret - base}, err
-			},
-		},
+	var sims []simdef
+	for _, l := range simLabels {
+		e, ok := diffrun.Lookup(l.engine)
+		if !ok {
+			die(fmt.Errorf("engine %q is not in the registry", l.engine))
+		}
+		sims = append(sims, simdef{name: l.label, engine: e})
 	}
+	return sims
+}
+
+// full runs the simulator to completion through batch.Drive, so a per-job
+// deadline or a canceled sweep stops it at the next chunk boundary instead
+// of leaking the goroutine.
+func (s simdef) full(ctx context.Context, p *arm.Program) (batch.Metrics, error) {
+	st, _, err := s.engine.Build(p)
+	if err != nil {
+		return batch.Metrics{}, err
+	}
+	err = batch.Drive(ctx, st, 0, 0, nil)
+	c, i := st.Progress()
+	return batch.Metrics{Cycles: c, Instret: i}, err
+}
+
+// interval restores ck into a fresh simulator, runs n more instructions to
+// the next drained boundary, and returns the cycles and instructions
+// simulated after the handoff.
+func (s simdef) interval(p *arm.Program, ck *ckpt.Checkpoint, n uint64) (batch.Metrics, error) {
+	st, _, err := s.engine.Build(p)
+	if err != nil {
+		return batch.Metrics{}, err
+	}
+	if err := st.Restore(ck); err != nil {
+		return batch.Metrics{}, err
+	}
+	_, base := st.Progress()
+	if _, err = st.StepToRetired(base+n, 1<<40); err == nil {
+		err = st.DrainBoundary()
+	}
+	c, i := st.Progress()
+	return batch.Metrics{Cycles: c, Instret: i - base}, err
 }
 
 func selectSims(csv string) ([]simdef, error) {
@@ -395,11 +343,16 @@ func runSample(sims []simdef, works []*workload.Workload, scale int, k int, ilen
 // pool's grace fallback.
 func sampleInterval(s simdef, p *arm.Program, start, ilen uint64) (batch.Metrics, error) {
 	c := iss.New(p, 0)
-	c.WarmI, c.WarmD, c.WarmPred = s.warm()
+	w := s.engine.Warm()
+	c.WarmI, c.WarmD, c.WarmPred = w.Caches.I, w.Caches.D, w.Predictor
 	if _, err := c.RunN(start); err != nil {
 		return batch.Metrics{}, fmt.Errorf("fast-forward: %w", err)
 	}
-	data, err := c.Checkpoint().Bytes()
+	snap, err := c.Checkpoint()
+	if err != nil {
+		return batch.Metrics{}, fmt.Errorf("fast-forward: %w", err)
+	}
+	data, err := snap.Bytes()
 	if err != nil {
 		return batch.Metrics{}, fmt.Errorf("encode: %w", err)
 	}

@@ -5,7 +5,10 @@
 //
 // Usage:
 //
-//	rcpndot [-model strongarm|xscale] [-report]
+//	rcpndot [-model strongarm|xscale|arm9] [-report]
+//
+// -model takes any registry engine (internal/diffrun) that is an
+// interpreted RCPN machine.
 package main
 
 import (
@@ -14,6 +17,7 @@ import (
 	"os"
 
 	"rcpn/internal/arm"
+	"rcpn/internal/diffrun"
 	"rcpn/internal/machine"
 )
 
@@ -27,18 +31,17 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	var m *machine.Machine
-	switch *model {
-	case "strongarm":
-		m = machine.NewStrongARM(p, machine.Config{})
-	case "xscale":
-		m = machine.NewXScale(p, machine.Config{})
-	case "arm9":
-		if m, err = machine.NewARM9(p, machine.Config{}); err != nil {
-			fail(err)
-		}
-	default:
+	engine, ok := diffrun.Lookup(*model)
+	if !ok {
 		fail(fmt.Errorf("unknown model %q", *model))
+	}
+	st, _, err := engine.Build(p)
+	if err != nil {
+		fail(err)
+	}
+	m, ok := st.(*machine.Machine)
+	if !ok || m.Net == nil {
+		fail(fmt.Errorf("model %q is not an interpreted RCPN machine", *model))
 	}
 
 	if !*report {

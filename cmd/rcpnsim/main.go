@@ -1,10 +1,11 @@
 // Command rcpnsim runs an ARM7 program — a built-in benchmark kernel or an
 // assembly file — on one of the simulators in this repository and prints
-// the run's statistics.
+// the run's statistics. -sim takes any engine of the internal/diffrun
+// registry; -help lists them.
 //
 // Usage:
 //
-//	rcpnsim [-sim strongarm|xscale|arm9|ssim|pipe5|func|iss] [-scale N]
+//	rcpnsim [-sim ENGINE] [-scale N]
 //	        [-profile] [-trace FILE] [-trace-events N] [-pipetrace N]
 //	        [-util] [-emit] [-json]
 //	        [-parallel N] [-parallel-mode exact|sampled] [-parallel-workers N]
@@ -12,10 +13,9 @@
 //
 // -parallel N runs the job time-parallel (internal/tpar): an ISS leader
 // drops warmed checkpoints at N-1 drained instruction boundaries and the
-// segments simulate concurrently on any engine in the diffrun registry
-// (so -sim genpipe5 works here too). Exact mode stitches a result
-// byte-identical to the serial segmented run; sampled mode trades a
-// reported warmup error bound for speed. -parallel-check replays the
+// segments simulate concurrently on the -sim engine. Exact mode stitches
+// a result byte-identical to the serial segmented run; sampled mode trades
+// a reported warmup error bound for speed. -parallel-check replays the
 // serial reference and fails on any mismatch.
 //
 // With -json the human-readable report is replaced by a one-job
@@ -44,16 +44,15 @@ import (
 
 	"rcpn/internal/arm"
 	"rcpn/internal/batch"
-	"rcpn/internal/iss"
+	"rcpn/internal/diffrun"
 	"rcpn/internal/machine"
 	"rcpn/internal/obsv"
-	"rcpn/internal/pipe5"
 	"rcpn/internal/ssim"
 	"rcpn/internal/workload"
 )
 
 func main() {
-	sim := flag.String("sim", "strongarm", "simulator: strongarm, xscale, arm9, ssim, pipe5, func, iss")
+	sim := flag.String("sim", "strongarm", "simulator: "+strings.Join(diffrun.Names(), ", "))
 	bench := flag.String("bench", "", "built-in benchmark kernel (adpcm, blowfish, compress, crc, g721, go)")
 	scale := flag.Int("scale", 1, "benchmark scale factor")
 	emit := flag.Bool("emit", false, "print the program's emitted output words")
@@ -63,7 +62,7 @@ func main() {
 	traceEvents := flag.Int("trace-events", 1<<20, "trace ring capacity: the trace keeps the last N events")
 	util := flag.Bool("util", false, "print per-transition utilization (RCPN models)")
 	jsonOut := flag.Bool("json", false, "emit a one-job rcpn-batch/v1 JSON record instead of the text report")
-	parallel := flag.Int("parallel", 0, "time-parallel run: split into N segments simulated concurrently (internal/tpar; any diffrun engine incl. genpipe5)")
+	parallel := flag.Int("parallel", 0, "time-parallel run: split into N segments simulated concurrently (internal/tpar)")
 	parallelMode := flag.String("parallel-mode", "exact", "time-parallel stitch mode: exact (byte-identical to serial) or sampled (warmup-biased, error bound reported)")
 	parallelWorkers := flag.Int("parallel-workers", 0, "concurrent segment workers for -parallel (0 = min(segments, GOMAXPROCS))")
 	parallelCheck := flag.Bool("parallel-check", false, "also run the serial segmented reference and fail unless the parallel result matches")
@@ -94,11 +93,15 @@ func main() {
 		fail(err)
 	}
 
+	engine, ok := diffrun.Lookup(*sim)
+	if !ok {
+		fail(fmt.Errorf("unknown simulator %q", *sim))
+	}
 	if *parallel > 1 {
 		if *traceFile != "" || *pipetrace > 0 || *util {
 			fail(fmt.Errorf("-parallel is incompatible with -trace, -pipetrace and -util (segment rings cannot be stitched)"))
 		}
-		runParallel(p, parallelFlags{
+		runParallel(p, engine, parallelFlags{
 			segments: *parallel, mode: *parallelMode, workers: *parallelWorkers,
 			check: *parallelCheck, profile: *profile, jsonOut: *jsonOut,
 			emit: *emit, sim: *sim, bench: *bench, arg: flag.Arg(0),
@@ -106,104 +109,49 @@ func main() {
 		return
 	}
 
-	// Observability attachments. Every simulator implements
-	// obsv.Instrumentable, so one hook covers all seven -sim choices.
+	start := time.Now()
+	st, state, err := engine.Build(p)
+	if err != nil {
+		fail(err)
+	}
+	// Per-model extras, recovered from the simulator behind the stepper.
+	var extra func()
+	switch s := st.(type) {
+	case *machine.Machine:
+		if s.Net != nil { // functional machines have no pipeline to report on
+			if *pipetrace > 0 {
+				s.AttachTracer(os.Stdout, *pipetrace)
+			}
+			extra = func() { machineExtras(s, *util) }
+		}
+	case *ssim.Sim:
+		extra = func() { fmt.Printf("recoveries:     %d\n", s.Flushes) }
+	}
+
+	// Observability attachments: every simulator implements
+	// obsv.Instrumentable.
+	ins := st.(obsv.Instrumentable)
 	var prof *obsv.StallProfile
 	var tracer *obsv.Tracer
+	if *profile {
+		prof = ins.EnableProfile()
+	}
 	if *traceFile != "" {
 		if *traceEvents <= 0 {
 			fail(fmt.Errorf("-trace-events must be > 0"))
 		}
 		tracer = obsv.NewTracer(*traceEvents)
-	}
-	instrument := func(ins obsv.Instrumentable) {
-		if *profile {
-			prof = ins.EnableProfile()
-		}
-		if tracer != nil {
-			ins.AttachTrace(tracer)
-		}
+		ins.AttachTrace(tracer)
 	}
 
-	start := time.Now()
-	var (
-		cycles   int64
-		instret  uint64
-		output   []uint32
-		text     []byte
-		exitCode uint32
-		extra    func()
-	)
-	switch *sim {
-	case "strongarm", "xscale", "arm9":
-		var m *machine.Machine
-		switch *sim {
-		case "strongarm":
-			m = machine.NewStrongARM(p, machine.Config{})
-		case "xscale":
-			m = machine.NewXScale(p, machine.Config{})
-		default:
-			if m, err = machine.NewARM9(p, machine.Config{}); err != nil {
-				fail(err)
-			}
-		}
-		if *pipetrace > 0 {
-			m.AttachTracer(os.Stdout, *pipetrace)
-		}
-		instrument(m)
-		err = m.Run(0)
-		cycles, instret = m.Net.CycleCount(), m.Instret
-		output, text, exitCode = m.Output, m.Text, m.ExitCode
-		extra = func() {
-			if *util {
-				fmt.Print(m.UtilizationReport())
-			}
-			fmt.Printf("flushes:        %d\n", m.Flushes)
-			fmt.Printf("icache:         %.2f%% hit (%d accesses)\n",
-				100*m.ICache.Stats.HitRatio(), m.ICache.Stats.Accesses())
-			fmt.Printf("dcache:         %.2f%% hit (%d accesses)\n",
-				100*m.DCache.Stats.HitRatio(), m.DCache.Stats.Accesses())
-			fmt.Printf("branch pred:    %.2f%% (%d lookups)\n",
-				100*m.Pred.Stats().Accuracy(), m.Pred.Stats().Lookups)
-			for _, pl := range m.Net.Places() {
-				if pl.Stalls() > 0 {
-					fmt.Printf("stalls at %-4s  %d\n", pl.Name+":", pl.Stalls())
-				}
-			}
-		}
-	case "ssim":
-		s := ssim.New(p, ssim.Config{})
-		instrument(s)
-		err = s.Run(0)
-		cycles, instret = s.Cycles, s.Instret
-		output, text, exitCode = s.Output(), s.Text(), s.ExitCode()
-		extra = func() { fmt.Printf("recoveries:     %d\n", s.Flushes) }
-	case "pipe5":
-		s := pipe5.New(p, pipe5.Config{})
-		instrument(s)
-		err = s.Run(0)
-		cycles, instret = s.Cycles, s.Instret
-		output, text, exitCode = s.Output, s.Text, s.ExitCode
-	case "func":
-		m := machine.NewFunctional(p, machine.Config{})
-		instrument(m)
-		err = m.RunFunctional(0)
-		cycles, instret = 0, m.Instret
-		output, text, exitCode = m.Output, m.Text, m.ExitCode
-	case "iss":
-		c := iss.New(p, 0)
-		c.MaxInstrs = 1 << 34
-		instrument(c)
-		err = c.Run()
-		cycles, instret = 0, c.Instret
-		output, text, exitCode = c.Output, c.Text, c.Exit
-	default:
-		fail(fmt.Errorf("unknown simulator %q", *sim))
-	}
+	err = diffrun.Finish(st, 1<<40)
 	wall := time.Since(start)
 	if err != nil {
 		fail(err)
 	}
+	cycles, instret := st.Progress()
+	fin := state()
+	output, text, exitCode := fin.Output, fin.Text, fin.Exit
 
 	if *traceFile != "" {
 		if werr := writeTrace(tracer, *traceFile); werr != nil {
@@ -258,6 +206,25 @@ func main() {
 	}
 	if prof != nil {
 		fmt.Print(prof.Table())
+	}
+}
+
+// machineExtras prints an interpreted RCPN machine's unit statistics.
+func machineExtras(m *machine.Machine, util bool) {
+	if util {
+		fmt.Print(m.UtilizationReport())
+	}
+	fmt.Printf("flushes:        %d\n", m.Flushes)
+	fmt.Printf("icache:         %.2f%% hit (%d accesses)\n",
+		100*m.ICache.Stats.HitRatio(), m.ICache.Stats.Accesses())
+	fmt.Printf("dcache:         %.2f%% hit (%d accesses)\n",
+		100*m.DCache.Stats.HitRatio(), m.DCache.Stats.Accesses())
+	fmt.Printf("branch pred:    %.2f%% (%d lookups)\n",
+		100*m.Pred.Stats().Accuracy(), m.Pred.Stats().Lookups)
+	for _, pl := range m.Net.Places() {
+		if pl.Stalls() > 0 {
+			fmt.Printf("stalls at %-4s  %d\n", pl.Name+":", pl.Stalls())
+		}
 	}
 }
 

@@ -32,18 +32,7 @@ type parallelFlags struct {
 // the report. With -parallel-check it additionally runs the serial
 // segmented reference on the same plan and fails loudly unless the
 // stitched exact-mode result is identical (the CI smoke job's byte-compare).
-func runParallel(p *arm.Program, f parallelFlags) {
-	var engine *diffrun.Engine
-	for _, e := range diffrun.Engines() {
-		if e.Name == f.sim {
-			e := e
-			engine = &e
-			break
-		}
-	}
-	if engine == nil {
-		fail(fmt.Errorf("simulator %q is not in the engine registry (run -parallel with one of the diffrun engines)", f.sim))
-	}
+func runParallel(p *arm.Program, engine diffrun.Engine, f parallelFlags) {
 	mode, err := tpar.ParseMode(f.mode)
 	if err != nil {
 		fail(err)
@@ -52,7 +41,7 @@ func runParallel(p *arm.Program, f parallelFlags) {
 		Segments: f.segments,
 		Workers:  f.workers,
 		Mode:     mode,
-		Warm:     tpar.DefaultWarm(f.sim),
+		Warm:     tpar.DefaultWarm(engine.Name),
 		Profile:  f.profile,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "rcpnsim: "+format+"\n", args...)
@@ -63,7 +52,7 @@ func runParallel(p *arm.Program, f parallelFlags) {
 		fail(err)
 	}
 	start := time.Now()
-	res, err := tpar.RunPlan(p, plan, tpar.EngineBuild(*engine, p), opt)
+	res, err := tpar.RunPlan(p, plan, tpar.EngineBuild(engine, p), opt)
 	if err != nil {
 		fail(err)
 	}
@@ -73,7 +62,7 @@ func runParallel(p *arm.Program, f parallelFlags) {
 	var serWall time.Duration
 	if f.check {
 		serStart := time.Now()
-		ser, err = tpar.Serial(plan, tpar.EngineBuild(*engine, p), opt)
+		ser, err = tpar.Serial(plan, tpar.EngineBuild(engine, p), opt)
 		if err != nil {
 			fail(err)
 		}

@@ -10,10 +10,10 @@ import "testing"
 
 // buildMetaNet builds a small two-class net exercising every accessor case:
 //
-//	      anyT (AnyClass, prio 5)          c0b (class 0, prio 1)
-//	  A ───────────────────────────▶ B ─────────────────────────▶ end
-//	  A ───────────────────────────▶ B      c0a (class 0, prio 0)
-//	  B ─▶ B  self (class 1, prio 0)
+//	    anyT (AnyClass, prio 5)          c0b (class 0, prio 1)
+//	A ───────────────────────────▶ B ─────────────────────────▶ end
+//	A ───────────────────────────▶ B      c0a (class 0, prio 0)
+//	B ─▶ B  self (class 1, prio 0)
 //
 // Class 1 has no route out of A beyond the AnyClass transition, and no
 // route from B to the end place at all — an empty cell once AnyClass is

@@ -18,11 +18,11 @@ import (
 
 	"rcpn/internal/arm"
 	"rcpn/internal/batch"
+	"rcpn/internal/bpred"
 	"rcpn/internal/iss"
 	"rcpn/internal/machine"
 	"rcpn/internal/mem"
 	"rcpn/internal/pipe5"
-	"rcpn/internal/simrun"
 	"rcpn/internal/ssim"
 )
 
@@ -93,34 +93,63 @@ func (s State) Diff(golden State) []string {
 	return out
 }
 
-// Engine is one registry row: Build constructs a fresh instance on a
-// program and returns its checkpointable stepper plus a closure extracting
-// the instance's final architectural state.
-type Engine struct {
-	Name  string
-	Build func(p *arm.Program) (batch.CheckpointStepper, func() State, error)
+// Config is the microarchitecture a caller may override: the cache
+// hierarchy and the branch predictor. The zero value selects the engine's
+// defaults; functional engines ignore it.
+type Config struct {
+	Caches    mem.Hierarchy
+	Predictor bpred.Predictor
 }
 
-func machineEngine(name string, mk func(p *arm.Program) (*machine.Machine, error)) Engine {
-	return Engine{Name: name, Build: func(p *arm.Program) (batch.CheckpointStepper, func() State, error) {
-		m, err := mk(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		st := simrun.Machine(m).(batch.CheckpointStepper)
-		return st, func() State {
-			return StateOf(m.Reg, m.Flags(), m.Mem, m.Instret, m.ExitCode, m.Output, m.Text)
-		}, nil
-	}}
+// Engine is one registry row, and the only place the repository
+// enumerates an engine: every front end (the service, the CLIs, tpar,
+// the conformance matrix and the fuzzer) resolves engines by name here.
+type Engine struct {
+	Name string
+	// New constructs a fresh instance on a program under cfg and returns
+	// the simulator itself as a checkpointable stepper, plus a closure
+	// extracting the instance's final architectural state.
+	New func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error)
+	// Warm returns fresh units with the engine's default cache and
+	// predictor geometry, for an ISS leader whose warm checkpoints must
+	// restore into the engine (tpar). Nil for functional engines.
+	Warm func() Config
+	// Functional marks instruction-positioned engines that take no Config.
+	Functional bool
+}
+
+// Build constructs a fresh instance with the engine's default
+// configuration.
+func (e Engine) Build(p *arm.Program) (batch.CheckpointStepper, func() State, error) {
+	return e.New(p, Config{})
 }
 
 // Engines returns the full registry: the ISS golden model, the functional
 // RCPN machine, the three generated cycle-accurate machines, the
-// hand-written five-stage pipeline and the SimpleScalar-like baseline.
-// Adding an engine here — or registering one with Register — extends the
-// conformance matrix and the fuzzer at once.
+// hand-written five-stage pipeline, the SimpleScalar-like baseline and the
+// registered generated simulators. Adding an engine here — or registering
+// one with Register — reaches every front end at once.
 func Engines() []Engine {
 	return append(builtinEngines(), registered...)
+}
+
+// Lookup returns the registry row named name.
+func Lookup(name string) (Engine, bool) {
+	for _, e := range Engines() {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Engine{}, false
+}
+
+// Names lists the registry's engine names in registry order.
+func Names() []string {
+	var names []string
+	for _, e := range Engines() {
+		names = append(names, e.Name)
+	}
+	return names
 }
 
 // registered holds engines added by Register, in registration order.
@@ -128,62 +157,79 @@ var registered []Engine
 
 // Register adds an engine to the registry behind the built-in rows. It is
 // meant to be called from init functions (generated simulators register
-// themselves this way) so every diffrun consumer — the conformance matrix,
-// the fuzzer, the regression-kernel replayer — sweeps the engine with no
-// further wiring. Names must be unique across the whole registry.
+// themselves this way). Names must be unique across the whole registry.
 func Register(e Engine) {
-	if e.Name == "" || e.Build == nil {
-		panic("diffrun: Register: engine needs a name and a builder")
+	if e.Name == "" || e.New == nil {
+		panic("diffrun: Register: engine needs a name and a constructor")
 	}
-	for _, have := range Engines() {
-		if have.Name == e.Name {
-			panic("diffrun: Register: duplicate engine name " + e.Name)
-		}
+	if _, dup := Lookup(e.Name); dup {
+		panic("diffrun: Register: duplicate engine name " + e.Name)
 	}
 	registered = append(registered, e)
 }
 
+// warmUnits adapts a model's default-unit filler to Engine.Warm.
+func warmUnits(fill func(*machine.Config)) func() Config {
+	return func() Config {
+		var c machine.Config
+		fill(&c)
+		return Config{Caches: c.Caches, Predictor: c.Predictor}
+	}
+}
+
+func machineState(m *machine.Machine) func() State {
+	return func() State {
+		return StateOf(m.Reg, m.Flags(), m.Mem, m.Instret, m.ExitCode, m.Output, m.Text)
+	}
+}
+
+func machineEngine(name string, units func(*machine.Config),
+	mk func(p *arm.Program, cfg machine.Config) (*machine.Machine, error)) Engine {
+	return Engine{Name: name, Warm: warmUnits(units),
+		New: func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
+			m, err := mk(p, machine.Config{Caches: cfg.Caches, Predictor: cfg.Predictor})
+			if err != nil {
+				return nil, nil, err
+			}
+			return m, machineState(m), nil
+		}}
+}
+
 func builtinEngines() []Engine {
 	return []Engine{
-		{Name: "iss", Build: func(p *arm.Program) (batch.CheckpointStepper, func() State, error) {
+		{Name: "iss", Functional: true, New: func(p *arm.Program, _ Config) (batch.CheckpointStepper, func() State, error) {
 			c := iss.New(p, 0)
-			st := simrun.ISS(c).(batch.CheckpointStepper)
-			return st, func() State {
+			return c, func() State {
 				return StateOf(func(r arm.Reg) uint32 { return c.R[r] },
 					c.F, c.Mem, c.Instret, c.Exit, c.Output, c.Text)
 			}, nil
 		}},
-		{Name: "func", Build: func(p *arm.Program) (batch.CheckpointStepper, func() State, error) {
+		{Name: "func", Functional: true, New: func(p *arm.Program, _ Config) (batch.CheckpointStepper, func() State, error) {
 			m := machine.NewFunctional(p, machine.Config{})
-			st := simrun.Functional(m).(batch.CheckpointStepper)
-			return st, func() State {
-				return StateOf(m.Reg, m.Flags(), m.Mem, m.Instret, m.ExitCode, m.Output, m.Text)
-			}, nil
+			return m, machineState(m), nil
 		}},
-		machineEngine("strongarm", func(p *arm.Program) (*machine.Machine, error) {
-			return machine.NewStrongARM(p, machine.Config{}), nil
+		machineEngine("strongarm", machine.StrongARMUnits, func(p *arm.Program, cfg machine.Config) (*machine.Machine, error) {
+			return machine.NewStrongARM(p, cfg), nil
 		}),
-		machineEngine("xscale", func(p *arm.Program) (*machine.Machine, error) {
-			return machine.NewXScale(p, machine.Config{}), nil
+		machineEngine("xscale", machine.XScaleUnits, func(p *arm.Program, cfg machine.Config) (*machine.Machine, error) {
+			return machine.NewXScale(p, cfg), nil
 		}),
-		machineEngine("arm9", func(p *arm.Program) (*machine.Machine, error) {
-			return machine.NewARM9(p, machine.Config{})
-		}),
-		{Name: "pipe5", Build: func(p *arm.Program) (batch.CheckpointStepper, func() State, error) {
-			s := pipe5.New(p, pipe5.Config{})
-			st := simrun.Pipe5(s).(batch.CheckpointStepper)
-			return st, func() State {
-				return StateOf(func(r arm.Reg) uint32 { return s.R[r] },
-					s.F, s.Mem, s.Instret, s.ExitCode, s.Output, s.Text)
-			}, nil
-		}},
-		{Name: "ssim", Build: func(p *arm.Program) (batch.CheckpointStepper, func() State, error) {
-			s := ssim.New(p, ssim.Config{})
-			st := simrun.SSim(s).(batch.CheckpointStepper)
-			return st, func() State {
-				return StateOf(s.Reg, s.Flags(), s.Mem(), s.Instret, s.ExitCode(), s.Output(), s.Text())
-			}, nil
-		}},
+		machineEngine("arm9", machine.StrongARMUnits, machine.NewARM9),
+		{Name: "pipe5", Warm: warmUnits(machine.StrongARMUnits),
+			New: func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
+				s := pipe5.New(p, pipe5.Config{Caches: cfg.Caches, Predictor: cfg.Predictor})
+				return s, func() State {
+					return StateOf(func(r arm.Reg) uint32 { return s.R[r] },
+						s.F, s.Mem, s.Instret, s.ExitCode, s.Output, s.Text)
+				}, nil
+			}},
+		{Name: "ssim", Warm: warmUnits(machine.StrongARMUnits),
+			New: func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
+				s := ssim.New(p, ssim.Config{Caches: cfg.Caches, Predictor: cfg.Predictor})
+				return s, func() State {
+					return StateOf(s.Reg, s.Flags(), s.Mem(), s.Instret, s.ExitCode(), s.Output(), s.Text())
+				}, nil
+			}},
 	}
 }
 
@@ -194,8 +240,8 @@ func builtinEngines() []Engine {
 // and minimizes it. mutate receives the image words and edits them in
 // place.
 func (e Engine) WithProgramMutation(mutate func(words []uint32)) Engine {
-	inner := e.Build
-	return Engine{Name: e.Name, Build: func(p *arm.Program) (batch.CheckpointStepper, func() State, error) {
+	inner := e.New
+	e.New = func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
 		words := p.Words()
 		mutate(words)
 		bytes := make([]byte, len(p.Bytes))
@@ -207,8 +253,9 @@ func (e Engine) WithProgramMutation(mutate func(words []uint32)) Engine {
 			bytes[4*i+3] = byte(w >> 24)
 		}
 		p2 := &arm.Program{Base: p.Base, Entry: p.Entry, Bytes: bytes, Symbols: p.Symbols}
-		return inner(p2)
-	}}
+		return inner(p2, cfg)
+	}
+	return e
 }
 
 const errNotFinished = "position limit reached without exit (engine hang?)"
@@ -224,14 +271,23 @@ func RunPlain(e Engine, p *arm.Program, posLimit int64) (State, error) {
 	if err != nil {
 		return State{}, err
 	}
-	done, err := st.StepTo(posLimit)
-	if err != nil {
+	if err := Finish(st, posLimit); err != nil {
 		return State{}, err
 	}
-	if !done {
-		return State{}, fmt.Errorf("%s", errNotFinished)
-	}
 	return state(), nil
+}
+
+// Finish steps st to program exit within posLimit (cycles or instructions,
+// whichever the engine counts); stopping at the limit is an error.
+func Finish(st batch.Stepper, posLimit int64) error {
+	done, err := st.StepTo(posLimit)
+	if err != nil {
+		return err
+	}
+	if !done {
+		return fmt.Errorf("%s", errNotFinished)
+	}
+	return nil
 }
 
 // RunCheckpointed runs to a drained boundary at the given retirement count,
@@ -264,12 +320,8 @@ func RunCheckpointed(e Engine, p *arm.Program, boundary uint64, posLimit int64) 
 	if err := st2.Restore(ck); err != nil {
 		return State{}, err
 	}
-	done, err = st2.StepTo(posLimit)
-	if err != nil {
+	if err := Finish(st2, posLimit); err != nil {
 		return State{}, err
-	}
-	if !done {
-		return State{}, fmt.Errorf("%s", errNotFinished)
 	}
 	return state2(), nil
 }

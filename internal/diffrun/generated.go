@@ -7,16 +7,14 @@ import (
 	"rcpn/internal/machine"
 )
 
-// Generated simulators (internal/gen output) register here so every diffrun
-// consumer — the conformance matrix, cmd/rcpnfuzz, the regression-kernel
-// replayer — sweeps them alongside the interpreted engines automatically.
+// Generated simulators (internal/gen output) register here so every front
+// end and every diffrun consumer sweeps them alongside the interpreted
+// engines automatically.
 
 func init() {
-	Register(Engine{Name: "genpipe5", Build: func(p *arm.Program) (batch.CheckpointStepper, func() State, error) {
-		s := genpipe5.New(p, machine.Config{})
-		m := s.Runtime()
-		return genpipe5.Stepper(s), func() State {
-			return StateOf(m.Reg, m.Flags(), m.Mem, m.Instret, m.ExitCode, m.Output, m.Text)
-		}, nil
-	}})
+	Register(Engine{Name: "genpipe5", Warm: warmUnits(machine.StrongARMUnits),
+		New: func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
+			s := genpipe5.New(p, machine.Config{Caches: cfg.Caches, Predictor: cfg.Predictor})
+			return s, machineState(s.Runtime()), nil
+		}})
 }

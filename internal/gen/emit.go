@@ -251,7 +251,7 @@ func emit(m *model, opts Options) []byte {
 	e.f("// flush handling and checkpointing are shared with the interpreted\n")
 	e.f("// machines through the machine package's generated-simulator runtime.\n")
 	e.f("package %s\n\n", opts.Package)
-	e.f("import (\n\"fmt\"\n\n\"rcpn/internal/arm\"\n\"rcpn/internal/batch\"\n\"rcpn/internal/ckpt\"\n\"rcpn/internal/machine\"\n\"rcpn/internal/obsv\"\n)\n\n")
+	e.f("import (\n\"fmt\"\n\n\"rcpn/internal/arm\"\n\"rcpn/internal/ckpt\"\n\"rcpn/internal/machine\"\n\"rcpn/internal/obsv\"\n)\n\n")
 
 	e.f("const modelName = %q\n\n", m.spec.Name)
 	e.f("// Pipeline state indices: the source net's place ids, reused as trace\n")
@@ -498,26 +498,24 @@ func emit(m *model, opts Options) []byte {
 	e.f("if s.prof == nil {\ns.prof = obsv.NewStallProfile(stageNames...)\ns.m.InstallProfile(s.prof)\n}\n")
 	e.f("return s.prof\n}\n\n")
 
-	// The batch stepper adapter.
-	e.f("// Stepper adapts the simulator to the batch driving interfaces.\n")
-	e.f("func Stepper(s *Sim) batch.CheckpointStepper { return stepper{s} }\n\n")
-	e.f("type stepper struct{ s *Sim }\n\n")
-	e.f("var (\n_ batch.CheckpointStepper = stepper{}\n_ obsv.Instrumentable = stepper{}\n)\n\n")
-	e.f("func (a stepper) Pos() int64 { return a.s.Cycles }\n\n")
-	e.f("func (a stepper) Progress() (int64, uint64) { return a.s.Cycles, a.s.m.Instret }\n\n")
-	e.f("func (a stepper) StepTo(limit int64) (bool, error) {\n")
-	e.f("err := a.s.Run(limit)\n")
+	// The batch.CheckpointStepper surface; positions are cycles.
+	e.f("// Pos is the cumulative cycle count (batch.Stepper).\n")
+	e.f("func (s *Sim) Pos() int64 { return s.Cycles }\n\n")
+	e.f("// Progress returns the cumulative (cycles, instructions).\n")
+	e.f("func (s *Sim) Progress() (int64, uint64) { return s.Cycles, s.m.Instret }\n\n")
+	e.f("// StepTo advances until Cycles >= limit or the program exits; reaching\n")
+	e.f("// the limit is a clean chunk boundary, not an error.\n")
+	e.f("func (s *Sim) StepTo(limit int64) (bool, error) {\n")
+	e.f("err := s.Run(limit)\n")
 	e.f("if err == nil {\nreturn true, nil\n}\n")
-	e.f("if a.s.m.Err == nil && !a.s.m.Exited && a.s.Cycles >= limit {\nreturn false, nil // chunk boundary, not a failure\n}\n")
+	e.f("if s.m.Err == nil && !s.m.Exited && s.Cycles >= limit {\nreturn false, nil // chunk boundary, not a failure\n}\n")
 	e.f("return false, err\n}\n\n")
-	e.f("func (a stepper) StepToRetired(target uint64, posLimit int64) (bool, error) {\n")
-	e.f("if err := a.s.RunUntil(target, posLimit); err != nil {\nreturn false, err\n}\n")
-	e.f("return a.s.m.Exited, nil\n}\n\n")
-	e.f("func (a stepper) DrainBoundary() error { return a.s.Drain(0) }\n\n")
-	e.f("func (a stepper) Checkpoint() (*ckpt.Checkpoint, error) { return a.s.Checkpoint() }\n\n")
-	e.f("func (a stepper) Restore(ck *ckpt.Checkpoint) error { return a.s.Restore(ck) }\n\n")
-	e.f("func (a stepper) AttachTrace(tr *obsv.Tracer) { a.s.AttachTrace(tr) }\n\n")
-	e.f("func (a stepper) EnableProfile() *obsv.StallProfile { return a.s.EnableProfile() }\n")
+	e.f("// StepToRetired is RunUntil reporting program exit.\n")
+	e.f("func (s *Sim) StepToRetired(target uint64, posLimit int64) (bool, error) {\n")
+	e.f("if err := s.RunUntil(target, posLimit); err != nil {\nreturn false, err\n}\n")
+	e.f("return s.m.Exited, nil\n}\n\n")
+	e.f("// DrainBoundary runs the pipeline empty with fetch held.\n")
+	e.f("func (s *Sim) DrainBoundary() error { return s.Drain(0) }\n")
 
 	return e.buf.Bytes()
 }

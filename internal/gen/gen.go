@@ -8,7 +8,7 @@
 //
 // The generated package implements the engine surface of the interpreted
 // machines (Run/RunUntil/Drain, Checkpoint/Restore at drained boundaries,
-// obsv trace/profile attachment, the batch.CheckpointStepper adapter), so
+// obsv trace/profile attachment, the batch.CheckpointStepper methods), so
 // a generated simulator registers into internal/diffrun and is exercised
 // by the conformance matrix, differential fuzzer and checkpoint suites
 // exactly like its interpreted twin.

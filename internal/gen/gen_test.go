@@ -47,7 +47,7 @@ func TestGofmtClean(t *testing.T) {
 // TestEmittedPackagesBuild generates each CLI model into a scratch
 // directory inside the module (an underscore prefix keeps it out of ./...
 // wildcards) and compiles it — the end-to-end check that emitted code is
-// valid Go against the real machine/obsv/batch surfaces, for the linear
+// valid Go against the real machine/obsv surfaces, for the linear
 // five-stage model and the deeper-front-end ARM9 alike.
 func TestEmittedPackagesBuild(t *testing.T) {
 	specs := map[string]machine.Spec{

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"rcpn/internal/arm"
-	"rcpn/internal/batch"
 	"rcpn/internal/ckpt"
 	"rcpn/internal/machine"
 	"rcpn/internal/obsv"
@@ -552,44 +551,32 @@ func (s *Sim) EnableProfile() *obsv.StallProfile {
 	return s.prof
 }
 
-// Stepper adapts the simulator to the batch driving interfaces.
-func Stepper(s *Sim) batch.CheckpointStepper { return stepper{s} }
+// Pos is the cumulative cycle count (batch.Stepper).
+func (s *Sim) Pos() int64 { return s.Cycles }
 
-type stepper struct{ s *Sim }
+// Progress returns the cumulative (cycles, instructions).
+func (s *Sim) Progress() (int64, uint64) { return s.Cycles, s.m.Instret }
 
-var (
-	_ batch.CheckpointStepper = stepper{}
-	_ obsv.Instrumentable     = stepper{}
-)
-
-func (a stepper) Pos() int64 { return a.s.Cycles }
-
-func (a stepper) Progress() (int64, uint64) { return a.s.Cycles, a.s.m.Instret }
-
-func (a stepper) StepTo(limit int64) (bool, error) {
-	err := a.s.Run(limit)
+// StepTo advances until Cycles >= limit or the program exits; reaching
+// the limit is a clean chunk boundary, not an error.
+func (s *Sim) StepTo(limit int64) (bool, error) {
+	err := s.Run(limit)
 	if err == nil {
 		return true, nil
 	}
-	if a.s.m.Err == nil && !a.s.m.Exited && a.s.Cycles >= limit {
+	if s.m.Err == nil && !s.m.Exited && s.Cycles >= limit {
 		return false, nil // chunk boundary, not a failure
 	}
 	return false, err
 }
 
-func (a stepper) StepToRetired(target uint64, posLimit int64) (bool, error) {
-	if err := a.s.RunUntil(target, posLimit); err != nil {
+// StepToRetired is RunUntil reporting program exit.
+func (s *Sim) StepToRetired(target uint64, posLimit int64) (bool, error) {
+	if err := s.RunUntil(target, posLimit); err != nil {
 		return false, err
 	}
-	return a.s.m.Exited, nil
+	return s.m.Exited, nil
 }
 
-func (a stepper) DrainBoundary() error { return a.s.Drain(0) }
-
-func (a stepper) Checkpoint() (*ckpt.Checkpoint, error) { return a.s.Checkpoint() }
-
-func (a stepper) Restore(ck *ckpt.Checkpoint) error { return a.s.Restore(ck) }
-
-func (a stepper) AttachTrace(tr *obsv.Tracer) { a.s.AttachTrace(tr) }
-
-func (a stepper) EnableProfile() *obsv.StallProfile { return a.s.EnableProfile() }
+// DrainBoundary runs the pipeline empty with fetch held.
+func (s *Sim) DrainBoundary() error { return s.Drain(0) }

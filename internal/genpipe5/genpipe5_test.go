@@ -7,9 +7,11 @@ import (
 	"testing"
 
 	"rcpn/internal/arm"
+	"rcpn/internal/bpred"
 	"rcpn/internal/gen"
 	"rcpn/internal/genpipe5"
 	"rcpn/internal/machine"
+	"rcpn/internal/mem"
 	"rcpn/internal/obsv"
 	"rcpn/internal/workload"
 )
@@ -64,7 +66,6 @@ func TestEquivalentToInterpreted(t *testing.T) {
 			if err := gs.Run(0); err != nil {
 				t.Fatalf("generated: %v", err)
 			}
-			gm := gs.Runtime()
 
 			im, err := machine.Generate(p, machine.StrongARMSpec(), machine.Config{})
 			if err != nil {
@@ -77,34 +78,7 @@ func TestEquivalentToInterpreted(t *testing.T) {
 				t.Fatalf("interpreted: %v", err)
 			}
 
-			if gs.Cycles != im.Net.CycleCount() {
-				t.Errorf("cycles: generated %d, interpreted %d", gs.Cycles, im.Net.CycleCount())
-			}
-			if gm.Instret != im.Instret {
-				t.Errorf("instret: generated %d, interpreted %d", gm.Instret, im.Instret)
-			}
-			for r := 0; r < 15; r++ {
-				if g, i := gm.Reg(arm.Reg(r)), im.Reg(arm.Reg(r)); g != i {
-					t.Errorf("r%d: generated %#x, interpreted %#x", r, g, i)
-				}
-			}
-			if gm.Flags() != im.Flags() {
-				t.Errorf("flags: generated %+v, interpreted %+v", gm.Flags(), im.Flags())
-			}
-			if g, i := gm.Mem.Digest(), im.Mem.Digest(); g != i {
-				t.Errorf("memory digest: generated %#x, interpreted %#x", g, i)
-			}
-			if gm.ExitCode != im.ExitCode {
-				t.Errorf("exit: generated %d, interpreted %d", gm.ExitCode, im.ExitCode)
-			}
-
-			if err := gprof.Validate(); err != nil {
-				t.Errorf("generated profile: %v", err)
-			}
-			if !reflect.DeepEqual(gprof, iprof) {
-				t.Errorf("stall profiles differ:\ngenerated:\n%s\ninterpreted:\n%s",
-					gprof.Table(), iprof.Table())
-			}
+			compareTwins(t, gs, gprof, im, iprof)
 
 			if !reflect.DeepEqual(gtr.Locs, itr.Locs) || !reflect.DeepEqual(gtr.Ops, itr.Ops) {
 				t.Fatalf("trace name tables differ: locs %v vs %v, %d vs %d ops",
@@ -123,5 +97,78 @@ func TestEquivalentToInterpreted(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEquivalentUnderConfig extends the twin check to a configured job: a
+// non-default I/D cache geometry and a bimodal predictor, the knobs the
+// service accepts for every cycle engine. Cycles, final state and stall
+// profile must match the interpreted twin on every kernel.
+func TestEquivalentUnderConfig(t *testing.T) {
+	cfg := func() machine.Config {
+		return machine.Config{
+			Caches: mem.Hierarchy{
+				I: mem.MustCache(mem.CacheConfig{Name: "icache", Sets: 8, Ways: 4, LineBytes: 16, HitLatency: 1, MissLatency: 12}),
+				D: mem.MustCache(mem.CacheConfig{Name: "dcache", Sets: 4, Ways: 8, LineBytes: 32, HitLatency: 2, MissLatency: 20}),
+			},
+			Predictor: bpred.NewBimodal(64),
+		}
+	}
+	for _, w := range workload.All() {
+		w := w
+		t.Run(w.Name, func(t *testing.T) {
+			p, err := w.Program(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs := genpipe5.New(p, cfg())
+			gprof := gs.EnableProfile()
+			if err := gs.Run(0); err != nil {
+				t.Fatalf("generated: %v", err)
+			}
+			im, err := machine.Generate(p, machine.StrongARMSpec(), cfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			iprof := im.EnableProfile()
+			if err := im.Run(0); err != nil {
+				t.Fatalf("interpreted: %v", err)
+			}
+			compareTwins(t, gs, gprof, im, iprof)
+		})
+	}
+}
+
+// compareTwins checks a finished generated simulator against its finished
+// interpreted twin: cycle count, final architected state and stall profile.
+func compareTwins(t *testing.T, gs *genpipe5.Sim, gprof *obsv.StallProfile, im *machine.Machine, iprof *obsv.StallProfile) {
+	t.Helper()
+	gm := gs.Runtime()
+	if gs.Cycles != im.Net.CycleCount() {
+		t.Errorf("cycles: generated %d, interpreted %d", gs.Cycles, im.Net.CycleCount())
+	}
+	if gm.Instret != im.Instret {
+		t.Errorf("instret: generated %d, interpreted %d", gm.Instret, im.Instret)
+	}
+	for r := 0; r < 15; r++ {
+		if g, i := gm.Reg(arm.Reg(r)), im.Reg(arm.Reg(r)); g != i {
+			t.Errorf("r%d: generated %#x, interpreted %#x", r, g, i)
+		}
+	}
+	if gm.Flags() != im.Flags() {
+		t.Errorf("flags: generated %+v, interpreted %+v", gm.Flags(), im.Flags())
+	}
+	if g, i := gm.Mem.Digest(), im.Mem.Digest(); g != i {
+		t.Errorf("memory digest: generated %#x, interpreted %#x", g, i)
+	}
+	if gm.ExitCode != im.ExitCode {
+		t.Errorf("exit: generated %d, interpreted %d", gm.ExitCode, im.ExitCode)
+	}
+	if err := gprof.Validate(); err != nil {
+		t.Errorf("generated profile: %v", err)
+	}
+	if !reflect.DeepEqual(gprof, iprof) {
+		t.Errorf("stall profiles differ:\ngenerated:\n%s\ninterpreted:\n%s",
+			gprof.Table(), iprof.Table())
 	}
 }

@@ -30,8 +30,10 @@ func (c *CPU) RunN(n uint64) (uint64, error) {
 }
 
 // Checkpoint captures the complete architected state, plus warm
-// microarchitectural state when warm units are attached.
-func (c *CPU) Checkpoint() *ckpt.Checkpoint {
+// microarchitectural state when warm units are attached. Every instruction
+// boundary is drained, so it never fails; the error result matches
+// batch.CheckpointStepper.
+func (c *CPU) Checkpoint() (*ckpt.Checkpoint, error) {
 	ck := &ckpt.Checkpoint{
 		R:       c.R,
 		Instret: c.Instret,
@@ -47,7 +49,7 @@ func (c *CPU) Checkpoint() *ckpt.Checkpoint {
 	if c.WarmPred != nil {
 		ck.Pred = ckpt.CapturePred(c.WarmPred)
 	}
-	return ck
+	return ck, nil
 }
 
 // Restore overwrites the CPU's architected state with the checkpoint. The
@@ -86,3 +88,32 @@ func NewFromCheckpoint(ck *ckpt.Checkpoint) (*CPU, error) {
 	}
 	return c, nil
 }
+
+// The batch.CheckpointStepper surface: positions are retired instructions
+// and cycles report as zero. MaxInstrs, if set, still applies and surfaces
+// as an error.
+
+// Pos is the retired-instruction count.
+func (c *CPU) Pos() int64 { return int64(c.Instret) }
+
+// Progress returns (0, instructions): the ISS has no cycles.
+func (c *CPU) Progress() (int64, uint64) { return 0, c.Instret }
+
+// StepTo executes until limit instructions retired or the program exits.
+func (c *CPU) StepTo(limit int64) (bool, error) {
+	if n := limit - int64(c.Instret); n > 0 {
+		if _, err := c.RunN(uint64(n)); err != nil {
+			return false, err
+		}
+	}
+	return c.Exited, nil
+}
+
+// StepToRetired stops at the target or posLimit, whichever comes first
+// (both count instructions).
+func (c *CPU) StepToRetired(target uint64, posLimit int64) (bool, error) {
+	return c.StepTo(min(int64(target), posLimit))
+}
+
+// DrainBoundary is a no-op: every instruction boundary is drained.
+func (c *CPU) DrainBoundary() error { return nil }

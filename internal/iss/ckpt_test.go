@@ -25,7 +25,7 @@ func TestCheckpointLockstep(t *testing.T) {
 
 	// Round-trip through the binary codec so the lockstep check also covers
 	// serialization, not just in-memory copying.
-	data, err := donor.Checkpoint().Bytes()
+	data, err := snapshot(t, donor).Bytes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCheckpointOfFinishedProgram(t *testing.T) {
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	twin, err := NewFromCheckpoint(c.Checkpoint())
+	twin, err := NewFromCheckpoint(snapshot(t, c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestWarmStateCaptured(t *testing.T) {
 	if _, err := c.RunN(5000); err != nil {
 		t.Fatal(err)
 	}
-	ck := c.Checkpoint()
+	ck := snapshot(t, c)
 	if ck.ICache == nil || ck.DCache == nil || ck.Pred == nil {
 		t.Fatal("warm state missing from checkpoint")
 	}
@@ -152,4 +152,14 @@ func TestWarmStateCaptured(t *testing.T) {
 	if ck.Pred.Kind != "bimodal" {
 		t.Fatalf("predictor kind %q", ck.Pred.Kind)
 	}
+}
+
+// snapshot checkpoints c, failing the test on error.
+func snapshot(t *testing.T, c *CPU) *ckpt.Checkpoint {
+	t.Helper()
+	ck, err := c.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ck
 }

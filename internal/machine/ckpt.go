@@ -12,11 +12,11 @@ import (
 // is the point where the architected state (registers, flags, memory, PC)
 // fully determines all future behavior; in-flight tokens hold partial
 // results, reservations and data-dependent delays that have no stable
-// serialized form. RunN produces such boundaries on demand: it runs until a
-// target retirement count, then holds the fetch source and lets the pipeline
-// empty. Any in-flight control transfer resolves during the drain (redirects
-// update the fetch PC even with fetch held), so the drained PC is always the
-// next architectural instruction.
+// serialized form. RunUntil followed by Drain produces such boundaries on
+// demand: run to a target retirement count, then hold the fetch source and
+// let the pipeline empty. Any in-flight control transfer resolves during
+// the drain (redirects update the fetch PC even with fetch held), so the
+// drained PC is always the next architectural instruction.
 
 // Drained reports whether no instruction is in flight: every place empty
 // (including two-list staging buffers) and no serializing instruction
@@ -36,49 +36,10 @@ func (m *Machine) Drained() bool {
 	return m.fetchHold == nil
 }
 
-// RunN simulates until at least n more instructions retire (or the program
-// exits), then drains the pipeline so the machine sits at a checkpointable
-// architectural boundary. The boundary lands at the first drained point at
-// or after the target — a few instructions past it, since work already in
-// flight when the target retires completes normally. maxCycles bounds the
-// whole operation (0 = 1<<40).
-func (m *Machine) RunN(n uint64, maxCycles int64) error {
-	if m.functional {
-		return fmt.Errorf("%s: RunN needs a pipeline; use RunFunctional", m.Name)
-	}
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
-	target := m.Instret + n
-	step := func() error {
-		if m.Net.CycleCount() >= maxCycles {
-			return fmt.Errorf("%s: cycle limit %d exceeded at pc=%#08x", m.Name, maxCycles, m.pc)
-		}
-		m.Net.Step()
-		if m.tracer != nil {
-			m.tracer.snap()
-		}
-		return m.Err
-	}
-	for !m.Exited && m.Instret < target {
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	m.holdFetch = true
-	defer func() { m.holdFetch = false }()
-	for !m.Drained() {
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RunUntil simulates until at least target total instructions have retired,
 // the program exits, or the cycle count reaches cycleLimit (0 = 1<<40) —
-// whichever comes first. Unlike RunN it does not drain and reaching the
-// cycle limit is a clean stop, not an error, so a driver can interleave
+// whichever comes first. It does not drain, and reaching the cycle limit
+// is a clean stop, not an error, so a driver can interleave
 // limit-sized bursts with cancellation checks; because the limit check sits
 // strictly between cycles, where the bursts end cannot change the simulated
 // outcome, and the first state with Instret >= target is independent of the
@@ -103,9 +64,8 @@ func (m *Machine) RunUntil(target uint64, cycleLimit int64) error {
 }
 
 // Drain holds the front end and runs the pipeline empty, leaving the
-// machine at a checkpointable architectural boundary (the same drain RunN
-// performs after its retirement target). maxCycles bounds the drain
-// (0 = 1<<40).
+// machine at a checkpointable architectural boundary. maxCycles bounds the
+// drain (0 = 1<<40).
 func (m *Machine) Drain(maxCycles int64) error {
 	if maxCycles <= 0 {
 		maxCycles = 1 << 40
@@ -135,7 +95,7 @@ func (m *Machine) Checkpoint() (*ckpt.Checkpoint, error) {
 		return nil, m.Err
 	}
 	if !m.Drained() {
-		return nil, fmt.Errorf("%s: checkpoint requires a drained pipeline (use RunN)", m.Name)
+		return nil, fmt.Errorf("%s: checkpoint requires a drained pipeline (use Drain)", m.Name)
 	}
 	ck := &ckpt.Checkpoint{
 		Instret: m.Instret,
@@ -197,3 +157,62 @@ func (m *Machine) Restore(ck *ckpt.Checkpoint) error {
 	clear(m.poolExtra)
 	return nil
 }
+
+// The batch.CheckpointStepper surface. Positions are cycles for pipelined
+// machines and retired instructions for functional ones. Run and
+// RunFunctional return a formatted error when their limit is reached but
+// record real failures in Err, so StepTo tells a chunk boundary (limit
+// reached, program not exited, no recorded error) apart from a failure.
+// Chunking is bit-exact: the limit check sits outside the per-cycle state
+// update, so where the boundaries fall cannot change the outcome.
+
+// Pos is the cumulative position StepTo limits by.
+func (m *Machine) Pos() int64 {
+	if m.functional {
+		return int64(m.Instret)
+	}
+	return m.Net.CycleCount()
+}
+
+// Progress returns the cumulative (cycles, instructions); functional
+// machines report zero cycles.
+func (m *Machine) Progress() (int64, uint64) {
+	if m.functional {
+		return 0, m.Instret
+	}
+	return m.Net.CycleCount(), m.Instret
+}
+
+// StepTo advances until Pos() >= limit or the program exits.
+func (m *Machine) StepTo(limit int64) (bool, error) {
+	var err error
+	if m.functional {
+		err = m.RunFunctional(uint64(limit))
+	} else {
+		err = m.Run(limit)
+	}
+	if err == nil {
+		return true, nil
+	}
+	if m.Err == nil && !m.Exited && m.Pos() >= limit {
+		return false, nil // chunk boundary, not a failure
+	}
+	return false, err
+}
+
+// StepToRetired advances until target instructions retired, the program
+// exits, or Pos() reaches posLimit.
+func (m *Machine) StepToRetired(target uint64, posLimit int64) (bool, error) {
+	if m.functional {
+		// Position is the retirement count: stop at whichever comes first.
+		return m.StepTo(min(int64(target), posLimit))
+	}
+	if err := m.RunUntil(target, posLimit); err != nil {
+		return false, err
+	}
+	return m.Exited, nil
+}
+
+// DrainBoundary runs to the nearest checkpointable boundary; a no-op for
+// functional machines, whose every instruction boundary is drained.
+func (m *Machine) DrainBoundary() error { return m.Drain(0) }

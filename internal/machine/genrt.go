@@ -24,7 +24,7 @@ import (
 // (TwoListAll, DynamicSearch, NoActiveList) have no net to act on and are
 // ignored; NoTokenCache still disables the decode cache.
 func NewGenRuntime(name string, p *arm.Program, cfg Config) *Machine {
-	return newMachine(name, p, cfg, defaultStrongARMUnits)
+	return newMachine(name, p, cfg, StrongARMUnits)
 }
 
 // GenFetch is fetchOne for generated simulators: decode (or reuse) the

@@ -92,7 +92,7 @@ type Spec struct {
 // operation-class semantics of ops.go wired in by role — the same wiring
 // the hand-written models use.
 func Generate(p *arm.Program, spec Spec, cfg Config) (*Machine, error) {
-	m := newMachine(spec.Name, p, cfg, defaultStrongARMUnits)
+	m := newMachine(spec.Name, p, cfg, StrongARMUnits)
 
 	n := core.NewNet(int(arm.NumClasses))
 	places := map[string]*core.Place{}
@@ -197,9 +197,10 @@ func Generate(p *arm.Program, spec Spec, cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// defaultStrongARMUnits supplies StrongARM-class non-pipeline units when a
-// Spec-generated model's config leaves them unset.
-func defaultStrongARMUnits(c *Config) {
+// StrongARMUnits supplies StrongARM-class non-pipeline units (16KB I/D
+// caches, static not-taken branches) where c leaves them unset: the
+// defaults of NewStrongARM and of every Spec-generated model.
+func StrongARMUnits(c *Config) {
 	if c.Caches.I == nil {
 		c.Caches = mem.DefaultStrongARM()
 	}

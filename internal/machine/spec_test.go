@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"rcpn/internal/arm"
-	"rcpn/internal/bpred"
 	"rcpn/internal/iss"
-	"rcpn/internal/mem"
 	"rcpn/internal/workload"
 )
 
@@ -104,10 +102,9 @@ func TestGeneratedXScaleEquivalence(t *testing.T) {
 		if err := hand.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		gen, err := Generate(p, XScaleSpec(), Config{
-			Caches:    mem.DefaultXScale(),
-			Predictor: bpred.NewBimodal(128),
-		})
+		var cfg Config
+		XScaleUnits(&cfg)
+		gen, err := Generate(p, XScaleSpec(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

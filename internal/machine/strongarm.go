@@ -2,9 +2,7 @@ package machine
 
 import (
 	"rcpn/internal/arm"
-	"rcpn/internal/bpred"
 	"rcpn/internal/core"
-	"rcpn/internal/mem"
 	"rcpn/internal/obsv"
 )
 
@@ -19,14 +17,7 @@ import (
 // units: 16KB I/D caches, static not-taken branch handling (the SA-110 has
 // no branch predictor, so every taken branch pays the two-cycle refetch).
 func NewStrongARM(p *arm.Program, cfg Config) *Machine {
-	m := newMachine("strongarm", p, cfg, func(c *Config) {
-		if c.Caches.I == nil {
-			c.Caches = mem.DefaultStrongARM()
-		}
-		if c.Predictor == nil {
-			c.Predictor = bpred.NewNotTaken()
-		}
-	})
+	m := newMachine("strongarm", p, cfg, StrongARMUnits)
 
 	n := core.NewNet(int(arm.NumClasses))
 	fd := n.Place("FD", n.Stage("FD", 1)) // fetch latch

@@ -8,6 +8,17 @@ import (
 	"rcpn/internal/obsv"
 )
 
+// XScaleUnits supplies the XScale model's non-pipeline units (32KB I/D
+// caches, a 128-entry bimodal predictor) where c leaves them unset.
+func XScaleUnits(c *Config) {
+	if c.Caches.I == nil {
+		c.Caches = mem.DefaultXScale()
+	}
+	if c.Predictor == nil {
+		c.Predictor = bpred.NewBimodal(128)
+	}
+}
+
 // NewXScale builds the XScale (PXA250) model of Fig. 9: an in-order-issue,
 // out-of-order-completion processor with a seven-stage main pipeline and two
 // parallel back ends —
@@ -22,14 +33,7 @@ import (
 // 32KB I/D caches and a bimodal predictor with BTB (the XScale core has
 // dynamic branch prediction).
 func NewXScale(p *arm.Program, cfg Config) *Machine {
-	m := newMachine("xscale", p, cfg, func(c *Config) {
-		if c.Caches.I == nil {
-			c.Caches = mem.DefaultXScale()
-		}
-		if c.Predictor == nil {
-			c.Predictor = bpred.NewBimodal(128)
-		}
-	})
+	m := newMachine("xscale", p, cfg, XScaleUnits)
 
 	n := core.NewNet(int(arm.NumClasses))
 	f1 := n.Place("F1", n.Stage("F1", 1))

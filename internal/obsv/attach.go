@@ -1,8 +1,7 @@
 package obsv
 
-// Instrumentable is implemented by every simulator (and the simrun
-// stepper adapters that wrap them) that can host an observability
-// attachment. Both methods must be called before the first simulated
+// Instrumentable is implemented by every simulator that can host an
+// observability attachment. Both methods must be called before the first simulated
 // step; both are optional and independent.
 type Instrumentable interface {
 	// AttachTrace routes the simulator's token/transition events into tr

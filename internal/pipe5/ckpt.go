@@ -8,41 +8,12 @@ import (
 
 // Checkpoint support for the hand-written baseline, mirroring the RCPN
 // models: snapshots only at drained-pipeline boundaries, produced on demand
-// by RunN (run to a retirement target, hold fetch, let the latches empty).
+// by RunUntil plus Drain (run to a retirement target, hold fetch, let the
+// latches empty).
 
 // Drained reports whether all four pipeline latches are empty.
 func (s *Sim) Drained() bool {
 	return s.fq == nil && s.dx == nil && s.mx == nil && s.wx == nil
-}
-
-// RunN simulates until at least n more instructions retire (or the program
-// exits), then drains the pipeline to a checkpointable boundary. maxCycles
-// bounds the whole operation (0 = 1<<40).
-func (s *Sim) RunN(n uint64, maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
-	target := s.Instret + n
-	step := func() error {
-		if s.Cycles >= maxCycles {
-			return fmt.Errorf("pipe5: cycle limit %d exceeded at pc=%#08x", maxCycles, s.pc)
-		}
-		s.cycle()
-		return s.Err
-	}
-	for !s.Exited && s.Instret < target {
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	s.holdFetch = true
-	defer func() { s.holdFetch = false }()
-	for !s.Exited && !s.Drained() {
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RunUntil simulates until at least target total instructions have retired,
@@ -89,7 +60,7 @@ func (s *Sim) Checkpoint() (*ckpt.Checkpoint, error) {
 		return nil, s.Err
 	}
 	if !s.Drained() {
-		return nil, fmt.Errorf("pipe5: checkpoint requires a drained pipeline (use RunN)")
+		return nil, fmt.Errorf("pipe5: checkpoint requires a drained pipeline (use Drain)")
 	}
 	ck := &ckpt.Checkpoint{
 		R:       s.R,
@@ -136,3 +107,36 @@ func (s *Sim) Restore(ck *ckpt.Checkpoint) error {
 	}
 	return ckpt.RestorePred(s.Pred, ck.Pred)
 }
+
+// The batch.CheckpointStepper surface; positions are cycles. Run returns a
+// formatted error at its limit but records real failures in Err, so StepTo
+// reports a reached limit as a clean chunk boundary.
+
+// Pos is the cumulative cycle count.
+func (s *Sim) Pos() int64 { return s.Cycles }
+
+// Progress returns the cumulative (cycles, instructions).
+func (s *Sim) Progress() (int64, uint64) { return s.Cycles, s.Instret }
+
+// StepTo advances until Cycles >= limit or the program exits.
+func (s *Sim) StepTo(limit int64) (bool, error) {
+	err := s.Run(limit)
+	if err == nil {
+		return true, nil
+	}
+	if s.Err == nil && s.Cycles >= limit {
+		return false, nil // chunk boundary, not a failure
+	}
+	return false, err
+}
+
+// StepToRetired is RunUntil reporting program exit.
+func (s *Sim) StepToRetired(target uint64, posLimit int64) (bool, error) {
+	if err := s.RunUntil(target, posLimit); err != nil {
+		return false, err
+	}
+	return s.Exited, nil
+}
+
+// DrainBoundary runs the latches empty with fetch held.
+func (s *Sim) DrainBoundary() error { return s.Drain(0) }

@@ -1,49 +1,37 @@
 package serve
 
 import (
-	"rcpn/internal/bpred"
+	"rcpn/internal/diffrun"
 	"rcpn/internal/iss"
-	"rcpn/internal/mem"
 	"rcpn/internal/tpar"
 )
 
 // warm builds the leader warm-unit wiring for a parallel job: the spec's
-// cache/predictor overrides where present, the simulator's defaults where
-// not — the leader must warm units with the exact geometry the segment
-// workers restore into. Functional simulators take cold (nil) warm state.
-// The execution itself lives in runParallel (executor.go).
+// cache/predictor overrides where present, the engine's registry defaults
+// where not — the leader must warm units with the exact geometry the
+// segment workers restore into. Functional simulators take cold (nil) warm
+// state. The execution itself lives in runParallel (executor.go).
 func (s *JobSpec) warm() (func(c *iss.CPU), error) {
-	switch s.Simulator {
-	case "func", "iss":
+	engine, _ := diffrun.Lookup(s.Simulator)
+	if engine.Warm == nil {
 		return nil, nil
 	}
 	if s.Config.isZero() {
 		return tpar.DefaultWarm(s.Simulator), nil
 	}
-	h, err := s.hierarchy()
+	cfg, err := s.engineConfig()
 	if err != nil {
 		return nil, err
 	}
-	pred, err := s.predictor()
-	if err != nil {
-		return nil, err
+	def := engine.Warm()
+	if cfg.Caches.I == nil {
+		cfg.Caches.I = def.Caches.I
 	}
-	def := mem.DefaultStrongARM()
-	if s.Simulator == "xscale" {
-		def = mem.DefaultXScale()
+	if cfg.Caches.D == nil {
+		cfg.Caches.D = def.Caches.D
 	}
-	if h.I == nil {
-		h.I = def.I
+	if cfg.Predictor == nil {
+		cfg.Predictor = def.Predictor
 	}
-	if h.D == nil {
-		h.D = def.D
-	}
-	if pred == nil {
-		if s.Simulator == "xscale" {
-			pred = bpred.NewBimodal(128)
-		} else {
-			pred = bpred.NewNotTaken()
-		}
-	}
-	return func(c *iss.CPU) { c.WarmI, c.WarmD, c.WarmPred = h.I, h.D, pred }, nil
+	return func(c *iss.CPU) { c.WarmI, c.WarmD, c.WarmPred = cfg.Caches.I, cfg.Caches.D, cfg.Predictor }, nil
 }

@@ -17,12 +17,8 @@ import (
 	"rcpn/internal/arm"
 	"rcpn/internal/batch"
 	"rcpn/internal/bpred"
-	"rcpn/internal/iss"
-	"rcpn/internal/machine"
+	"rcpn/internal/diffrun"
 	"rcpn/internal/mem"
-	"rcpn/internal/pipe5"
-	"rcpn/internal/simrun"
-	"rcpn/internal/ssim"
 	"rcpn/internal/workload"
 )
 
@@ -106,12 +102,6 @@ type JobSpec struct {
 	Config       SimConfig `json:"config"`
 }
 
-// simulators is the accepted Simulator set, matching cmd/rcpnsim's -sim.
-var simulators = map[string]bool{
-	"strongarm": true, "xscale": true, "arm9": true,
-	"ssim": true, "pipe5": true, "func": true, "iss": true,
-}
-
 // maxSourceBytes bounds inline assembly so a single request cannot balloon
 // server memory.
 const maxSourceBytes = 1 << 20
@@ -164,8 +154,11 @@ func (s *JobSpec) Normalize() error {
 	s.Simulator = strings.ToLower(strings.TrimSpace(s.Simulator))
 	s.Kernel = strings.ToLower(strings.TrimSpace(s.Kernel))
 	s.Config.Bpred = strings.ToLower(strings.TrimSpace(s.Config.Bpred))
-	if !simulators[s.Simulator] {
-		return specErrf("unknown simulator %q (want strongarm, xscale, arm9, ssim, pipe5, func or iss)", s.Simulator)
+	engine, ok := diffrun.Lookup(s.Simulator)
+	if !ok {
+		names := diffrun.Names()
+		return specErrf("unknown simulator %q (want %s or %s)", s.Simulator,
+			strings.Join(names[:len(names)-1], ", "), names[len(names)-1])
 	}
 	if (s.Kernel == "") == (s.Source == "") {
 		return specErrf("exactly one of kernel and source must be set")
@@ -221,7 +214,7 @@ func (s *JobSpec) Normalize() error {
 	if s.ParallelMode != "" && s.ParallelMode != "sampled" {
 		return specErrf("unknown parallel_mode %q (want exact or sampled)", s.ParallelMode)
 	}
-	if (s.Simulator == "func" || s.Simulator == "iss") && !s.Config.isZero() {
+	if engine.Functional && !s.Config.isZero() {
 		return specErrf("simulator %q is functional and takes no cache/bpred config", s.Simulator)
 	}
 	if _, err := s.predictor(); err != nil {
@@ -327,63 +320,50 @@ func (s *JobSpec) program() (*arm.Program, error) {
 	return arm.Assemble(s.Source, 0x8000)
 }
 
-// hierarchy builds the machine.Config/ssim.Config cache hierarchy from the
-// overrides; the zero Hierarchy selects each model's defaults.
-func (s *JobSpec) hierarchy() (mem.Hierarchy, error) {
-	var h mem.Hierarchy
+// engineConfig builds the registry Config from the overrides; nil caches
+// and predictor select each model's defaults.
+func (s *JobSpec) engineConfig() (diffrun.Config, error) {
+	var cfg diffrun.Config
 	if s.Config.ICache != nil {
 		c, err := s.Config.ICache.cache("icache")
 		if err != nil {
-			return h, err
+			return cfg, err
 		}
-		h.I = c
+		cfg.Caches.I = c
 	}
 	if s.Config.DCache != nil {
 		c, err := s.Config.DCache.cache("dcache")
 		if err != nil {
-			return h, err
+			return cfg, err
 		}
-		h.D = c
+		cfg.Caches.D = c
 	}
-	return h, nil
+	pred, err := s.predictor()
+	cfg.Predictor = pred
+	return cfg, err
 }
 
 // Build assembles the program and constructs the simulator, returning the
 // stepper that runs it. Called on a worker; every failure mode that can be
 // detected cheaply was already rejected at admission by Normalize.
 func (s *JobSpec) Build() (batch.Stepper, error) {
+	st, _, err := s.build()
+	return st, err
+}
+
+// build is Build keeping the registry's final-state extractor.
+func (s *JobSpec) build() (batch.CheckpointStepper, func() diffrun.State, error) {
+	engine, ok := diffrun.Lookup(s.Simulator)
+	if !ok {
+		return nil, nil, specErrf("unknown simulator %q", s.Simulator)
+	}
 	p, err := s.program()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	h, err := s.hierarchy()
+	cfg, err := s.engineConfig()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	pred, err := s.predictor()
-	if err != nil {
-		return nil, err
-	}
-	switch s.Simulator {
-	case "strongarm":
-		return simrun.Machine(machine.NewStrongARM(p, machine.Config{Caches: h, Predictor: pred})), nil
-	case "xscale":
-		return simrun.Machine(machine.NewXScale(p, machine.Config{Caches: h, Predictor: pred})), nil
-	case "arm9":
-		m, err := machine.NewARM9(p, machine.Config{Caches: h, Predictor: pred})
-		if err != nil {
-			return nil, err
-		}
-		return simrun.Machine(m), nil
-	case "ssim":
-		return simrun.SSim(ssim.New(p, ssim.Config{Caches: h, Predictor: pred})), nil
-	case "pipe5":
-		return simrun.Pipe5(pipe5.New(p, pipe5.Config{Caches: h, Predictor: pred})), nil
-	case "func":
-		return simrun.Functional(machine.NewFunctional(p, machine.Config{})), nil
-	case "iss":
-		return simrun.ISS(iss.New(p, 0)), nil
-	default:
-		return nil, specErrf("unknown simulator %q", s.Simulator)
-	}
+	return engine.New(p, cfg)
 }

@@ -24,41 +24,6 @@ func (s *Sim) Drained() bool {
 		s.aluFree <= s.Cycles && s.mulFree <= s.Cycles && s.memFree <= s.Cycles
 }
 
-// RunN simulates until at least n more instructions commit (or the program
-// exits and the window empties), then drains to a checkpointable boundary.
-// maxCycles bounds the whole operation (0 = 1<<40).
-func (s *Sim) RunN(n uint64, maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
-	target := s.Instret + n
-	step := func() error {
-		if s.Cycles >= maxCycles {
-			return fmt.Errorf("ssim: cycle limit %d exceeded at pc=%#08x", maxCycles, s.fetchPC)
-		}
-		s.cycle()
-		return s.Err
-	}
-	for (!s.Exited || len(s.ruu) > 0) && s.Instret < target {
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	s.holdFetch = true
-	defer func() { s.holdFetch = false }()
-	for !s.Drained() {
-		if s.Exited && len(s.ruu) == 0 {
-			// Program over: the leftover fetch-queue slots and unit stamps
-			// will never clear; there is no boundary to reach.
-			return nil
-		}
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Finished reports program completion: the exit system call has committed
 // and the window has emptied (the condition Run stops on).
 func (s *Sim) Finished() bool { return s.Exited && len(s.ruu) == 0 }
@@ -82,8 +47,8 @@ func (s *Sim) RunUntil(target uint64, cycleLimit int64) error {
 }
 
 // Drain holds fetch and runs to a timing-reproducible checkpointable
-// boundary (window and fetch queue empty, unit stamps in the past), the
-// same drain RunN performs. maxCycles bounds the drain (0 = 1<<40).
+// boundary (window and fetch queue empty, unit stamps in the past).
+// maxCycles bounds the drain (0 = 1<<40).
 func (s *Sim) Drain(maxCycles int64) error {
 	if maxCycles <= 0 {
 		maxCycles = 1 << 40
@@ -115,13 +80,16 @@ func (s *Sim) Checkpoint() (*ckpt.Checkpoint, error) {
 		return nil, s.Err
 	}
 	if !s.Drained() {
-		return nil, fmt.Errorf("ssim: checkpoint requires a drained window (use RunN)")
+		return nil, fmt.Errorf("ssim: checkpoint requires a drained window (use Drain)")
 	}
 	if s.Instret != s.oracle.Instret {
 		return nil, fmt.Errorf("ssim: committed %d but oracle executed %d — window not architectural",
 			s.Instret, s.oracle.Instret)
 	}
-	ck := s.oracle.Checkpoint()
+	ck, err := s.oracle.Checkpoint()
+	if err != nil {
+		return nil, err
+	}
 	ck.ICache = ckpt.CaptureCache(s.ICache)
 	ck.DCache = ckpt.CaptureCache(s.DCache)
 	ck.ITLB = ckpt.CaptureCache(s.ITLB)
@@ -168,3 +136,36 @@ func (s *Sim) Restore(ck *ckpt.Checkpoint) error {
 	}
 	return ckpt.RestorePred(s.Pred, ck.Pred)
 }
+
+// The batch.CheckpointStepper surface; positions are cycles. Run returns a
+// formatted error at its limit but records real failures in Err, so StepTo
+// reports a reached limit as a clean chunk boundary.
+
+// Pos is the cumulative cycle count.
+func (s *Sim) Pos() int64 { return s.Cycles }
+
+// Progress returns the cumulative (cycles, instructions).
+func (s *Sim) Progress() (int64, uint64) { return s.Cycles, s.Instret }
+
+// StepTo advances until Cycles >= limit or the program finishes.
+func (s *Sim) StepTo(limit int64) (bool, error) {
+	err := s.Run(limit)
+	if err == nil {
+		return true, nil
+	}
+	if s.Err == nil && s.Cycles >= limit {
+		return false, nil // chunk boundary, not a failure
+	}
+	return false, err
+}
+
+// StepToRetired is RunUntil reporting program completion.
+func (s *Sim) StepToRetired(target uint64, posLimit int64) (bool, error) {
+	if err := s.RunUntil(target, posLimit); err != nil {
+		return false, err
+	}
+	return s.Finished(), nil
+}
+
+// DrainBoundary runs to a timing-reproducible drained boundary.
+func (s *Sim) DrainBoundary() error { return s.Drain(0) }

@@ -401,7 +401,10 @@ func leaderCheckpoints(p *arm.Program, plan *Plan, opt Options) ([]*ckpt.Checkpo
 			return nil, nil, fmt.Errorf("tpar: leader diverged from plan: at %d retired (exited=%v), want boundary %d",
 				c.Instret, c.Exited, b)
 		}
-		ck := c.Checkpoint()
+		ck, err := c.Checkpoint()
+		if err != nil {
+			return nil, nil, fmt.Errorf("tpar: leader checkpoint at %d: %w", b, err)
+		}
 		raw, err := ck.Bytes()
 		if err != nil {
 			return nil, nil, fmt.Errorf("tpar: leader checkpoint at %d: %w", b, err)

@@ -17,13 +17,11 @@ import (
 
 func engineByName(t *testing.T, name string) diffrun.Engine {
 	t.Helper()
-	for _, e := range diffrun.Engines() {
-		if e.Name == name {
-			return e
-		}
+	e, ok := diffrun.Lookup(name)
+	if !ok {
+		t.Fatalf("engine %q not registered", name)
 	}
-	t.Fatalf("engine %q not registered", name)
-	return diffrun.Engine{}
+	return e
 }
 
 func TestPlanClampAndLogOnce(t *testing.T) {

@@ -1,32 +1,26 @@
 package tpar
 
 import (
-	"rcpn/internal/bpred"
+	"rcpn/internal/diffrun"
 	"rcpn/internal/iss"
-	"rcpn/internal/mem"
 )
 
 // DefaultWarm returns the leader warm-unit wiring matching the named
-// engine's default microarchitecture: the leader's warm caches and
-// predictor must share geometry with the segment workers or the restore
-// of a donor checkpoint fails. Functional engines (and unknown names)
-// get nil — cold checkpoints, always restorable.
+// engine's default microarchitecture (its registry row's Warm units): the
+// leader's warm caches and predictor must share geometry with the segment
+// workers or the restore of a donor checkpoint fails. Functional engines
+// (and unknown names) get nil — cold checkpoints, always restorable.
 //
 // Jobs that override the cache hierarchy or predictor (internal/serve
 // specs) build their own warm function from the overridden config
-// instead of using this table.
+// instead of using this one.
 func DefaultWarm(engine string) func(c *iss.CPU) {
-	switch engine {
-	case "strongarm", "arm9", "pipe5", "ssim", "genpipe5":
-		return func(c *iss.CPU) {
-			h := mem.DefaultStrongARM()
-			c.WarmI, c.WarmD, c.WarmPred = h.I, h.D, bpred.NewNotTaken()
-		}
-	case "xscale":
-		return func(c *iss.CPU) {
-			h := mem.DefaultXScale()
-			c.WarmI, c.WarmD, c.WarmPred = h.I, h.D, bpred.NewBimodal(128)
-		}
+	e, ok := diffrun.Lookup(engine)
+	if !ok || e.Warm == nil {
+		return nil
 	}
-	return nil
+	return func(c *iss.CPU) {
+		w := e.Warm()
+		c.WarmI, c.WarmD, c.WarmPred = w.Caches.I, w.Caches.D, w.Predictor
+	}
 }

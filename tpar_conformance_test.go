@@ -101,12 +101,7 @@ func TestSegmentKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var engine diffrun.Engine
-	for _, e := range diffrun.Engines() {
-		if e.Name == "pipe5" {
-			engine = e
-		}
-	}
+	engine, _ := diffrun.Lookup("pipe5")
 	opt := tparOptions(engine.Name, 4)
 	plan, err := tpar.NewPlan(p, opt)
 	if err != nil {
