@@ -13,11 +13,18 @@ package rcpn
 // segment converges to the same bytes.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
 	"rcpn/internal/diffrun"
 	"rcpn/internal/faultinj"
+	"rcpn/internal/obsv"
 	"rcpn/internal/tpar"
 	"rcpn/internal/workload"
 )
@@ -55,8 +62,99 @@ func assertIdentical(t *testing.T, par, ser *tpar.Result) {
 	}
 }
 
+var updateTparGolden = flag.Bool("update-golden", false, "rewrite testdata/tpar_exact.json")
+
+// tparGoldenPath pins every exact-mode cell of the matrix. Regenerate with
+//
+//	go test -run TestTparConformance -update-golden .
+//
+// only when modeled timing changes on purpose; the table is the evidence
+// that cycle counts and the adopted/reruns figures served payloads carry
+// did not move.
+const tparGoldenPath = "testdata/tpar_exact.json"
+
+// tparRow is one kernel × engine × N cell of the exact-mode golden table.
+type tparRow struct {
+	Kernel   string `json:"kernel"`
+	Engine   string `json:"engine"`
+	N        int    `json:"n"`
+	Segments int    `json:"segments"`
+	Cycles   int64  `json:"cycles"`
+	Instret  uint64 `json:"instret"`
+	Adopted  int    `json:"adopted"`
+	Reruns   int    `json:"reruns"`
+	// Stalls is the SHA-256 of the merged stall snapshot's JSON encoding
+	// (empty for engines without stall attribution).
+	Stalls string `json:"stalls_sha256"`
+}
+
+func (r tparRow) key() string { return fmt.Sprintf("%s/%s@N%d", r.Kernel, r.Engine, r.N) }
+
+func newTparRow(t *testing.T, kernel, engine string, n int, res *tpar.Result) tparRow {
+	t.Helper()
+	row := tparRow{Kernel: kernel, Engine: engine, N: n, Segments: res.Plan.Segments,
+		Cycles: res.Cycles, Instret: res.Instret, Adopted: res.Adopted, Reruns: res.Reruns}
+	if res.Stalls != nil {
+		row.Stalls = stallDigest(t, res.Stalls)
+	}
+	return row
+}
+
+func stallDigest(t *testing.T, s *obsv.StallSnapshot) string {
+	t.Helper()
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
+// loadTparGolden reads the golden table keyed by cell (nil when updating).
+func loadTparGolden(t *testing.T) map[string]tparRow {
+	t.Helper()
+	if *updateTparGolden {
+		return nil
+	}
+	data, err := os.ReadFile(tparGoldenPath)
+	if err != nil {
+		t.Fatalf("missing golden %s (run with -update-golden to create): %v", tparGoldenPath, err)
+	}
+	var rows []tparRow
+	if err := json.Unmarshal(data, &rows); err != nil {
+		t.Fatalf("%s: %v", tparGoldenPath, err)
+	}
+	if want := len(workload.All()) * len(diffrun.Engines()) * 2; len(rows) != want {
+		t.Fatalf("%s has %d rows, want %d (kernels x engines x N in {2,4}); regenerate with -update-golden",
+			tparGoldenPath, len(rows), want)
+	}
+	byKey := make(map[string]tparRow, len(rows))
+	for _, r := range rows {
+		byKey[r.key()] = r
+	}
+	return byKey
+}
+
+func writeTparGolden(t *testing.T, rows []tparRow) {
+	t.Helper()
+	data, err := json.MarshalIndent(rows, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tparGoldenPath, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTparConformance is the kernel × engine × N matrix for exact mode.
 func TestTparConformance(t *testing.T) {
+	golden := loadTparGolden(t)
+	var rows []tparRow
+	defer func() {
+		if *updateTparGolden && !t.Failed() {
+			writeTparGolden(t, rows)
+		}
+	}()
 	for _, w := range workload.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -85,6 +183,16 @@ func TestTparConformance(t *testing.T) {
 						}
 						assertIdentical(t, par, ser)
 						diffState(t, e.Name+"@golden", *par.State, ref)
+						got := newTparRow(t, w.Name, e.Name, n, par)
+						rows = append(rows, got)
+						if golden == nil {
+							return
+						}
+						if want, ok := golden[got.key()]; !ok {
+							t.Errorf("%s: no golden row", got.key())
+						} else if got != want {
+							t.Errorf("%s differs from golden:\n got  %+v\n want %+v", got.key(), got, want)
+						}
 					})
 				}
 			}
