@@ -11,12 +11,13 @@
 //	        [-parallel N] [-parallel-mode exact|sampled] [-parallel-workers N]
 //	        [-parallel-check] (-bench name | file.s)
 //
-// -parallel N runs the job time-parallel (internal/tpar): an ISS leader
-// drops warmed checkpoints at N-1 drained instruction boundaries and the
-// segments simulate concurrently on the -sim engine. Exact mode stitches
-// a result byte-identical to the serial segmented run; sampled mode trades
-// a reported warmup error bound for speed. -parallel-check replays the
-// serial reference and fails on any mismatch.
+// -parallel N splits the job into N segments at drained instruction
+// boundaries (internal/tpar). Exact mode is the serial segmented run on
+// the -sim engine, draining at every boundary; sampled mode has an ISS
+// leader drop warmed checkpoints at the boundaries and simulates the
+// segments concurrently, trading a reported warmup error bound for speed.
+// -parallel-check fails unless the final architectural state matches the
+// ISS, and times the serial segmented reference for comparison.
 //
 // With -json the human-readable report is replaced by a one-job
 // rcpn-batch/v1 record on stdout — the same schema cmd/rcpnbatch and the
@@ -62,10 +63,10 @@ func main() {
 	traceEvents := flag.Int("trace-events", 1<<20, "trace ring capacity: the trace keeps the last N events")
 	util := flag.Bool("util", false, "print per-transition utilization (RCPN models)")
 	jsonOut := flag.Bool("json", false, "emit a one-job rcpn-batch/v1 JSON record instead of the text report")
-	parallel := flag.Int("parallel", 0, "time-parallel run: split into N segments simulated concurrently (internal/tpar)")
-	parallelMode := flag.String("parallel-mode", "exact", "time-parallel stitch mode: exact (byte-identical to serial) or sampled (warmup-biased, error bound reported)")
-	parallelWorkers := flag.Int("parallel-workers", 0, "concurrent segment workers for -parallel (0 = min(segments, GOMAXPROCS))")
-	parallelCheck := flag.Bool("parallel-check", false, "also run the serial segmented reference and fail unless the parallel result matches")
+	parallel := flag.Int("parallel", 0, "time-parallel run: split into N segments at drained boundaries (internal/tpar)")
+	parallelMode := flag.String("parallel-mode", "exact", "time-parallel mode: exact (the serial segmented run) or sampled (segments simulated concurrently, warmup error bound reported)")
+	parallelWorkers := flag.Int("parallel-workers", 0, "concurrent segment workers for sampled -parallel runs (0 = min(segments, GOMAXPROCS))")
+	parallelCheck := flag.Bool("parallel-check", false, "fail unless the final state matches the ISS; also time the serial segmented reference")
 	flag.Parse()
 
 	var (

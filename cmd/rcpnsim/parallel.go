@@ -3,7 +3,7 @@ package main
 import (
 	"fmt"
 	"os"
-	"reflect"
+	"strings"
 	"time"
 
 	"rcpn/internal/arm"
@@ -29,9 +29,11 @@ type parallelFlags struct {
 
 // runParallel executes one program time-parallel (internal/tpar) on any
 // engine in the diffrun registry — generated engines included — and prints
-// the report. With -parallel-check it additionally runs the serial
-// segmented reference on the same plan and fails loudly unless the
-// stitched exact-mode result is identical (the CI smoke job's byte-compare).
+// the report. With -parallel-check it additionally runs the ISS to
+// completion and fails loudly unless the final architectural state is
+// identical (the CI smoke job's check), and times the serial segmented
+// reference on the same plan for the speedup and, in sampled mode, the
+// achieved cycle error.
 func runParallel(p *arm.Program, engine diffrun.Engine, f parallelFlags) {
 	mode, err := tpar.ParseMode(f.mode)
 	if err != nil {
@@ -99,11 +101,16 @@ func runParallel(p *arm.Program, engine diffrun.Engine, f parallelFlags) {
 	}
 
 	if f.check {
-		if err := checkAgainstSerial(res, ser); err != nil {
+		if err := checkAgainstISS(p, res); err != nil {
 			fail(fmt.Errorf("-parallel-check: %v", err))
 		}
-		fmt.Fprintf(os.Stderr, "rcpnsim: -parallel-check ok: parallel run identical to serial reference (serial %.2fs, parallel %.2fs, %.2fx)\n",
-			serWall.Seconds(), wall.Seconds(), serWall.Seconds()/wall.Seconds())
+		if res.Mode == tpar.Sampled {
+			errPct := 100 * abs64(res.Cycles-ser.Cycles) / float64(ser.Cycles)
+			fmt.Fprintf(os.Stderr, "rcpnsim: sampled mode achieved %.3f%% cycle error (bound claimed %.3f%%) vs serial reference\n",
+				errPct, res.ErrBoundPct)
+		}
+		fmt.Fprintf(os.Stderr, "rcpnsim: -parallel-check ok: final state identical to the ISS (serial %.2fs, %s %.2fs, %.2fx)\n",
+			serWall.Seconds(), res.Mode, wall.Seconds(), serWall.Seconds()/wall.Seconds())
 	}
 }
 
@@ -144,10 +151,7 @@ func printParallelReport(f parallelFlags, res *tpar.Result, wall time.Duration) 
 			cpi = fmt.Sprintf("%.3f", float64(sg.Cycles)/float64(n))
 		}
 		notes := ""
-		switch {
-		case sg.Rerun:
-			notes = "rerun"
-		case sg.Adopted:
+		if sg.Adopted {
 			notes = "adopted"
 		}
 		if sg.Exited {
@@ -159,7 +163,7 @@ func printParallelReport(f parallelFlags, res *tpar.Result, wall time.Duration) 
 		if sg.ErrBoundPct > 0 {
 			notes += fmt.Sprintf(" ±%.2f%%", sg.ErrBoundPct)
 		}
-		fmt.Printf("%-4d %12d %12d %8d %7s %s\n", sg.Index, sg.Start, sg.End, sg.Cycles, cpi, notes)
+		fmt.Printf("%-4d %12d %12d %8d %7s %s\n", sg.Index, sg.Start, sg.End, sg.Cycles, cpi, strings.TrimSpace(notes))
 	}
 	if res.Stalls != nil {
 		printStallSnapshot(res.Stalls)
@@ -179,31 +183,20 @@ func printStallSnapshot(snap *obsv.StallSnapshot) {
 	}
 }
 
-// checkAgainstSerial compares the stitched parallel result with the serial
-// segmented reference: cycles, instructions, final state and stall profile
-// must all match (exact mode's contract; in sampled mode it reports the
-// achieved error instead of failing).
-func checkAgainstSerial(par, ser *tpar.Result) error {
-	if par.Mode == tpar.Sampled {
-		errPct := 100 * abs64(par.Cycles-ser.Cycles) / float64(ser.Cycles)
-		fmt.Fprintf(os.Stderr, "rcpnsim: sampled mode achieved %.3f%% cycle error (bound claimed %.3f%%) vs serial reference\n",
-			errPct, par.ErrBoundPct)
-		if !reflect.DeepEqual(par.State, ser.State) {
-			return fmt.Errorf("final architectural state differs from serial reference")
-		}
-		return nil
+// checkAgainstISS runs the ISS golden model to completion and compares the
+// parallel run's final architectural state with it — registers, flags,
+// memory digest, retired instructions and output streams.
+func checkAgainstISS(p *arm.Program, res *tpar.Result) error {
+	if res.State == nil {
+		return fmt.Errorf("no final architectural state")
 	}
-	if par.Cycles != ser.Cycles {
-		return fmt.Errorf("cycles differ: parallel %d, serial %d", par.Cycles, ser.Cycles)
+	golden, _ := diffrun.Lookup("iss")
+	want, err := diffrun.RunPlain(golden, p, int64(res.Plan.Total)+1)
+	if err != nil {
+		return fmt.Errorf("iss: %v", err)
 	}
-	if par.Instret != ser.Instret {
-		return fmt.Errorf("instructions differ: parallel %d, serial %d", par.Instret, ser.Instret)
-	}
-	if !reflect.DeepEqual(par.State, ser.State) {
-		return fmt.Errorf("final architectural state differs")
-	}
-	if !reflect.DeepEqual(par.Stalls, ser.Stalls) {
-		return fmt.Errorf("stall profiles differ")
+	if diff := res.State.Diff(want); len(diff) > 0 {
+		return fmt.Errorf("final state differs from the ISS: %s", strings.Join(diff, "; "))
 	}
 	return nil
 }

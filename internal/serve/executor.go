@@ -206,9 +206,11 @@ func (env *execEnv) sink(prof *obsv.StallProfile) batch.CheckpointSink {
 // runParallel runs a parallelism > 1 job through internal/tpar, wrapped in
 // a tpar.Stepper so the ordinary batch.Drive progress loop — and with it
 // SSE streams, /v1/jobs polling and the durable result path — works
-// unchanged. The stitched result is a pure function of the spec: segment
-// count and stitch mode are in the content address, worker count and
-// injected crashes are not and must not show in the result bytes.
+// unchanged. Exact mode is the serial run with a drain at every segment
+// boundary; sampled mode simulates the segments concurrently. The result
+// is a pure function of the spec: segment count and mode are in the
+// content address, worker count and injected crashes are not and must
+// not show in the result bytes.
 func runParallel(ctx context.Context, spec *JobSpec, env execEnv) (batch.Metrics, error) {
 	p, err := spec.program()
 	if err != nil {
@@ -239,12 +241,13 @@ func runParallel(ctx context.Context, spec *JobSpec, env execEnv) (batch.Metrics
 	}
 	opt := tpar.Options{
 		Segments: spec.Parallelism,
-		Workers:  spec.Parallelism,
-		Mode:     mode,
-		Warm:     warm,
-		// max_cycles bounds each segment worker's position (a runaway
-		// segment is what a hang looks like here); the serial-equivalent
-		// total is bounded by Parallelism times this.
+		// Workers and Fault only reach sampled-mode segment workers.
+		Workers: spec.Parallelism,
+		Mode:    mode,
+		Warm:    warm,
+		// max_cycles bounds each segment's position (a runaway segment is
+		// what a hang looks like here); an exact run is bounded by the
+		// segment count times this.
 		PosBudget: limit,
 		Chunk:     env.chunk,
 		Context:   ctx,

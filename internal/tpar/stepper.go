@@ -15,9 +15,10 @@ import (
 // detailed engines and retired instructions for functional ones (which
 // report zero cycles), matching the convention of the serial steppers.
 //
-// Cumulative progress counts re-run and crashed-then-reassigned segment
-// work too, so it can exceed — never lag — the stitched totals; at
-// completion Progress snaps to the stitched result, so the final numbers
+// In exact mode cumulative progress is the one serial instance's. In
+// sampled mode it also counts crashed-then-reassigned segment work and
+// drain overshoot, so it can exceed — never lag — the stitched totals. At
+// completion Progress snaps to the result either way, so the final numbers
 // a driver records are the deterministic ones.
 type Stepper struct {
 	p    *arm.Program

@@ -1,50 +1,38 @@
 // Package tpar is the time-parallel executor for a single long simulation:
-// it splits one job into N instruction-count segments, has an ISS leader
-// race ahead functionally — warming caches and the branch predictor and
-// dropping a ckpt snapshot at every segment boundary — and runs the
-// segments concurrently on detailed workers (any engine in the diffrun
-// registry, including generated ones) through a batch.Pool. A stitcher then
-// merges per-segment cycle counts, obsv stall profiles and the final
-// architectural state into one result.
+// it splits one job into N instruction-count segments at boundaries a
+// functional ISS pass measures (NewPlan), and drains the pipeline at every
+// boundary so the result is a pure function of (program, plan, mode) — any
+// engine in the diffrun registry, including generated ones, can run it.
 //
-// The parallelism across jobs that internal/batch provides does nothing
-// for the wall-clock of the single biggest job; tpar parallelizes *within*
-// one run, built from the pieces the repository already trusts: warmed
-// fast-forward checkpoints (internal/ckpt + iss functional warming),
-// drained-boundary RunUntil/Drain hooks on every engine, and the
-// sampled-CPI machinery that quantifies warmup inaccuracy.
+// Two modes:
 //
-// Two stitching modes:
+//   - Exact (the default) is the serial segmented run (Serial): one
+//     instance of the engine driven by batch.DriveCkpt with the plan's
+//     interval, exactly the run a checkpoint_interval job performs. It is
+//     the correctness anchor: state, cycle count and stall profile are
+//     those of the serial run, with no speculation to converge. Result
+//     still reports Adopted and Reruns — the segments whose starting state
+//     a warmed ISS leader checkpoint does and does not reproduce byte for
+//     byte — because served payloads carry those counts under their
+//     content address. The leader advances lazily, only when a drained
+//     segment end lands exactly on a plan boundary, so detailed engines
+//     (whose drains overshoot) rarely pay for it.
 //
-//   - Exact. The reference semantics is the serial segmented run (Serial):
-//     one instance driven with a pipeline drain at every boundary target —
-//     the same self-healing boundary formula as batch.DriveCkpt — so the
-//     reference is a pure function of (program, plan), exactly like a
-//     checkpoint_interval job. The parallel run speculates each segment
-//     from the leader's warmed checkpoint, then walks the chain: a
-//     speculative segment is adopted only if the confirmed predecessor's
-//     achieved checkpoint is byte-identical to the donor checkpoint the
-//     speculation started from; otherwise the segment is re-run from the
-//     corrected state. Checkpoint bytes are canonical (equal state encodes
-//     equally), and restore is bit-exact (PR 2), so by induction the
-//     converged chain is byte-identical to Serial — state, cycle count and
-//     stall profile. Functional engines adopt every segment (the leader is
-//     their own microarchitecture); detailed engines usually mismatch on
-//     warm cache contents and drain overshoot and re-run, so exact mode is
-//     the correctness anchor, not the speed story.
+//   - Sampled is the only speculative path and where the wall-clock
+//     speedup lives. The leader races ahead functionally — warming caches
+//     and the branch predictor and dropping a ckpt snapshot at every
+//     boundary — and every segment runs concurrently from its donor
+//     checkpoint on a batch.Pool worker; a stitcher merges per-segment
+//     cycle counts, obsv stall profiles and the final architectural state.
+//     Segments start from functionally-warmed (not cycle-accurate)
+//     microarchitectural state, so per-segment cycle counts carry a warmup
+//     bias; each segment measures the CPI of its warmup window against the
+//     rest of the segment and reports the difference as an error bound,
+//     the same accounting the sampled-CPI study bounded at <= 3.2%.
 //
-//   - Sampled. Every speculative segment is accepted as-is. Segments start
-//     from functionally-warmed (not cycle-accurate) microarchitectural
-//     state, so per-segment cycle counts carry a warmup bias; each segment
-//     measures the CPI of its warmup window against the rest of the
-//     segment and reports the difference as an error bound, the same
-//     accounting the PR 2 sampled-CPI study bounded at <= 3.2%. This is
-//     where the wall-clock speedup lives.
-//
-// Determinism: the stitched result is a pure function of (program, plan,
-// mode) — never of worker count, GOMAXPROCS, scheduling, or injected
-// worker crashes (a killed segment is reassigned and re-runs to the same
-// bytes).
+// Determinism: the result is never a function of worker count,
+// GOMAXPROCS, scheduling, or injected worker crashes (a killed sampled
+// segment is reassigned and re-runs to the same bytes).
 package tpar
 
 import (
@@ -69,8 +57,7 @@ import (
 type Mode int
 
 const (
-	// Exact converges the segment chain until it is byte-identical to the
-	// serial segmented reference (Serial).
+	// Exact runs the serial segmented reference (Serial).
 	Exact Mode = iota
 	// Sampled accepts warmup-biased segments and reports a CPI error bound
 	// per segment.
@@ -130,23 +117,24 @@ type Options struct {
 	// timing), so callers naming results by content address must include
 	// it. Clamped so every segment has at least MinSegment instructions.
 	Segments int
-	// Workers bounds concurrent segment workers (<= 0: GOMAXPROCS). Purely
-	// an execution knob: the result is independent of it. Clamped to the
-	// segment count and to GOMAXPROCS.
+	// Workers bounds concurrent segment workers in sampled mode (<= 0:
+	// GOMAXPROCS; exact mode runs one instance). Purely an execution knob:
+	// the result is independent of it. Clamped to the segment count and to
+	// GOMAXPROCS.
 	Workers int
 	// Mode selects Exact (default) or Sampled stitching.
 	Mode Mode
-	// Warm, when non-nil, attaches warm units to the leader ISS before the
-	// checkpoint pass (see DefaultWarm). The units must match the engine's
-	// cache geometry and predictor type or segment restores will fail; nil
-	// (cold checkpoints) is always safe.
+	// Warm, when non-nil, attaches warm units to the leader ISS before it
+	// checkpoints (see DefaultWarm). The units must match the engine's
+	// cache geometry and predictor type or sampled segment restores will
+	// fail; nil (cold checkpoints) is always safe.
 	Warm func(c *iss.CPU)
 	// MaxInstrs bounds the leader run (default 1<<32).
 	MaxInstrs uint64
-	// PosBudget bounds each segment worker in its engine's position unit
-	// (cycles, or instructions for functional engines), counted from the
-	// segment's start; 0 derives a generous hang guard from the program
-	// length.
+	// PosBudget bounds each segment in its engine's position unit (cycles,
+	// or instructions for functional engines), counted from the segment's
+	// start; exact mode bounds the whole run by Segments times this. 0
+	// derives a generous hang guard from the program length.
 	PosBudget int64
 	// MinSegment overrides DefaultMinSegment (tests use tiny programs).
 	MinSegment uint64
@@ -155,20 +143,21 @@ type Options struct {
 	Chunk int64
 	// Context cancels the run; nil means context.Background().
 	Context context.Context
-	// Progress receives cumulative (cycles, instret) across all segments,
-	// possibly concurrently from several workers. Because re-run segments
-	// also simulate, the cumulative totals can exceed the stitched result.
+	// Progress receives cumulative (cycles, instret) across all segments.
+	// In sampled mode it is called concurrently from several workers, and
+	// the totals can exceed the stitched result (reassigned segments
+	// simulate twice; drain overshoot counts boundary instructions twice).
 	Progress func(cycles int64, instret uint64)
 	// Profile enables per-stage stall attribution on every segment; the
 	// merged snapshot lands in Result.Stalls.
 	Profile bool
-	// Fault arms deterministic fault injection at the tpar.segment site.
-	// Nil is inert.
+	// Fault arms deterministic fault injection at the tpar.segment site of
+	// sampled-mode segment workers. Nil is inert.
 	Fault *faultinj.Injector
-	// Retries caps reassignments of a crashed segment worker (0: default 2,
-	// negative: none).
+	// Retries caps reassignments of a crashed sampled-mode segment worker
+	// (0: default 2, negative: none).
 	Retries int
-	// Logf receives clamp warnings and convergence notes (nil: silent).
+	// Logf receives clamp warnings and crash notes (nil: silent).
 	Logf func(format string, args ...any)
 }
 
@@ -177,6 +166,13 @@ func (o *Options) context() context.Context {
 		return o.Context
 	}
 	return context.Background()
+}
+
+func (o *Options) maxInstrs() uint64 {
+	if o.MaxInstrs != 0 {
+		return o.MaxInstrs
+	}
+	return defaultMaxInstrs
 }
 
 func (o *Options) logf(format string, args ...any) {
@@ -203,10 +199,7 @@ type Plan struct {
 // opt.Segments segments, clamping so no segment is shorter than
 // MinSegment. The plan is engine-independent: any engine can run it.
 func NewPlan(p *arm.Program, opt Options) (*Plan, error) {
-	maxInstrs := opt.MaxInstrs
-	if maxInstrs == 0 {
-		maxInstrs = defaultMaxInstrs
-	}
+	maxInstrs := opt.maxInstrs()
 	c := iss.New(p, 0)
 	c.MaxInstrs = maxInstrs
 	if err := c.Run(); err != nil {
@@ -255,10 +248,10 @@ type Segment struct {
 	// Cycles the segment simulated (0 for functional engines).
 	Cycles int64 `json:"cycles"`
 	Exited bool  `json:"exited,omitempty"`
-	// Adopted: the speculative parallel result was kept. Rerun: the
-	// segment was re-executed from the corrected chain state (exact mode).
+	// Adopted: in sampled mode, every segment; in exact mode, segment 0 and
+	// every segment whose starting state is byte-identical to the warmed
+	// leader's checkpoint (a speculative start there would have been right).
 	Adopted bool `json:"adopted,omitempty"`
-	Rerun   bool `json:"rerun,omitempty"`
 	// Reassigned counts crashed-worker reassignments for this segment.
 	Reassigned int `json:"reassigned,omitempty"`
 	// ErrBoundPct is the sampled-mode warmup error bound for this segment,
@@ -271,13 +264,13 @@ type Result struct {
 	Mode     Mode
 	Plan     *Plan
 	Segments []Segment
-	// Cycles and Instret are the stitched totals. In exact mode they equal
-	// the serial segmented reference; in sampled mode segment overlap from
-	// drain overshoot can count a few boundary instructions twice.
+	// Cycles and Instret are the totals. In sampled mode segment overlap
+	// from drain overshoot can count a few boundary instructions twice.
 	Cycles  int64
 	Instret uint64
-	// Reruns and Adopted count convergence outcomes; Reassigned counts
-	// crashed-worker recoveries across all segments.
+	// Adopted counts adopted segments and Reruns the rest (always 0 in
+	// sampled mode); Reassigned counts crashed-worker recoveries across all
+	// segments.
 	Reruns     int
 	Adopted    int
 	Reassigned int
@@ -302,13 +295,17 @@ func Run(p *arm.Program, build Build, opt Options) (*Result, error) {
 	return RunPlan(p, plan, build, opt)
 }
 
-// RunPlan executes a previously computed plan (callers comparing against
-// Serial reuse one plan for both).
+// RunPlan executes a previously computed plan (callers comparing modes
+// reuse one plan for both). Exact mode is Serial plus the leader's
+// adoption accounting; sampled mode is the speculative sweep.
 func RunPlan(p *arm.Program, plan *Plan, build Build, opt Options) (*Result, error) {
+	if opt.Mode == Exact {
+		return serial(plan, build, opt, &leader{p: p, opt: opt})
+	}
 	ctx := opt.context()
 	workers := clampWorkers(&opt, plan.Segments)
 
-	leaderCk, leaderRaw, err := leaderCheckpoints(p, plan, opt)
+	donors, err := leaderCheckpoints(p, plan, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -323,23 +320,16 @@ func RunPlan(p *arm.Program, plan *Plan, build Build, opt Options) (*Result, err
 	for j := range jobs {
 		jobs[j] = segJob{
 			index:  j,
-			input:  leaderCk[j], // nil for segment 0: fresh reset state
+			input:  donors[j], // nil for segment 0: fresh reset state
 			start:  uint64(j) * plan.Interval,
 			target: uint64(j+1) * plan.Interval,
-			warmup: opt.Mode == Sampled && j > 0,
 		}
 	}
 	spec := r.dispatch(jobs)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	var res *Result
-	if opt.Mode == Sampled {
-		res, err = r.stitchSampled(spec)
-	} else {
-		res, err = r.stitchExact(spec, leaderRaw)
-	}
+	res, err := r.stitch(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -374,44 +364,74 @@ func clampWorkers(opt *Options, segments int) int {
 	return w
 }
 
-// leaderCheckpoints is the leader's second pass: a fresh ISS with warm
-// units attached replays the program, checkpointing at every boundary.
+// leader is the warmed functional ISS that checkpoints at plan
+// boundaries. It is built on first use and only moves forward.
+type leader struct {
+	p   *arm.Program
+	opt Options
+	cpu *iss.CPU
+}
+
+// checkpoint advances the leader to boundary b and captures its state.
+func (l *leader) checkpoint(b uint64) (*ckpt.Checkpoint, error) {
+	if l.cpu == nil {
+		l.cpu = iss.New(l.p, 0)
+		l.cpu.MaxInstrs = l.opt.maxInstrs()
+		if l.opt.Warm != nil {
+			l.opt.Warm(l.cpu)
+		}
+	}
+	c := l.cpu
+	if _, err := c.RunN(b - c.Instret); err != nil {
+		return nil, fmt.Errorf("tpar: leader warmup: %w", err)
+	}
+	if c.Exited || c.Instret != b {
+		return nil, fmt.Errorf("tpar: leader diverged from plan: at %d retired (exited=%v), want boundary %d",
+			c.Instret, c.Exited, b)
+	}
+	ck, err := c.Checkpoint()
+	if err != nil {
+		return nil, fmt.Errorf("tpar: leader checkpoint at %d: %w", b, err)
+	}
+	return ck, nil
+}
+
+// matches reports whether ck, drained at retirement count at, is
+// byte-identical to the leader's checkpoint there — false when at is not
+// a plan boundary.
+func (l *leader) matches(plan *Plan, at uint64, ck *ckpt.Checkpoint) (bool, error) {
+	if at%plan.Interval != 0 || at/plan.Interval >= uint64(plan.Segments) {
+		return false, nil
+	}
+	want, err := l.checkpoint(at)
+	if err != nil {
+		return false, err
+	}
+	wantRaw, err := want.Bytes()
+	if err != nil {
+		return false, fmt.Errorf("tpar: leader checkpoint at %d: %w", at, err)
+	}
+	raw, err := ck.Bytes()
+	if err != nil {
+		return false, fmt.Errorf("tpar: checkpoint at %d: %w", at, err)
+	}
+	return bytes.Equal(raw, wantRaw), nil
+}
+
+// leaderCheckpoints runs the leader through every boundary of the plan.
 // Index k holds segment k's donor checkpoint (index 0 stays nil — segment
-// 0 starts from reset). Raw holds the canonical encoding, the byte form
-// the exact-mode chain compares against.
-func leaderCheckpoints(p *arm.Program, plan *Plan, opt Options) ([]*ckpt.Checkpoint, [][]byte, error) {
+// 0 starts from reset).
+func leaderCheckpoints(p *arm.Program, plan *Plan, opt Options) ([]*ckpt.Checkpoint, error) {
+	l := &leader{p: p, opt: opt}
 	cks := make([]*ckpt.Checkpoint, plan.Segments)
-	raws := make([][]byte, plan.Segments)
-	if plan.Segments == 1 {
-		return cks, raws, nil
-	}
-	c := iss.New(p, 0)
-	c.MaxInstrs = opt.MaxInstrs
-	if c.MaxInstrs == 0 {
-		c.MaxInstrs = defaultMaxInstrs
-	}
-	if opt.Warm != nil {
-		opt.Warm(c)
-	}
 	for k, b := range plan.Boundaries {
-		if _, err := c.RunN(b - c.Instret); err != nil {
-			return nil, nil, fmt.Errorf("tpar: leader warmup: %w", err)
-		}
-		if c.Exited || c.Instret != b {
-			return nil, nil, fmt.Errorf("tpar: leader diverged from plan: at %d retired (exited=%v), want boundary %d",
-				c.Instret, c.Exited, b)
-		}
-		ck, err := c.Checkpoint()
+		ck, err := l.checkpoint(b)
 		if err != nil {
-			return nil, nil, fmt.Errorf("tpar: leader checkpoint at %d: %w", b, err)
+			return nil, err
 		}
-		raw, err := ck.Bytes()
-		if err != nil {
-			return nil, nil, fmt.Errorf("tpar: leader checkpoint at %d: %w", b, err)
-		}
-		cks[k+1], raws[k+1] = ck, raw
+		cks[k+1] = ck
 	}
-	return cks, raws, nil
+	return cks, nil
 }
 
 // segJob is one segment execution request.
@@ -420,15 +440,11 @@ type segJob struct {
 	input  *ckpt.Checkpoint // nil: fresh reset state
 	start  uint64
 	target uint64 // boundary target; the program may exit first
-	warmup bool   // measure the warmup window (sampled mode)
-	rerun  bool
 }
 
 // segResult is one segment execution outcome.
 type segResult struct {
 	seg     Segment
-	endCk   *ckpt.Checkpoint // achieved drained checkpoint (nil when exited)
-	endRaw  []byte
 	state   *diffrun.State
 	stalls  *obsv.StallSnapshot
 	warmC   int64 // cycles and instructions inside the warmup window
@@ -461,9 +477,13 @@ func (r *runner) posBudget() int64 {
 	if r.opt.PosBudget > 0 {
 		return r.opt.PosBudget
 	}
-	// Hang guard, same shape as diffrun's: no engine spends anywhere near
-	// 64 positions per retired instruction.
-	return int64(r.plan.Total)*64 + 1_000_000
+	return hangGuard(r.plan)
+}
+
+// hangGuard is the default position budget, same shape as diffrun's: no
+// engine spends anywhere near 64 positions per retired instruction.
+func hangGuard(plan *Plan) int64 {
+	return int64(plan.Total)*64 + 1_000_000
 }
 
 // warmWindow is the sampled-mode measurement window at the head of a
@@ -480,10 +500,10 @@ func warmWindow(interval uint64) uint64 {
 }
 
 // runSegment executes one segment on the calling (pool worker) goroutine.
-// Failures are recorded in the result, not returned: the caller decides
-// whether a failure is fatal (sampled) or repairable by a re-run (exact).
+// Failures are recorded in the result, not returned: dispatch decides
+// whether a crash is retried, and the stitcher reports the first failure.
 func (r *runner) runSegment(ctx context.Context, sj segJob) *segResult {
-	res := &segResult{seg: Segment{Index: sj.index, Start: sj.start, Rerun: sj.rerun}}
+	res := &segResult{seg: Segment{Index: sj.index, Start: sj.start}}
 	fail := func(err error) *segResult {
 		res.err = err
 		return res
@@ -550,7 +570,8 @@ func (r *runner) runSegment(ctx context.Context, sj segJob) *segResult {
 		}
 	}
 	exited := false
-	if sj.warmup {
+	if sj.input != nil {
+		// A restored segment measures its warmup window for the bound.
 		mark := sj.start + warmWindow(r.plan.Interval)
 		if mark < sj.target {
 			exited, err = drive(mark)
@@ -572,15 +593,6 @@ func (r *runner) runSegment(ctx context.Context, sj segJob) *segResult {
 			return fail(fmt.Errorf("tpar: segment %d: drain: %w", sj.index, err))
 		}
 		report()
-		ck, err := st.Checkpoint()
-		if err != nil {
-			return fail(fmt.Errorf("tpar: segment %d: checkpoint: %w", sj.index, err))
-		}
-		raw, err := ck.Bytes()
-		if err != nil {
-			return fail(fmt.Errorf("tpar: segment %d: encode: %w", sj.index, err))
-		}
-		res.endCk, res.endRaw = ck, raw
 	} else if stateFn != nil {
 		s := stateFn()
 		res.state = &s
@@ -677,81 +689,12 @@ func (r *runner) dispatch(jobs []segJob) []*segResult {
 	return out
 }
 
-// rerun executes one corrective segment (exact mode) through the pool, so
-// crash isolation and reassignment apply to re-runs too.
-func (r *runner) rerun(index int, input *ckpt.Checkpoint, start, target uint64) *segResult {
-	out := r.dispatch([]segJob{{index: index, input: input, start: start, target: target, rerun: true}})
-	return out[0]
-}
-
-// stitchExact walks the convergence chain. The confirmed chain starts at
-// segment 0 (reset state: exact by construction) and extends one segment
-// at a time: if the confirmed predecessor's achieved checkpoint is
-// byte-identical to the leader checkpoint a speculative segment consumed,
-// that segment is adopted — and, by induction, everything it feeds stays
-// adoptable; otherwise the segment re-runs from the corrected checkpoint.
-// The boundary formula matches batch.DriveCkpt, so drain overshoot that
-// skips whole boundary multiples shortens the chain exactly as it would a
-// serial checkpointed run.
-func (r *runner) stitchExact(spec []*segResult, leaderRaw [][]byte) (*Result, error) {
-	interval := r.plan.Interval
-	boundarySeg := make(map[uint64]int, len(r.plan.Boundaries))
-	for k, b := range r.plan.Boundaries {
-		boundarySeg[b] = k + 1
-	}
-
-	var chain []*segResult
-	reruns, adopted := 0, 0
-	cur := spec[0]
-	if cur == nil || cur.err != nil {
-		if cur != nil && r.ctx.Err() == nil {
-			r.opt.logf("tpar: segment 0 speculation failed (%v); re-running", cur.err)
-		}
-		cur = r.rerun(0, nil, 0, interval)
-		if cur.err != nil {
-			return nil, cur.err
-		}
-		reruns++
-	} else {
-		cur.seg.Adopted = true
-		adopted++
-	}
-	chain = append(chain, cur)
-
-	for !cur.seg.Exited {
-		if err := r.ctx.Err(); err != nil {
-			return nil, err
-		}
-		if len(chain) > 2*r.plan.Segments+16 {
-			return nil, fmt.Errorf("tpar: convergence chain did not terminate after %d segments", len(chain))
-		}
-		at := cur.seg.End
-		var next *segResult
-		if j, ok := boundarySeg[at]; ok && spec[j] != nil && spec[j].err == nil &&
-			bytes.Equal(cur.endRaw, leaderRaw[j]) {
-			next = spec[j]
-			next.seg.Adopted = true
-			adopted++
-		} else {
-			target := (at/interval + 1) * interval
-			next = r.rerun(len(chain), cur.endCk, at, target)
-			if next.err != nil {
-				return nil, next.err
-			}
-			reruns++
-		}
-		chain = append(chain, next)
-		cur = next
-	}
-
-	res := &Result{Mode: Exact, Plan: r.plan, Reruns: reruns, Adopted: adopted}
-	return r.stitch(res, chain)
-}
-
-// stitchSampled accepts every speculative segment. Unlike exact mode,
-// failures here are fatal: there is no corrective chain to repair them.
-func (r *runner) stitchSampled(spec []*segResult) (*Result, error) {
+// stitch accepts every speculative segment and merges them into the
+// result. Any segment failure is fatal: there is no corrective chain.
+func (r *runner) stitch(spec []*segResult) (*Result, error) {
+	res := &Result{Mode: Sampled, Plan: r.plan, Adopted: len(spec)}
 	var boundCy, totalCy float64
+	var snaps []*obsv.StallSnapshot
 	for _, sr := range spec {
 		if sr.err != nil {
 			return nil, sr.err
@@ -759,24 +702,15 @@ func (r *runner) stitchSampled(spec []*segResult) (*Result, error) {
 		sr.seg.Adopted = true
 		boundCy += sr.boundCy
 		totalCy += float64(sr.seg.Cycles)
-	}
-	res := &Result{Mode: Sampled, Plan: r.plan, Adopted: len(spec)}
-	if totalCy > 0 {
-		res.ErrBoundPct = 100 * boundCy / totalCy
-	}
-	return r.stitch(res, spec)
-}
-
-// stitch merges the confirmed segments into the result.
-func (r *runner) stitch(res *Result, chain []*segResult) (*Result, error) {
-	var snaps []*obsv.StallSnapshot
-	for _, sr := range chain {
 		res.Segments = append(res.Segments, sr.seg)
 		res.Cycles += sr.seg.Cycles
 		res.Instret += sr.seg.End - sr.seg.Start
 		snaps = append(snaps, sr.stalls)
 	}
-	last := chain[len(chain)-1]
+	if totalCy > 0 {
+		res.ErrBoundPct = 100 * boundCy / totalCy
+	}
+	last := spec[len(spec)-1]
 	if !last.seg.Exited {
 		return nil, fmt.Errorf("tpar: final segment did not exit (ended at %d retired)", last.seg.End)
 	}
@@ -791,10 +725,8 @@ func (r *runner) stitch(res *Result, chain []*segResult) (*Result, error) {
 	return res, nil
 }
 
-// mergeStalls folds per-segment snapshots into one profile, in chain
-// order. Stall accounting is additive per (stage, kind), so the merged
-// snapshot is byte-identical to the profile of one continuous segmented
-// run (the property the conformance matrix asserts against Serial).
+// mergeStalls folds per-segment snapshots into one profile, in segment
+// order; stall accounting is additive per (stage, kind).
 func mergeStalls(snaps []*obsv.StallSnapshot) (*obsv.StallSnapshot, error) {
 	var first *obsv.StallSnapshot
 	for _, s := range snaps {
@@ -819,13 +751,22 @@ func mergeStalls(snaps []*obsv.StallSnapshot) (*obsv.StallSnapshot, error) {
 	return p.Snapshot(), nil
 }
 
-// Serial is the exact-mode reference: one instance of the engine driven
-// serially with a drain at every boundary target of the plan — precisely
-// the run a checkpoint_interval job performs, and the run the converged
-// parallel chain must reproduce byte-for-byte (state, cycle count, stall
-// profile).
+// Serial is the exact-mode run: one instance of the engine driven by
+// batch.DriveCkpt with a drain at every multiple of the plan's interval —
+// precisely the run a checkpoint_interval job performs, so state, cycle
+// count and stall profile are a pure function of (program, plan). RunPlan
+// in exact mode is this run plus the leader's Adopted/Reruns accounting;
+// Serial leaves both zero.
 func Serial(plan *Plan, build Build, opt Options) (*Result, error) {
-	ctx := opt.context()
+	return serial(plan, build, opt, nil)
+}
+
+// serial runs the exact-mode chain. With a leader, every drained segment
+// end that lands exactly on a plan boundary is compared with the leader's
+// checkpoint there, and the next segment is adopted on a byte-identical
+// match. Served payloads carry the resulting counts under their content
+// address, so this rule is part of the result bytes.
+func serial(plan *Plan, build Build, opt Options, lead *leader) (*Result, error) {
 	st, stateFn, err := build()
 	if err != nil {
 		return nil, err
@@ -838,66 +779,42 @@ func Serial(plan *Plan, build Build, opt Options) (*Result, error) {
 		}
 		prof = ins.EnableProfile()
 	}
-	chunk := opt.Chunk
-	if chunk <= 0 {
-		chunk = batch.DefaultChunk
-	}
-	budget := opt.PosBudget
-	if budget <= 0 {
-		budget = int64(plan.Total)*64 + 1_000_000
-	} else {
+	budget := hangGuard(plan)
+	if opt.PosBudget > 0 {
 		// PosBudget is per segment; the serial run covers them all.
-		budget *= int64(plan.Segments)
+		budget = opt.PosBudget * int64(plan.Segments)
 	}
-	posLimit := st.Pos() + budget
 
 	res := &Result{Mode: Exact, Plan: plan, Workers: 1}
 	lastC, lastI := st.Progress()
-	for {
-		target := (lastI/plan.Interval + 1) * plan.Interval
-		exited := false
-		for {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			limit := st.Pos() + chunk
-			if limit > posLimit {
-				limit = posLimit
-			}
-			exited, err = st.StepToRetired(target, limit)
-			if opt.Progress != nil {
-				c, i := st.Progress()
-				opt.Progress(c, i)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if exited {
-				break
-			}
-			if _, i := st.Progress(); i >= target {
-				break
-			}
-			if st.Pos() >= posLimit {
-				return nil, fmt.Errorf("tpar: serial: position budget exhausted before %d retired (engine hang?)", target)
-			}
-		}
-		if !exited {
-			if err := st.DrainBoundary(); err != nil {
-				return nil, err
-			}
-		}
-		c, i := st.Progress()
+	adopt := lead != nil // segment 0 starts from reset: exact by construction
+	cut := func(c int64, i uint64, exited bool) {
 		res.Segments = append(res.Segments, Segment{
 			Index: len(res.Segments), Start: lastI, End: i,
-			Cycles: c - lastC, Exited: exited,
+			Cycles: c - lastC, Exited: exited, Adopted: adopt,
 		})
-		lastC, lastI = c, i
-		if exited {
-			break
+		if adopt {
+			res.Adopted++
 		}
+		lastC, lastI = c, i
 	}
-	res.Cycles, res.Instret = lastC, lastI
+	sink := func(i uint64, c int64, ck *ckpt.Checkpoint) (err error) {
+		cut(c, i, false)
+		if lead != nil {
+			adopt, err = lead.matches(plan, i, ck)
+		}
+		return err
+	}
+	err = batch.DriveCkpt(opt.context(), st, st.Pos()+budget, opt.Chunk, plan.Interval, sink, opt.Progress)
+	if err != nil {
+		return nil, err
+	}
+	c, i := st.Progress()
+	cut(c, i, true)
+	res.Cycles, res.Instret = c, i
+	if lead != nil {
+		res.Reruns = len(res.Segments) - res.Adopted
+	}
 	res.Stalls = prof.Snapshot()
 	if stateFn != nil {
 		s := stateFn()

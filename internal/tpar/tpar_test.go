@@ -77,9 +77,9 @@ func TestWorkerClampLogOnce(t *testing.T) {
 }
 
 // TestWorkerCountInvariance is the graceful-degradation regression: the
-// stitched result must be identical whether the sweep runs wide, narrow,
-// or fully serial (the GOMAXPROCS=1 degenerate case), and none of those
-// may deadlock.
+// stitched result of the sampled sweep must be identical whether it runs
+// wide, narrow, or fully serial (the GOMAXPROCS=1 degenerate case), and
+// none of those may deadlock.
 func TestWorkerCountInvariance(t *testing.T) {
 	w := workload.ByName("crc")
 	p, err := w.Program(1)
@@ -87,7 +87,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engineByName(t, "pipe5")
-	base := Options{Segments: 4, Mode: Exact, Warm: DefaultWarm(e.Name),
+	base := Options{Segments: 4, Mode: Sampled, Warm: DefaultWarm(e.Name),
 		MinSegment: 64, Profile: true}
 	plan, err := NewPlan(p, base)
 	if err != nil {
@@ -113,8 +113,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // TestExactAdoptsFunctional: when the engine under simulation is the ISS
-// itself, the leader's checkpoints are exact, so every speculative segment
-// must be adopted with zero re-runs.
+// itself, every drained segment end lands on a boundary with the leader's
+// exact state, so every segment must be adopted with zero re-runs.
 func TestExactAdoptsFunctional(t *testing.T) {
 	w := workload.ByName("crc")
 	p, err := w.Program(1)
@@ -141,8 +141,9 @@ func TestExactAdoptsFunctional(t *testing.T) {
 	}
 }
 
-// TestExactMatchesSerial: the converged parallel chain must reproduce the
-// serial segmented reference byte-for-byte — state, cycles, stall profile.
+// TestExactMatchesSerial: exact mode's leader accounting must not perturb
+// the serial segmented run — state, cycles, stall profile — and only the
+// accounting may fill Adopted and Reruns.
 func TestExactMatchesSerial(t *testing.T) {
 	w := workload.ByName("crc")
 	p, err := w.Program(1)
@@ -175,6 +176,13 @@ func TestExactMatchesSerial(t *testing.T) {
 	}
 	if !reflect.DeepEqual(par.Stalls, ser.Stalls) {
 		t.Errorf("stall profiles differ:\n parallel %+v\n serial   %+v", par.Stalls, ser.Stalls)
+	}
+	if par.Adopted < 1 || par.Adopted+par.Reruns != len(par.Segments) {
+		t.Errorf("exact accounting: adopted %d + reruns %d over %d segments",
+			par.Adopted, par.Reruns, len(par.Segments))
+	}
+	if ser.Adopted != 0 || ser.Reruns != 0 {
+		t.Errorf("Serial reported adopted %d, reruns %d; want 0/0", ser.Adopted, ser.Reruns)
 	}
 }
 
@@ -224,9 +232,9 @@ func absF(x float64) float64 {
 	return x
 }
 
-// TestKillReassign arms a panic rule at the tpar.segment site: the worker
-// running the last segment crashes, the pool recovers, the segment is
-// reassigned, and the stitched result is byte-identical to an unfaulted
+// TestKillReassign arms a panic rule at the tpar.segment site: the sampled
+// worker running the last segment crashes, the pool recovers, the segment
+// is reassigned, and the stitched result is byte-identical to an unfaulted
 // run.
 func TestKillReassign(t *testing.T) {
 	w := workload.ByName("crc")
@@ -235,7 +243,7 @@ func TestKillReassign(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engineByName(t, "pipe5")
-	opt := Options{Segments: 3, Mode: Exact, Warm: DefaultWarm(e.Name),
+	opt := Options{Segments: 3, Mode: Sampled, Warm: DefaultWarm(e.Name),
 		MinSegment: 64, Profile: true}
 	plan, err := NewPlan(p, opt)
 	if err != nil {
@@ -270,8 +278,8 @@ func TestKillReassign(t *testing.T) {
 	}
 }
 
-// TestKillOutOfRetries: a rule that keeps firing must surface as an error,
-// not a hang.
+// TestKillOutOfRetries: a rule that keeps firing on every sampled segment
+// worker must surface as an error, not a hang.
 func TestKillOutOfRetries(t *testing.T) {
 	w := workload.ByName("crc")
 	p, err := w.Program(1)
@@ -279,12 +287,40 @@ func TestKillOutOfRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := engineByName(t, "iss")
-	opt := Options{Segments: 2, Mode: Exact, MinSegment: 64,
+	opt := Options{Segments: 2, Mode: Sampled, MinSegment: 64,
 		Fault: faultinj.New(faultinj.Rule{
 			Site: faultinj.SiteTparSegment, Times: -1, Action: faultinj.ActPanic,
 		})}
 	if _, err := Run(p, EngineBuild(e, p), opt); err == nil {
 		t.Fatal("want error when every attempt crashes")
+	}
+}
+
+// TestExactIgnoresSegmentFaults: exact mode runs one serial instance with
+// no segment workers, so the tpar.segment site never fires, and no worker
+// clamp is logged.
+func TestExactIgnoresSegmentFaults(t *testing.T) {
+	w := workload.ByName("crc")
+	p, err := w.Program(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engineByName(t, "iss")
+	var logs []string
+	fault := faultinj.New(faultinj.Rule{
+		Site: faultinj.SiteTparSegment, Times: -1, Action: faultinj.ActPanic,
+	})
+	opt := Options{Segments: 2, Mode: Exact, MinSegment: 64, Workers: 512, Fault: fault,
+		Logf: func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }}
+	r, err := Run(p, EngineBuild(e, p), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fired := fault.Fired(); len(fired) != 0 {
+		t.Errorf("segment fault site fired in exact mode: %v", fired)
+	}
+	if r.Workers != 1 || len(logs) != 0 {
+		t.Errorf("exact mode: workers %d, logs %q; want 1 worker and no logs", r.Workers, logs)
 	}
 }
 

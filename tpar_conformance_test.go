@@ -1,16 +1,17 @@
 package rcpn
 
 // Time-parallel conformance rows: every kernel × engine cell also runs
-// through internal/tpar exact mode at N ∈ {2, 4}, and the stitched result
-// must be byte-identical to the serial segmented reference — cycle count,
-// retired instructions, final architectural state and merged stall
-// profile — and the final state must still match the ISS golden model.
-// This is the executable form of the exact-mode contract: time-parallelism
-// is an execution strategy, never a semantics change.
+// through internal/tpar exact mode at N ∈ {2, 4}. The final architectural
+// state must match the ISS golden model, and cycle count, retired
+// instructions, the adopted/reruns accounting and the merged stall profile
+// must match the cell's row of testdata/tpar_exact.json. That table was
+// generated by the speculative sweep exact mode used to run, so it pins
+// the figures served payloads carry independently of the current
+// implementation.
 //
 // TestSegmentKillResume additionally arms the tpar.segment fault site to
-// crash the worker holding a segment mid-sweep and asserts the reassigned
-// segment converges to the same bytes.
+// crash the worker holding a sampled-mode segment mid-sweep and asserts
+// the reassigned segment converges to the same bytes.
 
 import (
 	"crypto/sha256"
@@ -43,22 +44,22 @@ func tparOptions(engine string, segments int) tpar.Options {
 	}
 }
 
-// assertIdentical compares a stitched parallel result with its serial
-// reference field by field so a mismatch names what diverged.
-func assertIdentical(t *testing.T, par, ser *tpar.Result) {
+// assertIdentical compares two stitched results field by field so a
+// mismatch names what diverged.
+func assertIdentical(t *testing.T, got, want *tpar.Result) {
 	t.Helper()
-	if par.Cycles != ser.Cycles {
-		t.Errorf("cycles: parallel %d, serial %d", par.Cycles, ser.Cycles)
+	if got.Cycles != want.Cycles {
+		t.Errorf("cycles: got %d, want %d", got.Cycles, want.Cycles)
 	}
-	if par.Instret != ser.Instret {
-		t.Errorf("instret: parallel %d, serial %d", par.Instret, ser.Instret)
+	if got.Instret != want.Instret {
+		t.Errorf("instret: got %d, want %d", got.Instret, want.Instret)
 	}
-	if par.State == nil || ser.State == nil {
-		t.Fatalf("missing final state: parallel %v, serial %v", par.State, ser.State)
+	if got.State == nil || want.State == nil {
+		t.Fatalf("missing final state: got %v, want %v", got.State, want.State)
 	}
-	diffState(t, "tpar", *par.State, *ser.State)
-	if !reflect.DeepEqual(par.Stalls, ser.Stalls) {
-		t.Errorf("stall profiles differ:\n parallel %+v\n serial   %+v", par.Stalls, ser.Stalls)
+	diffState(t, "tpar", *got.State, *want.State)
+	if !reflect.DeepEqual(got.Stalls, want.Stalls) {
+		t.Errorf("stall profiles differ:\n got  %+v\n want %+v", got.Stalls, want.Stalls)
 	}
 }
 
@@ -173,17 +174,15 @@ func TestTparConformance(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						par, err := tpar.RunPlan(p, plan, tpar.EngineBuild(e, p), opt)
+						res, err := tpar.RunPlan(p, plan, tpar.EngineBuild(e, p), opt)
 						if err != nil {
 							t.Fatal(err)
 						}
-						ser, err := tpar.Serial(plan, tpar.EngineBuild(e, p), opt)
-						if err != nil {
-							t.Fatal(err)
+						if res.State == nil {
+							t.Fatal("missing final state")
 						}
-						assertIdentical(t, par, ser)
-						diffState(t, e.Name+"@golden", *par.State, ref)
-						got := newTparRow(t, w.Name, e.Name, n, par)
+						diffState(t, e.Name+"@golden", *res.State, ref)
+						got := newTparRow(t, w.Name, e.Name, n, res)
 						rows = append(rows, got)
 						if golden == nil {
 							return
@@ -201,9 +200,10 @@ func TestTparConformance(t *testing.T) {
 }
 
 // TestSegmentKillResume: a faultinj panic rule kills the worker running
-// the final segment of a parallel sweep; the pool recovers, the segment
-// is reassigned, and the stitched result is identical to the unfaulted
-// run — crash recovery is invisible in the result bytes.
+// the final segment of a sampled-mode sweep (the only mode with segment
+// workers); the pool recovers, the segment is reassigned, and the
+// stitched result is identical to the unfaulted run — crash recovery is
+// invisible in the result bytes.
 func TestSegmentKillResume(t *testing.T) {
 	p, err := workload.ByName("crc").Program(1)
 	if err != nil {
@@ -211,6 +211,7 @@ func TestSegmentKillResume(t *testing.T) {
 	}
 	engine, _ := diffrun.Lookup("pipe5")
 	opt := tparOptions(engine.Name, 4)
+	opt.Mode = tpar.Sampled
 	plan, err := tpar.NewPlan(p, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -237,4 +238,7 @@ func TestSegmentKillResume(t *testing.T) {
 		t.Fatalf("injected crash caused no reassignment (fired: %v)", fopt.Fault.Fired())
 	}
 	assertIdentical(t, faulted, clean)
+	if faulted.ErrBoundPct != clean.ErrBoundPct {
+		t.Errorf("error bound: faulted %v, clean %v", faulted.ErrBoundPct, clean.ErrBoundPct)
+	}
 }
