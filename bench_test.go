@@ -49,14 +49,12 @@ func simulators() map[string]func(p *arm.Program) (simResult, error) {
 			return simResult{s.Cycles, s.Instret}, err
 		},
 		"RCPN-XScale": func(p *arm.Program) (simResult, error) {
-			m := machine.NewXScale(p, machine.Config{})
-			err := m.Run(0)
-			return simResult{m.Net.CycleCount(), m.Instret}, err
+			var cfg machine.Config
+			machine.XScaleUnits(&cfg)
+			return runSpec(p, machine.XScaleSpec(), cfg)
 		},
 		"RCPN-StrongARM": func(p *arm.Program) (simResult, error) {
-			m := machine.NewStrongARM(p, machine.Config{})
-			err := m.Run(0)
-			return simResult{m.Net.CycleCount(), m.Instret}, err
+			return runSpec(p, machine.StrongARMSpec(), machine.Config{})
 		},
 		"hand-written-5stage": func(p *arm.Program) (simResult, error) {
 			s := pipe5.New(p, pipe5.Config{})
@@ -64,6 +62,15 @@ func simulators() map[string]func(p *arm.Program) (simResult, error) {
 			return simResult{s.Cycles, s.Instret}, err
 		},
 	}
+}
+
+func runSpec(p *arm.Program, spec machine.Spec, cfg machine.Config) (simResult, error) {
+	m, err := machine.Generate(p, spec, cfg)
+	if err != nil {
+		return simResult{}, err
+	}
+	err = m.Run(0)
+	return simResult{m.Net.CycleCount(), m.Instret}, err
 }
 
 var fig10Order = []string{
@@ -151,7 +158,10 @@ func BenchmarkAblation(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var instrs uint64
 			for i := 0; i < b.N; i++ {
-				m := machine.NewStrongARM(p, c.cfg)
+				m, err := machine.Generate(p, machine.StrongARMSpec(), c.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if err := m.Run(0); err != nil {
 					b.Fatal(err)
 				}

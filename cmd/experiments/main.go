@@ -234,7 +234,10 @@ func ablation(scale int) {
 			if err != nil {
 				die(err)
 			}
-			m := machine.NewStrongARM(p, c.cfg)
+			m, err := machine.Generate(p, machine.StrongARMSpec(), c.cfg)
+			if err != nil {
+				die(err)
+			}
 			start := time.Now()
 			if err := m.Run(0); err != nil {
 				die(err)
@@ -332,7 +335,10 @@ func sweep(scale int) {
 				I: mem.MustCache(mem.CacheConfig{Name: "icache", Sets: 16, Ways: 32, LineBytes: 32, HitLatency: 1, MissLatency: 24}),
 				D: mem.MustCache(mem.CacheConfig{Name: "dcache", Sets: sets, Ways: 8, LineBytes: 32, HitLatency: 1, MissLatency: 24}),
 			}}
-			m := machine.NewStrongARM(p, cfg)
+			m, err := machine.Generate(p, machine.StrongARMSpec(), cfg)
+			if err != nil {
+				die(err)
+			}
 			if err := m.Run(0); err != nil {
 				die(err)
 			}

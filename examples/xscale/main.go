@@ -30,7 +30,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		m := machine.NewXScale(p, machine.Config{})
+		var cfg machine.Config
+		machine.XScaleUnits(&cfg)
+		m, err := machine.Generate(p, machine.XScaleSpec(), cfg)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		start := time.Now()
 		if err := m.Run(0); err != nil {
 			fmt.Fprintln(os.Stderr, err)

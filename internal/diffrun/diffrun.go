@@ -183,11 +183,15 @@ func machineState(m *machine.Machine) func() State {
 	}
 }
 
-func machineEngine(name string, units func(*machine.Config),
-	mk func(p *arm.Program, cfg machine.Config) (*machine.Machine, error)) Engine {
+// machineEngine is the row of an RCPN model built by lowering spec through
+// machine.Generate, with units filling the non-pipeline units a run leaves
+// unset.
+func machineEngine(name string, spec machine.Spec, units func(*machine.Config)) Engine {
 	return Engine{Name: name, Warm: warmUnits(units),
 		New: func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
-			m, err := mk(p, machine.Config{Caches: cfg.Caches, Predictor: cfg.Predictor})
+			mc := machine.Config{Caches: cfg.Caches, Predictor: cfg.Predictor}
+			units(&mc)
+			m, err := machine.Generate(p, spec, mc)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -208,13 +212,9 @@ func builtinEngines() []Engine {
 			m := machine.NewFunctional(p, machine.Config{})
 			return m, machineState(m), nil
 		}},
-		machineEngine("strongarm", machine.StrongARMUnits, func(p *arm.Program, cfg machine.Config) (*machine.Machine, error) {
-			return machine.NewStrongARM(p, cfg), nil
-		}),
-		machineEngine("xscale", machine.XScaleUnits, func(p *arm.Program, cfg machine.Config) (*machine.Machine, error) {
-			return machine.NewXScale(p, cfg), nil
-		}),
-		machineEngine("arm9", machine.StrongARMUnits, machine.NewARM9),
+		machineEngine("strongarm", machine.StrongARMSpec(), machine.StrongARMUnits),
+		machineEngine("xscale", machine.XScaleSpec(), machine.XScaleUnits),
+		machineEngine("arm9", machine.ARM9Spec(), machine.StrongARMUnits),
 		{Name: "pipe5", Warm: warmUnits(machine.StrongARMUnits),
 			New: func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
 				s := pipe5.New(p, pipe5.Config{Caches: cfg.Caches, Predictor: cfg.Predictor})

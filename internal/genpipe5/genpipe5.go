@@ -1,10 +1,10 @@
-// Code generated by rcpngen from the "strongarm-gen" machine spec; DO NOT EDIT.
+// Code generated by rcpngen from the "strongarm" machine spec; DO NOT EDIT.
 //
 // Regenerate with:
 //
 //	go run ./cmd/rcpngen -model pipe5 -pkg genpipe5 -out internal/genpipe5
 
-// Package genpipe5 is a generated cycle-accurate simulator for the strongarm-gen
+// Package genpipe5 is a generated cycle-accurate simulator for the strongarm
 // model: the RCPN's sorted_transitions table compiled to one flattened
 // step function per pipeline stage, with guards inlined as ifs and
 // per-operation-class dispatch devirtualized into direct calls. Fetch and
@@ -22,7 +22,7 @@ import (
 	"rcpn/internal/obsv"
 )
 
-const modelName = "strongarm-gen"
+const modelName = "strongarm"
 
 // Pipeline state indices: the source net's place ids, reused as trace
 // locations, profile rows and the bypass-query states tokens carry.
@@ -82,7 +82,7 @@ var (
 	opWB0 = [...]int32{3, 7, 11, 16, 20, 24}
 )
 
-// Sim is one strongarm-gen pipeline instance: a single-slot latch per stage plus
+// Sim is one strongarm pipeline instance: a single-slot latch per stage plus
 // the shared net-free machine runtime.
 type Sim struct {
 	m *machine.Machine

@@ -37,13 +37,13 @@ func crossCheckAll(t *testing.T, src string) {
 		}
 	}
 
-	sa := NewStrongARM(p, Config{})
+	sa := strongARM.build(t, p, Config{})
 	if err := sa.Run(0); err != nil {
 		t.Fatalf("strongarm: %v", err)
 	}
 	check("strongarm", sa.Output, sa.ExitCode, sa.Instret)
 
-	xs := NewXScale(p, Config{})
+	xs := xScale.build(t, p, Config{})
 	if err := xs.Run(0); err != nil {
 		t.Fatalf("xscale: %v", err)
 	}

@@ -102,7 +102,7 @@ func TestFunctionalRequiresConstructor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewStrongARM(p, Config{})
+	m := strongARM.build(t, p, Config{})
 	if err := m.RunFunctional(100); err == nil {
 		t.Fatal("cycle machine must refuse functional mode")
 	}

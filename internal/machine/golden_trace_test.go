@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"rcpn/internal/arm"
 	"rcpn/internal/core"
 	"rcpn/internal/workload"
 )
@@ -52,21 +51,21 @@ func occupancyLine(n *core.Net) string {
 //
 // only when a change is *supposed* to alter modeled timing.
 func TestGoldenTraceStrongARM(t *testing.T) {
-	goldenTrace(t, NewStrongARM, "golden_trace_strongarm_crc.txt")
+	goldenTrace(t, strongARM, "golden_trace_strongarm_crc.txt")
 }
 
 // TestGoldenTraceXScale covers the engine paths StrongARM does not: two-list
 // places, reservation tokens and out-of-order completion (Fig. 9).
 func TestGoldenTraceXScale(t *testing.T) {
-	goldenTrace(t, NewXScale, "golden_trace_xscale_crc.txt")
+	goldenTrace(t, xScale, "golden_trace_xscale_crc.txt")
 }
 
-func goldenTrace(t *testing.T, build func(p *arm.Program, cfg Config) *Machine, file string) {
+func goldenTrace(t *testing.T, model specModel, file string) {
 	p, err := workload.ByName("crc").Program(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := build(p, Config{})
+	m := model.build(t, p, Config{})
 	var b strings.Builder
 	for !m.Exited {
 		if m.Net.CycleCount() >= 1<<24 {

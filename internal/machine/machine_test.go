@@ -8,14 +8,6 @@ import (
 	"rcpn/internal/iss"
 )
 
-// buildModels returns constructors for every model under test.
-func buildModels() map[string]func(*arm.Program, Config) *Machine {
-	return map[string]func(*arm.Program, Config) *Machine{
-		"strongarm": NewStrongARM,
-		"xscale":    NewXScale,
-	}
-}
-
 // crossCheck runs src on the ISS and on each cycle-accurate model and
 // requires identical architected results.
 func crossCheck(t *testing.T, src string) map[string]*Machine {
@@ -30,8 +22,9 @@ func crossCheck(t *testing.T, src string) map[string]*Machine {
 		t.Fatalf("iss: %v", err)
 	}
 	out := map[string]*Machine{}
-	for name, build := range buildModels() {
-		m := build(p, Config{})
+	for _, model := range specModels() {
+		name := model.spec.Name
+		m := model.build(t, p, Config{})
 		if err := m.Run(20_000_000); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -325,7 +318,7 @@ func TestTimingSanityStrongARMStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewStrongARM(p, Config{})
+	m := strongARM.build(t, p, Config{})
 	if err := m.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +342,7 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewStrongARM(p, Config{})
+	m := strongARM.build(t, p, Config{})
 	if err := m.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +364,7 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewXScale(p, Config{})
+	m := xScale.build(t, p, Config{})
 	if err := m.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -400,26 +393,37 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := NewStrongARM(p, Config{})
-	if err := ref.Run(0); err != nil {
-		t.Fatal(err)
+	// NoTokenCache, DynamicSearch and NoActiveList change only simulator
+	// speed, never modeled time; TwoListAll may legally change timing, so
+	// only its results are compared.
+	switches := []struct {
+		name       string
+		cfg        Config
+		sameTiming bool
+	}{
+		{"NoTokenCache", Config{NoTokenCache: true}, true},
+		{"DynamicSearch", Config{DynamicSearch: true}, true},
+		{"NoActiveList", Config{NoActiveList: true}, true},
+		{"TwoListAll", Config{TwoListAll: true}, false},
 	}
-	for _, cfg := range []Config{
-		{NoTokenCache: true},
-		{DynamicSearch: true},
-		{TwoListAll: true},
-	} {
-		m := NewStrongARM(p, cfg)
-		if err := m.Run(0); err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
+	for _, model := range specModels() {
+		ref := model.build(t, p, Config{})
+		if err := ref.Run(0); err != nil {
+			t.Fatal(err)
 		}
-		if len(m.Output) != 1 || m.Output[0] != ref.Output[0] {
-			t.Errorf("%+v: output %v, want %v", cfg, m.Output, ref.Output)
-		}
-		// NoTokenCache and DynamicSearch change only simulator speed, never
-		// modeled time; TwoListAll may legally change timing.
-		if !cfg.TwoListAll && m.Net.CycleCount() != ref.Net.CycleCount() {
-			t.Errorf("%+v: cycles %d, want %d", cfg, m.Net.CycleCount(), ref.Net.CycleCount())
+		for _, sw := range switches {
+			t.Run(model.spec.Name+"/"+sw.name, func(t *testing.T) {
+				m := model.build(t, p, sw.cfg)
+				if err := m.Run(0); err != nil {
+					t.Fatal(err)
+				}
+				if len(m.Output) != 1 || m.Output[0] != ref.Output[0] {
+					t.Errorf("output %v, want %v", m.Output, ref.Output)
+				}
+				if sw.sameTiming && m.Net.CycleCount() != ref.Net.CycleCount() {
+					t.Errorf("cycles %d, want %d", m.Net.CycleCount(), ref.Net.CycleCount())
+				}
+			})
 		}
 	}
 }
@@ -442,7 +446,7 @@ buf:
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewStrongARM(p, Config{})
+	m := strongARM.build(t, p, Config{})
 	if err := m.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +468,7 @@ func TestUndefinedInstructionSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewStrongARM(p, Config{})
+	m := strongARM.build(t, p, Config{})
 	if err := m.Run(1000); err == nil {
 		t.Fatal("expected undefined-instruction error")
 	}
@@ -475,7 +479,7 @@ func TestCycleLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewXScale(p, Config{})
+	m := xScale.build(t, p, Config{})
 	if err := m.Run(500); err == nil {
 		t.Fatal("expected cycle-limit error")
 	}
@@ -486,11 +490,11 @@ func TestDotRendersBothModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, build := range buildModels() {
-		m := build(p, Config{})
+	for _, model := range specModels() {
+		m := model.build(t, p, Config{})
 		dot := m.Dot()
 		if len(dot) < 100 {
-			t.Errorf("%s: dot output too small", name)
+			t.Errorf("%s: dot output too small", m.Name)
 		}
 	}
 }

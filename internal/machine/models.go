@@ -2,11 +2,20 @@ package machine
 
 import "rcpn/internal/arm"
 
-// StrongARMSpec is the five-stage SA-110 written in the declarative layer.
-// Generate(p, StrongARMSpec(), cfg) produces a simulator cycle-identical to
-// the hand-built NewStrongARM (the generation-equivalence test enforces
-// this), demonstrating that the Spec layer loses nothing against
-// hand-written model code.
+// StrongARMSpec is the StrongARM (SA-110) model of the paper's evaluation:
+// a simple five-stage pipeline
+//
+//	Fetch -> Decode/Issue -> Execute -> Memory -> Writeback
+//
+// with one RCPN place per pipeline latch (FD, EX, ME, WB) plus the virtual
+// end place, and one sub-net per ARM operation class — "there are six RCPN
+// sub-nets in the StrongArm model" (§5). Results forward from the ME and WB
+// latches (ALU results enter ME, load results enter WB). The multiplier
+// holds EX for a data-dependent number of cycles (early termination), and
+// block transfers stay in ME moving one register per step (the paper's
+// footnote 1). Run it with StrongARMUnits: 16KB I/D caches and static
+// not-taken branches, since the SA-110 has no branch predictor and every
+// taken branch pays the two-cycle refetch. TestSpecModels pins it.
 func StrongARMSpec() Spec {
 	route := func() []Seg {
 		return []Seg{
@@ -21,7 +30,7 @@ func StrongARMSpec() Spec {
 		routes[c] = route()
 	}
 	return Spec{
-		Name: "strongarm-gen",
+		Name: "strongarm",
 		Stages: []StageSpec{
 			{Name: "FD"}, {Name: "EX"}, {Name: "ME"}, {Name: "WB"},
 		},
@@ -59,17 +68,21 @@ func ARM9Spec() Spec {
 	}
 }
 
-// NewARM9 builds the ARM9-like model from its Spec — a third processor that
-// exists purely through the declarative layer.
-func NewARM9(p *arm.Program, cfg Config) (*Machine, error) {
-	return Generate(p, ARM9Spec(), cfg)
-}
-
-// XScaleSpec is the Fig. 9 XScale written declaratively: a four-stage
-// shared front end and three parallel back ends (ALU, memory, MAC). The
-// generation-equivalence test pins it cycle-identical to the hand-built
-// NewXScale. Pass xscale units (32KB caches, bimodal predictor) in the
-// Config; Generate's defaults are StrongARM-class.
+// XScaleSpec is the XScale (PXA250) model of Fig. 9: an in-order-issue,
+// out-of-order-completion processor with a shared four-stage front end and
+// three parallel back ends —
+//
+//	F1 -> F2 -> ID -> RF -> X1 -> X2 -> XWB   (main/ALU pipe)
+//	                   \-> D1 -> D2 -> DWB    (memory pipe)
+//	                   \-> M1 -> M2 -> MWB    (MAC pipe)
+//
+// ALU results can complete while older loads are still in the memory pipe;
+// the register-reference lock interface (reg package) carries all the
+// resulting data hazards, exactly as in §3.1. Results forward from X2, D2
+// and M2. The MAC takes 2-5 cycles depending on the multiplier, one more
+// than the StrongARM's (MACExtra). Run it with XScaleUnits, since the
+// XScale core has dynamic branch prediction and Generate's defaults are
+// StrongARM-class. TestSpecModels pins it.
 func XScaleSpec() Spec {
 	alu := []Seg{
 		{Stage: "RF", Exit: RoleIssue},
@@ -87,7 +100,7 @@ func XScaleSpec() Spec {
 		{Stage: "M2", Exit: RoleWriteback},
 	}
 	return Spec{
-		Name: "xscale-gen",
+		Name: "xscale",
 		Stages: []StageSpec{
 			{Name: "F1"}, {Name: "F2"}, {Name: "ID"}, {Name: "RF"},
 			{Name: "X1"}, {Name: "X2"},

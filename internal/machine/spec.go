@@ -15,8 +15,8 @@ import (
 // operation class, bypass points — and Generate lowers it to the RCPN the
 // engine executes. This is the paper's pitch made concrete: the description
 // mirrors the pipeline block diagram, and the cycle-accurate simulator is
-// *generated* from it. NewStrongARM9E below and the generated-StrongARM
-// equivalence test show the layer producing working simulators.
+// *generated* from it. Every RCPN ARM model in the repository — StrongARMSpec,
+// XScaleSpec and ARM9Spec — is built this way.
 
 // Role names the work performed when an instruction leaves a stage.
 type Role uint8
@@ -89,8 +89,7 @@ type Spec struct {
 
 // Generate lowers a Spec to a runnable Machine. The produced net has one
 // place per declared stage and one transition per route segment, with the
-// operation-class semantics of ops.go wired in by role — the same wiring
-// the hand-written models use.
+// operation-class semantics of ops.go wired in by role.
 func Generate(p *arm.Program, spec Spec, cfg Config) (*Machine, error) {
 	m := newMachine(spec.Name, p, cfg, StrongARMUnits)
 
@@ -199,13 +198,24 @@ func Generate(p *arm.Program, spec Spec, cfg Config) (*Machine, error) {
 
 // StrongARMUnits supplies StrongARM-class non-pipeline units (16KB I/D
 // caches, static not-taken branches) where c leaves them unset: the
-// defaults of NewStrongARM and of every Spec-generated model.
+// defaults of every Spec-generated model.
 func StrongARMUnits(c *Config) {
 	if c.Caches.I == nil {
 		c.Caches = mem.DefaultStrongARM()
 	}
 	if c.Predictor == nil {
 		c.Predictor = bpred.NewNotTaken()
+	}
+}
+
+// XScaleUnits supplies the XScale model's non-pipeline units (32KB I/D
+// caches, a 128-entry bimodal predictor with BTB) where c leaves them unset.
+func XScaleUnits(c *Config) {
+	if c.Caches.I == nil {
+		c.Caches = mem.DefaultXScale()
+	}
+	if c.Predictor == nil {
+		c.Predictor = bpred.NewBimodal(128)
 	}
 }
 

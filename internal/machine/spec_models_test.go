@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"testing"
 
 	"rcpn/internal/arm"
@@ -22,19 +21,32 @@ import (
 // only when modeled timing changes on purpose.
 const specModelsPath = "testdata/spec_models.json"
 
-// specModel is one paper model under the pin: how it is built and the
-// non-pipeline units it runs with by default.
+// specModel is one paper model: its Spec and the non-pipeline units it runs
+// with by default.
 type specModel struct {
-	name  string
-	build func(p *arm.Program, cfg Config) (*Machine, error)
+	spec  Spec
 	units func(*Config)
 }
 
-func specModels() []specModel {
-	return []specModel{
-		{"strongarm", func(p *arm.Program, cfg Config) (*Machine, error) { return NewStrongARM(p, cfg), nil }, StrongARMUnits},
-		{"xscale", func(p *arm.Program, cfg Config) (*Machine, error) { return NewXScale(p, cfg), nil }, XScaleUnits},
+var (
+	strongARM = specModel{StrongARMSpec(), StrongARMUnits}
+	xScale    = specModel{XScaleSpec(), XScaleUnits}
+	arm9      = specModel{ARM9Spec(), StrongARMUnits}
+)
+
+// specModels are the two paper models TestSpecModels pins.
+func specModels() []specModel { return []specModel{strongARM, xScale} }
+
+// build lowers the model's Spec, filling the units cfg leaves unset with
+// the model's own.
+func (m specModel) build(t testing.TB, p *arm.Program, cfg Config) *Machine {
+	t.Helper()
+	m.units(&cfg)
+	mc, err := Generate(p, m.spec, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return mc
 }
 
 // specRow is one cell of the pin: a model run to completion on one program
@@ -52,41 +64,45 @@ type specRow struct {
 	Trace string `json:"trace_sha256"`
 }
 
-// specCell is one program × units pairing to run on a model.
+// specCell is one model run on one program with one set of non-pipeline
+// units.
 type specCell struct {
 	name  string
+	model specModel
 	prog  *arm.Program
 	units func(*Config)
 }
 
-// specCells enumerates the pin's cells for model m: every kernel with the
-// model's own units and with the other model's, the two unit programs and
-// armgen seeds 0..63.
-func specCells(t *testing.T, m specModel, models []specModel) []specCell {
+// specCells enumerates the pin's cells for each model: every kernel with
+// the model's own units and with the other model's, the two unit programs
+// and armgen seeds 0..63.
+func specCells(t *testing.T) []specCell {
 	t.Helper()
 	var cells []specCell
-	for _, w := range workload.All() {
-		p, err := w.Program(1)
-		if err != nil {
-			t.Fatal(err)
+	for _, m := range specModels() {
+		for _, w := range workload.All() {
+			p, err := w.Program(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range specModels() {
+				cells = append(cells, specCell{fmt.Sprintf("kernel/%s/%s@%s", w.Name, m.spec.Name, u.spec.Name), m, p, u.units})
+			}
 		}
-		for _, u := range models {
-			cells = append(cells, specCell{fmt.Sprintf("kernel/%s/%s@%s", w.Name, m.name, u.name), p, u.units})
+		for i, src := range specUnitPrograms {
+			p, err := arm.Assemble(src, 0x8000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells = append(cells, specCell{fmt.Sprintf("unit/%d/%s", i, m.spec.Name), m, p, m.units})
 		}
-	}
-	for i, src := range specUnitPrograms {
-		p, err := arm.Assemble(src, 0x8000)
-		if err != nil {
-			t.Fatal(err)
+		for seed := 0; seed < 64; seed++ {
+			g, err := armgen.Generate(armgen.Config{Seed: uint64(seed)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells = append(cells, specCell{fmt.Sprintf("seed/%02d/%s", seed, m.spec.Name), m, g.Image, m.units})
 		}
-		cells = append(cells, specCell{fmt.Sprintf("unit/%d/%s", i, m.name), p, m.units})
-	}
-	for seed := 0; seed < 64; seed++ {
-		g, err := armgen.Generate(armgen.Config{Seed: uint64(seed)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cells = append(cells, specCell{fmt.Sprintf("seed/%02d/%s", seed, m.name), g.Image, m.units})
 	}
 	return cells
 }
@@ -125,14 +141,11 @@ buf:
 `,
 }
 
-func runSpecCell(t *testing.T, m specModel, c specCell) specRow {
+func runSpecCell(t *testing.T, c specCell) specRow {
 	t.Helper()
 	var cfg Config
 	c.units(&cfg)
-	mc, err := m.build(c.prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mc := c.model.build(t, c.prog, cfg)
 	prof := mc.EnableProfile()
 	h := sha256.New()
 	for !mc.Exited {
@@ -172,46 +185,26 @@ func TestSpecModels(t *testing.T) {
 		}
 	}
 
-	models := specModels()
-	var cells [][]specCell
-	for _, m := range models {
-		cells = append(cells, specCells(t, m, models))
-	}
-	var (
-		mu  sync.Mutex
-		got = map[string]specRow{}
-	)
+	cells := specCells(t)
+	rows := make([]specRow, len(cells))
 	t.Run("cells", func(t *testing.T) {
-		for i, m := range models {
-			for _, c := range cells[i] {
-				m, c := m, c
-				t.Run(c.name, func(t *testing.T) {
-					t.Parallel()
-					row := runSpecCell(t, m, c)
-					mu.Lock()
-					got[c.name] = row
-					mu.Unlock()
-					if *updateGolden {
-						return
-					}
-					if w, ok := want[c.name]; !ok {
-						t.Errorf("no golden row")
-					} else if fmt.Sprint(row) != fmt.Sprint(w) { // nil and empty outputs print alike
-						t.Errorf("differs from golden:\n got  %+v\n want %+v", row, w)
-					}
-				})
-			}
+		for i, c := range cells {
+			t.Run(c.name, func(t *testing.T) {
+				t.Parallel()
+				rows[i] = runSpecCell(t, c)
+				if *updateGolden {
+					return
+				}
+				if w, ok := want[c.name]; !ok {
+					t.Errorf("no golden row")
+				} else if fmt.Sprint(rows[i]) != fmt.Sprint(w) { // nil and empty outputs print alike
+					t.Errorf("differs from golden:\n got  %+v\n want %+v", rows[i], w)
+				}
+			})
 		}
 	})
 	if t.Failed() {
 		return
-	}
-
-	var rows []specRow
-	for _, cs := range cells {
-		for _, c := range cs {
-			rows = append(rows, got[c.name])
-		}
 	}
 	if !*updateGolden {
 		if len(want) != len(rows) {

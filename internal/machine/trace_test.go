@@ -17,7 +17,7 @@ func TestPipelineTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewStrongARM(p, Config{})
+	m := strongARM.build(t, p, Config{})
 	var b strings.Builder
 	m.AttachTracer(&b, 0)
 	if err := m.Run(0); err != nil {
@@ -47,7 +47,7 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewXScale(p, Config{})
+	m := xScale.build(t, p, Config{})
 	var b strings.Builder
 	m.AttachTracer(&b, 5)
 	if err := m.Run(0); err != nil {
@@ -69,7 +69,7 @@ func TestTraceMarksAnnulled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewStrongARM(p, Config{})
+	m := strongARM.build(t, p, Config{})
 	var b strings.Builder
 	m.AttachTracer(&b, 0)
 	if err := m.Run(0); err != nil {

@@ -10,6 +10,22 @@ import (
 	"rcpn/internal/ssim"
 )
 
+// runModel builds an RCPN model from spec with its default units and runs p
+// to completion.
+func runModel(t *testing.T, p *arm.Program, spec machine.Spec, units func(*machine.Config)) *machine.Machine {
+	t.Helper()
+	var cfg machine.Config
+	units(&cfg)
+	m, err := machine.Generate(p, spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(0); err != nil {
+		t.Fatalf("%s: %v", m.Name, err)
+	}
+	return m
+}
+
 // runISS executes a workload on the golden-model ISS.
 func runISS(t *testing.T, w *Workload, scale int) *iss.CPU {
 	t.Helper()
@@ -91,16 +107,10 @@ func TestCrossSimulatorAgreement(t *testing.T) {
 				}
 			}
 
-			sa := machine.NewStrongARM(p, machine.Config{})
-			if err := sa.Run(0); err != nil {
-				t.Fatalf("strongarm: %v", err)
-			}
+			sa := runModel(t, p, machine.StrongARMSpec(), machine.StrongARMUnits)
 			check("strongarm", sa.Output, sa.Text, sa.ExitCode, sa.Instret)
 
-			xs := machine.NewXScale(p, machine.Config{})
-			if err := xs.Run(0); err != nil {
-				t.Fatalf("xscale: %v", err)
-			}
+			xs := runModel(t, p, machine.XScaleSpec(), machine.XScaleUnits)
 			check("xscale", xs.Output, xs.Text, xs.ExitCode, xs.Instret)
 
 			hp := pipe5.New(p, pipe5.Config{})
@@ -156,14 +166,8 @@ func TestExtraKernels(t *testing.T) {
 				t.Fatalf("%s too small: %d instrs, output %v", w.Name, golden.Instret, golden.Output)
 			}
 
-			sa := machine.NewStrongARM(p, machine.Config{})
-			if err := sa.Run(0); err != nil {
-				t.Fatalf("strongarm: %v", err)
-			}
-			xs := machine.NewXScale(p, machine.Config{})
-			if err := xs.Run(0); err != nil {
-				t.Fatalf("xscale: %v", err)
-			}
+			sa := runModel(t, p, machine.StrongARMSpec(), machine.StrongARMUnits)
+			xs := runModel(t, p, machine.XScaleSpec(), machine.XScaleUnits)
 			bs := ssim.New(p, ssim.Config{})
 			if err := bs.Run(0); err != nil {
 				t.Fatalf("ssim: %v", err)
