@@ -62,39 +62,25 @@ var guardEngines = []string{"pipe5", "strongarm", "ssim", "genpipe5"}
 // pipe5 engine over the interpreted RCPN engine it was compiled from.
 const genSpeedupFloor = 1.3
 
-func guardEngine(t *testing.T, name string) diffrun.Engine {
-	t.Helper()
-	e, ok := diffrun.Lookup(name)
-	if !ok {
-		t.Fatalf("unknown guard engine %q", name)
-	}
-	return e
-}
-
 // measureMcps returns the best-of-reps simulation rate of one engine on
 // the kernel, in simulated Mcycles per wall second, with no observability
-// attached.
+// attached. Each rep is one diffrun.RunCell, build included.
 func measureMcps(t *testing.T, engine, kernel string) float64 {
 	t.Helper()
-	e := guardEngine(t, engine)
+	e := benchEngine(t, engine)
 	p, err := workload.ByName(kernel).Program(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	best := 0.0
 	for rep := 0; rep < benchGuardReps; rep++ {
-		st, _, err := e.Build(p)
-		if err != nil {
-			t.Fatal(err)
-		}
 		start := time.Now()
-		done, err := st.StepTo(noLimit)
+		m, err := diffrun.RunCell(context.Background(), e, p)
 		wall := time.Since(start)
-		if err != nil || !done {
-			t.Fatalf("%s/%s: done=%v err=%v", engine, kernel, done, err)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", engine, kernel, err)
 		}
-		cycles, _ := st.Progress()
-		if mcps := float64(cycles) / 1e6 / wall.Seconds(); mcps > best {
+		if mcps := float64(m.Cycles) / 1e6 / wall.Seconds(); mcps > best {
 			best = mcps
 		}
 	}
@@ -120,7 +106,7 @@ const tparGuardKey = "tpar-sampled-n4"
 // measurement is all scheduler noise; scale 4 keeps it fast but stable.
 func measureTparMcps(t *testing.T, engine, kernel string) float64 {
 	t.Helper()
-	e := guardEngine(t, engine)
+	e := benchEngine(t, engine)
 	p, err := workload.ByName(kernel).Program(4)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rcpn/internal/batch"
+	"rcpn/internal/diffrun"
 	"rcpn/internal/workload"
 )
 
@@ -28,10 +29,14 @@ func TestReportGolden(t *testing.T) {
 		run        func(opt batch.Options) *batch.Report
 	}{
 		{"matrix", "matrix_scale1.json", func(opt batch.Options) *batch.Report {
-			return runMatrix(allSims(), workload.All(), 1, opt)
+			jobs, err := diffrun.MatrixJobs(diffrun.Fig10(), workload.All(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return batch.Run(jobs, opt)
 		}},
 		{"sample", "sample_scale1_k3.json", func(opt batch.Options) *batch.Report {
-			return runSample(allSims(), workload.All(), 1, 3, 20_000, opt)
+			return runSample(diffrun.Fig10(), workload.All(), 1, 3, 20_000, opt)
 		}},
 	}
 	for _, m := range modes {

@@ -12,10 +12,12 @@
 //	                         # full detailed run as reference; reports the
 //	                         # sampled-vs-full CPI error
 //
-// Both write a machine-readable report (schema rcpn-batch/v1) to -out
-// (default BENCH_batch.json). The default report is deterministic — identical
-// bytes for -j 1 and -j 8 — because it excludes wall-clock fields; pass -wall
-// to embed host timing.
+// -sims takes the labels of diffrun.Fig10. Every full run is timed by
+// diffrun.RunCell and fails unless it retires the ISS golden instruction
+// count. Both modes write a machine-readable report (schema rcpn-batch/v1)
+// to -out (default BENCH_batch.json). The default report is deterministic —
+// identical bytes for -j 1 and -j 8 — because it excludes wall-clock fields;
+// pass -wall to embed host timing.
 package main
 
 import (
@@ -23,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -73,7 +76,11 @@ func main() {
 
 	switch *mode {
 	case "matrix":
-		rep = runMatrix(sims, works, *scale, opt)
+		jobs, err := diffrun.MatrixJobs(sims, works, *scale)
+		if err != nil {
+			die(err)
+		}
+		rep = batch.Run(jobs, opt)
 		fmt.Println(rep.StatsSet().Table(
 			"Batch matrix — simulation performance", "million cycles/second", stats.MetricMCPS, 2))
 	case "sample":
@@ -116,86 +123,22 @@ func intervalSuffix(r batch.Result) string {
 	return "@" + r.Interval
 }
 
-// ---- simulator registry ---------------------------------------------------
+// ---- simulators -----------------------------------------------------------
 
-// simdef is one measured simulator: a report label of the paper's Figure 10
-// bars and the registry engine behind it.
-type simdef struct {
-	name   string
-	engine diffrun.Engine
-}
-
-// simLabels maps the report labels to registry engine names.
-var simLabels = []struct{ label, engine string }{
-	{"SimpleScalar-Arm", "ssim"},
-	{"RCPN-XScale", "xscale"},
-	{"RCPN-StrongARM", "strongarm"},
-	{"hand-written-5stage", "pipe5"},
-}
-
-func allSims() []simdef {
-	var sims []simdef
-	for _, l := range simLabels {
-		e, ok := diffrun.Lookup(l.engine)
-		if !ok {
-			die(fmt.Errorf("engine %q is not in the registry", l.engine))
-		}
-		sims = append(sims, simdef{name: l.label, engine: e})
-	}
-	return sims
-}
-
-// full runs the simulator to completion through batch.Drive, so a per-job
-// deadline or a canceled sweep stops it at the next chunk boundary instead
-// of leaking the goroutine.
-func (s simdef) full(ctx context.Context, p *arm.Program) (batch.Metrics, error) {
-	st, _, err := s.engine.Build(p)
-	if err != nil {
-		return batch.Metrics{}, err
-	}
-	err = batch.Drive(ctx, st, 0, 0, nil)
-	c, i := st.Progress()
-	return batch.Metrics{Cycles: c, Instret: i}, err
-}
-
-// interval restores ck into a fresh simulator, runs n more instructions to
-// the next drained boundary, and returns the cycles and instructions
-// simulated after the handoff.
-func (s simdef) interval(p *arm.Program, ck *ckpt.Checkpoint, n uint64) (batch.Metrics, error) {
-	st, _, err := s.engine.Build(p)
-	if err != nil {
-		return batch.Metrics{}, err
-	}
-	if err := st.Restore(ck); err != nil {
-		return batch.Metrics{}, err
-	}
-	_, base := st.Progress()
-	if _, err = st.StepToRetired(base+n, 1<<40); err == nil {
-		err = st.DrainBoundary()
-	}
-	c, i := st.Progress()
-	return batch.Metrics{Cycles: c, Instret: i - base}, err
-}
-
-func selectSims(csv string) ([]simdef, error) {
-	all := allSims()
+// selectSims resolves the -sims labels against the Figure 10 bars.
+func selectSims(csv string) ([]diffrun.Bar, error) {
+	all := diffrun.Fig10()
 	if csv == "" {
 		return all, nil
 	}
-	var out []simdef
+	var out []diffrun.Bar
 	for _, name := range strings.Split(csv, ",") {
 		name = strings.TrimSpace(name)
-		found := false
-		for _, s := range all {
-			if s.name == name {
-				out = append(out, s)
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := slices.IndexFunc(all, func(b diffrun.Bar) bool { return b.Label == name })
+		if i < 0 {
 			return nil, fmt.Errorf("unknown simulator %q", name)
 		}
+		out = append(out, all[i])
 	}
 	return out, nil
 }
@@ -216,26 +159,6 @@ func selectWorkloads(csv string) ([]*workload.Workload, error) {
 	return out, nil
 }
 
-// ---- matrix mode ----------------------------------------------------------
-
-func runMatrix(sims []simdef, works []*workload.Workload, scale int, opt batch.Options) *batch.Report {
-	var jobs []batch.Job
-	for _, w := range works {
-		p, err := w.Program(scale)
-		if err != nil {
-			die(err)
-		}
-		for _, s := range sims {
-			s, w := s, w
-			jobs = append(jobs, batch.Job{
-				Simulator: s.name, Workload: w.Name,
-				Run: func(ctx context.Context) (batch.Metrics, error) { return s.full(ctx, p) },
-			})
-		}
-	}
-	return batch.Run(jobs, opt)
-}
-
 // ---- sample mode ----------------------------------------------------------
 
 // runSample builds, per (simulator, workload) cell, one full-run reference
@@ -246,16 +169,14 @@ func runMatrix(sims []simdef, works []*workload.Workload, scale int, opt batch.O
 // sampled CPI estimate is the pooled cycles/instructions over the k
 // intervals; its error against the full run is attached to the reference
 // job's extra metrics and printed.
-func runSample(sims []simdef, works []*workload.Workload, scale int, k int, ilen uint64, opt batch.Options) *batch.Report {
+func runSample(sims []diffrun.Bar, works []*workload.Workload, scale int, k int, ilen uint64, opt batch.Options) *batch.Report {
 	if k < 1 {
 		die(fmt.Errorf("-k must be >= 1"))
 	}
 	type cell struct {
-		sim  simdef
-		w    *workload.Workload
-		p    *arm.Program
-		full int   // index of the reference job
-		ivs  []int // indices of the interval jobs
+		sim, workload string
+		full          int   // index of the reference job
+		ivs           []int // indices of the interval jobs
 	}
 	var cells []*cell
 	var jobsList []batch.Job
@@ -266,30 +187,29 @@ func runSample(sims []simdef, works []*workload.Workload, scale int, k int, ilen
 			die(err)
 		}
 		// One functional pass gives the instruction count that places the
-		// intervals; it is the same fast-forward engine the jobs use.
-		golden := iss.New(p, 0)
-		golden.MaxInstrs = 2_000_000_000
-		if err := golden.Run(); err != nil {
+		// intervals and checks the reference job; it is the same
+		// fast-forward engine the interval jobs use.
+		total, err := diffrun.GoldenInstret(p)
+		if err != nil {
 			die(fmt.Errorf("%s: iss: %w", w.Name, err))
 		}
-		total := golden.Instret
 
 		for _, s := range sims {
-			s, w, p := s, w, p
-			c := &cell{sim: s, w: w, p: p}
-			c.full = len(jobsList)
-			jobsList = append(jobsList, batch.Job{
-				Simulator: s.name, Workload: w.Name, Interval: "full",
-				Run: func(ctx context.Context) (batch.Metrics, error) { return s.full(ctx, p) },
-			})
+			e, ok := diffrun.Lookup(s.Engine)
+			if !ok {
+				die(fmt.Errorf("engine %q is not in the registry", s.Engine))
+			}
+			c := &cell{sim: s.Label, workload: w.Name, full: len(jobsList)}
+			full := diffrun.CellJob(s.Label, w.Name, e, p, total)
+			full.Interval = "full"
+			jobsList = append(jobsList, full)
 			for i := 0; i < k; i++ {
 				start := total * uint64(i) / uint64(k)
-				label := fmt.Sprintf("k%d", i)
 				c.ivs = append(c.ivs, len(jobsList))
 				jobsList = append(jobsList, batch.Job{
-					Simulator: s.name, Workload: w.Name, Interval: label,
+					Simulator: s.Label, Workload: w.Name, Interval: fmt.Sprintf("k%d", i),
 					Run: func(ctx context.Context) (batch.Metrics, error) {
-						return sampleInterval(s, p, start, ilen)
+						return sampleInterval(e, p, start, ilen)
 					},
 				})
 			}
@@ -329,7 +249,7 @@ func runSample(sims []simdef, works []*workload.Workload, scale int, k int, ilen
 		rep.Results[c.full].Extra["sampled_cpi"] = sampled
 		rep.Results[c.full].Extra["cpi_err_pct"] = errPct
 		fmt.Printf("%-22s%-12s%10.3f%10.3f%8.2f%%\n",
-			c.sim.name, c.w.Name, full.CPI(), sampled, errPct)
+			c.sim, c.workload, full.CPI(), sampled, errPct)
 	}
 	fmt.Println()
 	return rep
@@ -341,9 +261,9 @@ func runSample(sims []simdef, works []*workload.Workload, scale int, k int, ilen
 // short (tens of thousands of instructions), so they run without
 // cancellation checks; the per-job deadline still bounds them through the
 // pool's grace fallback.
-func sampleInterval(s simdef, p *arm.Program, start, ilen uint64) (batch.Metrics, error) {
+func sampleInterval(e diffrun.Engine, p *arm.Program, start, ilen uint64) (batch.Metrics, error) {
 	c := iss.New(p, 0)
-	w := s.engine.Warm()
+	w := e.Warm()
 	c.WarmI, c.WarmD, c.WarmPred = w.Caches.I, w.Caches.D, w.Predictor
 	if _, err := c.RunN(start); err != nil {
 		return batch.Metrics{}, fmt.Errorf("fast-forward: %w", err)
@@ -360,5 +280,19 @@ func sampleInterval(s simdef, p *arm.Program, start, ilen uint64) (batch.Metrics
 	if err != nil {
 		return batch.Metrics{}, fmt.Errorf("decode: %w", err)
 	}
-	return s.interval(p, ck, ilen)
+	// Restore into a fresh simulator, run ilen more instructions to the next
+	// drained boundary, and count what was simulated after the handoff.
+	st, _, err := e.Build(p)
+	if err != nil {
+		return batch.Metrics{}, err
+	}
+	if err := st.Restore(ck); err != nil {
+		return batch.Metrics{}, err
+	}
+	_, base := st.Progress()
+	if _, err = st.StepToRetired(base+ilen, 1<<40); err == nil {
+		err = st.DrainBoundary()
+	}
+	cyc, ins := st.Progress()
+	return batch.Metrics{Cycles: cyc, Instret: ins - base}, err
 }

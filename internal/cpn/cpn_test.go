@@ -8,29 +8,10 @@ import (
 	"rcpn/internal/core"
 )
 
-// fig2 builds the paper's Figure 2 pipeline as an RCPN: places L1 and L2
-// (capacity 1 each), two instruction classes — one flowing L1->U2->L2->U3->end
-// and one taking the short path L1->U4->end — and a fetch source.
-// produce limits how many tokens the source generates.
+// fig2 is the paper's Figure 2 pipeline with a source that stops after
+// produce tokens.
 func fig2(produce int) *core.Net {
-	n := core.NewNet(2)
-	l1 := n.Place("L1", n.Stage("L1", 1))
-	l2 := n.Place("L2", n.Stage("L2", 1))
-	end := n.EndPlace("end")
-	n.AddTransition(&core.Transition{Name: "U2", Class: 0, From: l1, To: l2})
-	n.AddTransition(&core.Transition{Name: "U3", Class: 0, From: l2, To: end})
-	n.AddTransition(&core.Transition{Name: "U4", Class: 1, From: l1, To: end})
-	made := 0
-	n.AddSource(&core.Source{
-		Name:  "U1",
-		To:    l1,
-		Guard: func() bool { return made < produce },
-		Fire: func() *core.Token {
-			made++
-			return core.NewToken(core.ClassID(made%2), made)
-		},
-	})
-	n.MustBuild()
+	n, _ := Fig2(&produce)
 	return n
 }
 
@@ -72,16 +53,14 @@ func TestConvertStructure(t *testing.T) {
 // observable state: tokens per place (by class) and total retirements.
 func TestConvertedNetCycleEquivalence(t *testing.T) {
 	const produce = 7
-	rc := fig2(produce)       // simulated by the RCPN engine
-	rcForCPN := fig2(produce) // converted; its engine is never stepped
+	limit := produce
+	rc := fig2(produce)           // simulated by the RCPN engine
+	rcForCPN, end := Fig2(&limit) // converted; its engine is never stepped
 	cn, m, err := Convert(rcForCPN)
 	if err != nil {
 		t.Fatal(err)
 	}
-	endCPN := m.PlaceOf[rcForCPN.Places()[2]]
-	if !rcForCPN.Places()[2].End {
-		t.Fatal("place order assumption broken")
-	}
+	endCPN := m.PlaceOf[end]
 
 	for cycle := 0; cycle < 20; cycle++ {
 		rc.Step()

@@ -4,6 +4,8 @@
 // repository, a runner that executes a program on the ISS golden model and
 // on every registered engine — plain and through a checkpoint/restore
 // handoff — and a comparator over the complete final architectural state.
+// It also holds the paper's Figure 10 bars and RunCell, the one runner every
+// evaluation front end times its cells through (cell.go).
 //
 // Reports are deterministic: engines run in registry order, divergences are
 // formatted with fixed layouts, and nothing depends on wall-clock time or

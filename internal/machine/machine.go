@@ -46,6 +46,26 @@ type Config struct {
 	NoActiveList bool
 }
 
+// Ablation is one named engine configuration of the §4/§5 ablation study.
+type Ablation struct {
+	Name   string
+	Config Config
+}
+
+// Ablations lists the ablation study's configurations, the full engine
+// first: the rows of BenchmarkAblation and `experiments -fig ablation`.
+func Ablations() []Ablation {
+	return []Ablation{
+		{"full-engine", Config{}},
+		{"activeList=off", Config{NoActiveList: true}},
+		{"pool=off", Config{NoTokenCache: true}},
+		{"activeList=off,pool=off", Config{NoActiveList: true, NoTokenCache: true}},
+		{"dynamic-search", Config{DynamicSearch: true}},
+		{"two-list-everywhere", Config{TwoListAll: true}},
+		{"all-off", Config{NoTokenCache: true, DynamicSearch: true, TwoListAll: true, NoActiveList: true}},
+	}
+}
+
 // Machine is a processor model plus its architected and simulation state.
 type Machine struct {
 	Name string

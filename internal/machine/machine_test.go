@@ -2,6 +2,9 @@ package machine
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"rcpn/internal/arm"
@@ -393,39 +396,45 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	// NoTokenCache, DynamicSearch and NoActiveList change only simulator
-	// speed, never modeled time; TwoListAll may legally change timing, so
-	// only its results are compared.
-	switches := []struct {
-		name       string
-		cfg        Config
-		sameTiming bool
-	}{
-		{"NoTokenCache", Config{NoTokenCache: true}, true},
-		{"DynamicSearch", Config{DynamicSearch: true}, true},
-		{"NoActiveList", Config{NoActiveList: true}, true},
-		{"TwoListAll", Config{TwoListAll: true}, false},
-	}
+	// Every ablation computes the same results as the full engine. Only
+	// TwoListAll may legally change modeled time; the other switches change
+	// simulator speed alone, so their cycle counts must match too.
 	for _, model := range specModels() {
 		ref := model.build(t, p, Config{})
 		if err := ref.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		for _, sw := range switches {
-			t.Run(model.spec.Name+"/"+sw.name, func(t *testing.T) {
-				m := model.build(t, p, sw.cfg)
+		if len(ref.Output) != 1 {
+			t.Fatalf("%s: reference output %v, want one word", model.spec.Name, ref.Output)
+		}
+		for _, a := range Ablations()[1:] {
+			t.Run(model.spec.Name+"/"+switchesOn(a.Config), func(t *testing.T) {
+				m := model.build(t, p, a.Config)
 				if err := m.Run(0); err != nil {
 					t.Fatal(err)
 				}
-				if len(m.Output) != 1 || m.Output[0] != ref.Output[0] {
+				if !slices.Equal(m.Output, ref.Output) {
 					t.Errorf("output %v, want %v", m.Output, ref.Output)
 				}
-				if sw.sameTiming && m.Net.CycleCount() != ref.Net.CycleCount() {
+				if !a.Config.TwoListAll && m.Net.CycleCount() != ref.Net.CycleCount() {
 					t.Errorf("cycles %d, want %d", m.Net.CycleCount(), ref.Net.CycleCount())
 				}
 			})
 		}
 	}
+}
+
+// switchesOn names the ablation switches cfg sets, in field order, joined
+// by "+".
+func switchesOn(cfg Config) string {
+	v := reflect.ValueOf(cfg)
+	var on []string
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Bool && f.Bool() {
+			on = append(on, v.Type().Field(i).Name)
+		}
+	}
+	return strings.Join(on, "+")
 }
 
 func TestCacheStatsAccumulate(t *testing.T) {
