@@ -9,7 +9,9 @@
 //
 // The output file is <out>/<pkg>.go. With -check, rcpngen regenerates and
 // exits nonzero if the committed file is stale instead of writing (the CI
-// staleness gate). With -build, it runs "go build" on the emitted package.
+// staleness gate). With -build, it runs "go build" on the emitted package;
+// -out may then be relative or absolute but must lie inside the module,
+// because the emitted package imports rcpn/internal/....
 package main
 
 import (
@@ -20,6 +22,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"rcpn/internal/gen"
 	"rcpn/internal/machine"
@@ -93,12 +96,25 @@ func main() {
 	fmt.Printf("rcpngen: wrote %s (%d bytes)\n", path, len(src))
 
 	if *build {
-		cmd := exec.Command("go", "build", "./"+filepath.ToSlash(*out))
-		cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
-		if err := cmd.Run(); err != nil {
+		if err := buildPackage(*out); err != nil {
 			fmt.Fprintf(os.Stderr, "rcpngen: build failed: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("rcpngen: built ./%s\n", filepath.ToSlash(*out))
+		fmt.Printf("rcpngen: built %s\n", *out)
 	}
+}
+
+// buildPackage runs "go build" inside dir, so a relative and an absolute
+// -out work alike. The emitted package imports rcpn/internal/..., so dir
+// must lie inside the rcpn module.
+func buildPackage(dir string) error {
+	list := exec.Command("go", "list", "-m")
+	list.Dir = dir
+	if mod, err := list.Output(); err != nil || strings.TrimSpace(string(mod)) != "rcpn" {
+		return fmt.Errorf("%s is outside the rcpn module: the emitted package imports rcpn/internal/... and must live inside the module", dir)
+	}
+	build := exec.Command("go", "build", ".")
+	build.Dir = dir
+	build.Stdout, build.Stderr = os.Stdout, os.Stderr
+	return build.Run()
 }
