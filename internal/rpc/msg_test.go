@@ -2,8 +2,10 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -179,6 +181,49 @@ func TestConnLoopback(t *testing.T) {
 		}
 		if time.Since(start) > 2*time.Second {
 			t.Fatal("read deadline not applied")
+		}
+	})
+}
+
+// decodeAllocSlack is what DecodeMsg may allocate beyond a small multiple
+// of its input: the message value itself plus whatever the test runtime
+// allocates in the background. A hostile length prefix claiming even a
+// megabyte from a few bytes of input is far above it.
+const decodeAllocSlack = 64 << 10
+
+// FuzzDecodeMsg: DecodeMsg must never panic on arbitrary payload bytes;
+// it must reject a declared field length before allocating for it, so its
+// allocation stays bounded by its input; and any payload it accepts must
+// re-encode to a fixed point — Encode of the decoded message decodes to
+// the same message, which encodes to the same bytes again. The committed
+// corpus holds one encoded payload of every message kind.
+func FuzzDecodeMsg(f *testing.F) {
+	// Hostile lengths: a Submit whose ID claims a megabyte, a Result whose
+	// payload claims the largest uvarint.
+	f.Add(binary.AppendUvarint([]byte{kindSubmit}, 1<<20))
+	f.Add(binary.AppendUvarint([]byte{kindResult, 1, 'x', 0, 0, 0}, 1<<64-1))
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := DecodeMsg(payload)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > decodeAllocSlack+4*uint64(len(payload)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(payload), grew)
+		}
+		if err != nil {
+			return
+		}
+		enc := Encode(m)
+		again, err := DecodeMsg(enc)
+		if err != nil {
+			t.Fatalf("re-encoded %#v does not decode: %v", m, err)
+		}
+		if !reflect.DeepEqual(again, m) {
+			t.Fatalf("decode(encode(m)) = %#v, want %#v", again, m)
+		}
+		if re := Encode(again); !bytes.Equal(re, enc) {
+			t.Fatalf("encoding is not a fixed point: %x then %x", enc, re)
 		}
 	})
 }

@@ -37,6 +37,15 @@ type Dispatcher interface {
 	Live() int
 }
 
+// spiller is the optional Dispatcher extension behind
+// rcpn_shard_spilled_total: a dispatcher that places jobs by bounded-load
+// consistent hashing (shard.Coordinator) counts the jobs it placed past
+// their ring owner. Optional, so Dispatcher and its test fakes stay as
+// they are.
+type spiller interface {
+	Spills() int64
+}
+
 // Config sizes the service.
 type Config struct {
 	// Workers is the simulation pool size (<= 0: GOMAXPROCS).
@@ -1024,6 +1033,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m.Counter("rcpn_shard_dispatched_total", "Jobs completed on a remote shard worker.", float64(s.dispatched.Load()), nil)
 		m.Counter("rcpn_shard_dispatch_errors_total", "Transient dispatch failures re-entered into retry.", float64(s.dispatchErrs.Load()), nil)
 		m.Counter("rcpn_shard_local_fallback_total", "Job executions served locally because no worker was live.", float64(s.fallbackLocal.Load()), nil)
+		if sp, ok := d.(spiller); ok {
+			m.Counter("rcpn_shard_spilled_total", "Jobs placed on a worker other than their ring owner because the owner had no free slot.", float64(sp.Spills()), nil)
+		}
 	}
 	m.Counter("rcpn_simulated_cycles_total", "Cumulative simulated cycles across all finished attempts.", float64(s.cycles.Load()), nil)
 	m.Gauge("rcpn_draining", "1 while the server is draining for shutdown.", b01(draining), nil)

@@ -17,10 +17,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"rcpn/internal/batch"
 	"rcpn/internal/faultinj"
+	"rcpn/internal/obsv"
 	"rcpn/internal/serve"
 	"rcpn/internal/store"
 )
@@ -195,6 +198,44 @@ func inflightOwner(t *testing.T, c *Coordinator) *remoteWorker {
 	return nil
 }
 
+// sameOwnerSpecs steps max_cycles upward from 1<<30 through tmpl (a spec
+// with one %d verb for it) until n specs hash to the same owner on a ring
+// of nodes, and returns them with that owner. The cap is far above what
+// the kernels need, so every spec has the same result bytes but its own
+// content address; the search is deterministic because ring placement is.
+func sameOwnerSpecs(t *testing.T, nodes []string, tmpl string, n int) ([]*serve.JobSpec, string) {
+	t.Helper()
+	r := NewRing()
+	for _, node := range nodes {
+		r.Add(node)
+	}
+	byOwner := map[string][]*serve.JobSpec{}
+	for mc := int64(1 << 30); ; mc++ {
+		spec, err := serve.ParseSpec(strings.NewReader(fmt.Sprintf(tmpl, mc)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner, _ := r.Lookup(spec.ID())
+		byOwner[owner] = append(byOwner[owner], spec)
+		if len(byOwner[owner]) == n {
+			return byOwner[owner], owner
+		}
+	}
+}
+
+// inflightCounts snapshots every worker's claimed-slot count.
+func inflightCounts(c *Coordinator) map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]int, len(c.workers))
+	for node, w := range c.workers {
+		w.mu.Lock()
+		out[node] = len(w.inflight)
+		w.mu.Unlock()
+	}
+	return out
+}
+
 // ---- minimal HTTP client helpers (the serve ones are package-internal) ----
 
 func httpPost(t *testing.T, base, spec string) (int, []byte) {
@@ -267,6 +308,23 @@ func finishedResult(t *testing.T, base, id string) string {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// metricValue scrapes one unlabelled series from /v1/metrics, requiring
+// the whole page to be valid Prometheus text format.
+func metricValue(t *testing.T, base, series string) string {
+	t.Helper()
+	_, data := httpGet(t, base+"/v1/metrics")
+	if _, err := obsv.ValidateProm(data); err != nil {
+		t.Fatalf("metrics page is not valid Prometheus text format: %v", err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			return v
+		}
+	}
+	t.Fatalf("metrics page has no %s series", series)
+	return ""
 }
 
 // refServer is the oracle: a plain single-process server, no dispatcher.
@@ -472,5 +530,132 @@ func TestShardOrphanAdoption(t *testing.T) {
 	if second.Adopted() != 1 || second.Executed() != 0 {
 		t.Fatalf("adopted=%d executed=%d, want the stored result adopted without re-execution",
 			second.Adopted(), second.Executed())
+	}
+}
+
+// TestShardSpillToFreeWorker: a job whose ring owner is busy runs on the
+// worker with a free slot instead of queueing behind the owner's job, and
+// the bytes are the same as anywhere else. Two 1-slot workers, two specs
+// owned by the same worker, both held in flight by checkpoint delays:
+// each worker must execute exactly one.
+func TestShardSpillToFreeWorker(t *testing.T) {
+	specs, _ := sameOwnerSpecs(t, []string{"w1", "w2"},
+		`{"simulator":"pipe5","kernel":"crc","scale":1,"checkpoint_interval":2000,"max_cycles":%d}`, 2)
+	cl := startCluster(t, serve.Config{}, CoordinatorConfig{}, []WorkerConfig{
+		{Slots: 1, Fault: mustPlan(t, "worker.panic*-1:delay=10ms")},
+		{Slots: 1, Fault: mustPlan(t, "worker.panic*-1:delay=10ms")},
+	})
+	ref := refServer(t)
+
+	first := submitJob(t, cl.hs.URL, string(specs[0].Canonical()))
+	inflightOwner(t, cl.coord)
+	second := submitJob(t, cl.hs.URL, string(specs[1].Canonical()))
+	for i, id := range []string{first, second} {
+		got := finishedResult(t, cl.hs.URL, id)
+		want := finishedResult(t, ref.URL, submitJob(t, ref.URL, string(specs[i].Canonical())))
+		if got != want {
+			t.Fatalf("spilled result differs from single-process:\n%s\nvs\n%s", got, want)
+		}
+	}
+	for node, h := range cl.handles {
+		if n := h.w.Executed(); n != 1 {
+			t.Fatalf("worker %s executed %d jobs, want 1 each (the owner's second job must spill)", node, n)
+		}
+	}
+	if n := cl.coord.Spills(); n != 1 {
+		t.Fatalf("spills = %d, want 1", n)
+	}
+	if v := metricValue(t, cl.hs.URL, "rcpn_shard_spilled_total"); v != "1" {
+		t.Fatalf("rcpn_shard_spilled_total = %s, want 1", v)
+	}
+}
+
+// TestShardConcurrentDispatchSlots: many concurrent Dispatch calls for
+// jobs that share one ring owner fill every worker to exactly its Slots —
+// no worker holds more while another has a free one — and only once all
+// are full does the next job queue on the owner. Run it under -race: the
+// choice and the slot claim share one critical section.
+func TestShardConcurrentDispatchSlots(t *testing.T) {
+	release := make(chan struct{})
+	hold := func(s *serve.JobSpec) (batch.Stepper, error) {
+		<-release
+		return s.Build()
+	}
+	slots := map[string]int{"w1": 1, "w2": 2, "w3": 1}
+	var wcfgs []WorkerConfig
+	for _, node := range []string{"w1", "w2", "w3"} {
+		wcfgs = append(wcfgs, WorkerConfig{Node: node, Slots: slots[node], Build: hold})
+	}
+	cl := startCluster(t, serve.Config{}, CoordinatorConfig{}, wcfgs)
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // runs before the cluster stops
+
+	const full = 4 // the sum of slots
+	specs, owner := sameOwnerSpecs(t, []string{"w1", "w2", "w3"},
+		`{"simulator":"pipe5","kernel":"crc","scale":1,"max_cycles":%d}`, full+1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	errs := make(chan error, len(specs))
+	dispatch := func(spec *serve.JobSpec) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := cl.coord.Dispatch(ctx, spec.ID(), spec.Canonical(), nil)
+			if err == nil && res.Failed {
+				err = fmt.Errorf("job %s failed: %s", short(spec.ID()), res.Payload)
+			}
+			errs <- err
+		}()
+	}
+	waitInflight := func(n int) map[string]int {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			counts := inflightCounts(cl.coord)
+			total := 0
+			for _, c := range counts {
+				total += c
+			}
+			if total == n {
+				return counts
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("in flight %v, want %d jobs", counts, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	for _, spec := range specs[:full] {
+		dispatch(spec)
+	}
+	counts := waitInflight(full)
+	for node, n := range counts {
+		if n != slots[node] {
+			t.Fatalf("in flight %v with slots %v: every worker should be exactly full", counts, slots)
+		}
+	}
+	if n := cl.coord.Spills(); n != int64(full-slots[owner]) {
+		t.Fatalf("spills = %d, want %d (every job past the owner's %d slot(s))", n, full-slots[owner], slots[owner])
+	}
+
+	dispatch(specs[full]) // every worker full: queues on the owner
+	counts = waitInflight(full + 1)
+	if counts[owner] != slots[owner]+1 {
+		t.Fatalf("in flight %v: the job past capacity should queue on owner %s", counts, owner)
+	}
+	if n := cl.coord.Spills(); n != int64(full-slots[owner]) {
+		t.Fatalf("spills = %d after an over-capacity job, want it unchanged at %d", n, full-slots[owner])
+	}
+
+	unblock()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

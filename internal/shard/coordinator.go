@@ -83,12 +83,28 @@ type call struct {
 	activity chan struct{} // buffered 1: progress seen, reset the idle clock
 }
 
+// newCall makes a fresh call for one dispatch attempt; a call is never
+// reused, so a late reply to an abandoned attempt cannot reach the next.
+func newCall(progress func(cycles int64, instret uint64)) *call {
+	if progress == nil {
+		progress = func(int64, uint64) {}
+	}
+	return &call{
+		reply:    make(chan dispatchReply, 1),
+		progress: progress,
+		activity: make(chan struct{}, 1),
+	}
+}
+
 // remoteWorker is the coordinator's handle on one connected worker.
 type remoteWorker struct {
 	node  string
 	slots int
 	conn  *rpc.Conn
 
+	// mu guards inflight. Entries are added only by Coordinator.pick,
+	// which also holds the coordinator's mutex, so len(inflight) is the
+	// count of claimed slots that pick compares against slots.
 	mu       sync.Mutex
 	inflight map[string]*call
 
@@ -101,6 +117,9 @@ type remoteWorker struct {
 // implements serve.Dispatcher. It is crash-only toward its workers: any
 // protocol error, missed heartbeat cadence or idle dispatch evicts the
 // worker and reassigns its jobs; a worker reconnects as a fresh node.
+//
+// Lock order: Coordinator.mu, then remoteWorker.mu. Nothing takes the
+// coordinator's mutex while holding a worker's.
 type Coordinator struct {
 	cfg  CoordinatorConfig
 	ring *Ring
@@ -109,9 +128,10 @@ type Coordinator struct {
 	workers map[string]*remoteWorker
 	closed  bool
 
-	// counters, for logs and the cmd layer.
+	// counters, for logs, the cmd layer and /v1/metrics.
 	evictions  atomic.Int64
 	reassigned atomic.Int64
+	spills     atomic.Int64
 }
 
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
@@ -238,42 +258,88 @@ func (c *Coordinator) evict(w *remoteWorker, cause error) {
 	})
 }
 
-// pick routes a job id to its live worker.
-func (c *Coordinator) pick(id string) *remoteWorker {
-	node, ok := c.ring.Lookup(id)
-	if !ok {
-		return nil
-	}
+// pick places job id on a live worker and registers cl there as its
+// in-flight call: consistent hashing with bounded loads. It walks the ring
+// clockwise from id, owner first, and takes the first worker with fewer
+// calls in flight than the slots it advertised (a zero Slots counts as
+// one); when every worker is full the owner takes the job and queues it,
+// as plain consistent hashing would. The choice and the claim happen under
+// c.mu, so two concurrent Dispatch calls can never both take one free
+// slot. pick returns a nil worker when no live worker is on the ring.
+func (c *Coordinator) pick(id string, cl *call) (*remoteWorker, error) {
+	walk := c.ring.Walk(id)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.workers[node]
+	var owner, chosen *remoteWorker
+	for _, node := range walk {
+		w := c.workers[node]
+		if w == nil {
+			continue // evicted; its ring points are on their way out
+		}
+		if owner == nil {
+			owner = w
+		}
+		w.mu.Lock()
+		free := len(w.inflight) < max(w.slots, 1)
+		w.mu.Unlock()
+		if free {
+			chosen = w
+			break
+		}
+	}
+	if owner == nil {
+		return nil, nil
+	}
+	if chosen == nil {
+		chosen = owner
+	}
+	chosen.mu.Lock()
+	defer chosen.mu.Unlock()
+	if _, dup := chosen.inflight[id]; dup {
+		// Content addressing makes a duplicate dispatch of the same id a
+		// server bug; refuse loudly rather than crossing replies.
+		return nil, fmt.Errorf("job %s already in flight on %s", id, chosen.node)
+	}
+	chosen.inflight[id] = cl
+	if chosen != owner {
+		c.spills.Add(1)
+	}
+	return chosen, nil
 }
 
 // Live implements serve.Dispatcher.
 func (c *Coordinator) Live() int { return c.ring.Len() }
 
-// Evictions and Reassignments expose the routing counters.
+// Evictions, Reassignments and Spills expose the routing counters. Spills
+// counts jobs placed on a worker other than their ring owner because the
+// owner had no free slot.
 func (c *Coordinator) Evictions() int64     { return c.evictions.Load() }
 func (c *Coordinator) Reassignments() int64 { return c.reassigned.Load() }
+func (c *Coordinator) Spills() int64        { return c.spills.Load() }
 
-// Dispatch implements serve.Dispatcher: route the job to its ring owner,
-// and on any transient failure — worker death, dropped or corrupted
-// frames, a wedged run — evict, back off, and re-pick against the
-// rebalanced ring. Reassignment cannot change the bytes: the job either
+// Dispatch implements serve.Dispatcher: place the job on its ring owner,
+// or past it on the first worker with a free slot (pick), and on any
+// transient failure — worker death, dropped or corrupted frames, a wedged
+// run — evict, back off, and re-pick against the rebalanced ring. Neither
+// placement nor reassignment can change the bytes: the job either
 // completed nowhere, or completes exactly once on whichever worker
 // finally answers, and every worker renders identical bytes.
 func (c *Coordinator) Dispatch(ctx context.Context, id string, spec []byte,
 	progress func(cycles int64, instret uint64)) (*rpc.Result, error) {
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.DispatchAttempts; attempt++ {
-		w := c.pick(id)
-		if w == nil {
+		cl := newCall(progress)
+		w, err := c.pick(id, cl)
+		if w == nil && err == nil {
 			if lastErr != nil {
 				return nil, lastErr
 			}
 			return nil, rpc.ErrNoWorkers
 		}
-		res, err := c.dispatchTo(ctx, w, id, spec, progress)
+		var res *rpc.Result
+		if err == nil {
+			res, err = c.dispatchTo(ctx, w, id, spec, cl)
+		}
 		switch {
 		case err == nil:
 			return res, nil
@@ -289,27 +355,11 @@ func (c *Coordinator) Dispatch(ctx context.Context, id string, spec []byte,
 	return nil, lastErr
 }
 
-// dispatchTo runs one attempt on one worker, bounding silence with the
-// idle clock (progress frames reset it).
+// dispatchTo runs one attempt on the worker pick registered cl with,
+// bounding silence with the idle clock (progress frames reset it). It
+// releases the claimed slot on return.
 func (c *Coordinator) dispatchTo(ctx context.Context, w *remoteWorker, id string, spec []byte,
-	progress func(cycles int64, instret uint64)) (*rpc.Result, error) {
-	cl := &call{
-		reply:    make(chan dispatchReply, 1),
-		progress: progress,
-		activity: make(chan struct{}, 1),
-	}
-	if progress == nil {
-		cl.progress = func(int64, uint64) {}
-	}
-	w.mu.Lock()
-	if _, dup := w.inflight[id]; dup {
-		w.mu.Unlock()
-		// Content addressing makes a duplicate dispatch of the same id a
-		// server bug; refuse loudly rather than crossing replies.
-		return nil, fmt.Errorf("job %s already in flight on %s", id, w.node)
-	}
-	w.inflight[id] = cl
-	w.mu.Unlock()
+	cl *call) (*rpc.Result, error) {
 	defer func() {
 		w.mu.Lock()
 		delete(w.inflight, id)

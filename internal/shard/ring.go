@@ -1,6 +1,11 @@
 // Package shard scales the simulation service across processes: a
 // coordinator consistent-hashes each job's content address onto a ring of
 // live workers and dispatches over the RCPNRPC1 protocol (internal/rpc).
+// Placement uses bounded loads: the ring owner takes the job while it has
+// fewer jobs in flight than the slots it advertised, and otherwise the job
+// goes to the next worker clockwise with a free slot (a spill, counted by
+// Coordinator.Spills); only when every worker is full does it queue on the
+// owner.
 // The invariant the whole package is built around: sharding is a pure
 // routing layer. Workers execute specs through the same executor and
 // report renderer as a local server, so which worker ran a job — or how
@@ -12,6 +17,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -27,10 +33,11 @@ type vnode struct {
 }
 
 // Ring is a consistent-hash ring over worker names. Jobs hash by content
-// address, so the same spec routes to the same worker while the ring is
-// stable — which keeps a worker's warm code paths and its shared-store
-// results local — and only keys owned by a dead worker move when it is
-// evicted.
+// address, so while the ring is stable the same spec routes to the same
+// worker whenever that worker has a free slot — which keeps a worker's
+// warm code paths and its shared-store results local — and a job spills
+// along Walk's order only past a full owner. Only keys owned by a dead
+// worker change owner when it is evicted.
 type Ring struct {
 	mu     sync.RWMutex
 	vnodes []vnode // sorted by hash
@@ -88,12 +95,41 @@ func (r *Ring) Lookup(key string) (node string, ok bool) {
 	if len(r.vnodes) == 0 {
 		return "", false
 	}
+	return r.vnodes[r.search(key)].node, true
+}
+
+// Walk lists every live node once, in the order their first virtual points
+// follow the key's hash clockwise: the owner Lookup returns comes first,
+// then the nodes a bounded-load placement spills to, nearest first. Like
+// ownership, the order is a pure function of the key and the membership
+// set. Walk returns nil on an empty ring.
+func (r *Ring) Walk(key string) []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if len(r.vnodes) == 0 {
+		return nil
+	}
+	out := make([]string, 0, len(r.nodes))
+	start := r.search(key)
+	for n := 0; n < len(r.vnodes) && len(out) < len(r.nodes); n++ {
+		v := r.vnodes[(start+n)%len(r.vnodes)]
+		if !slices.Contains(out, v.node) {
+			out = append(out, v.node)
+		}
+	}
+	return out
+}
+
+// search is the index of the first virtual point at or clockwise after
+// key's hash, wrapping past the top of the ring. The ring must be
+// non-empty and r.mu held.
+func (r *Ring) search(key string) int {
 	h := ringHash(key)
 	i := sort.Search(len(r.vnodes), func(i int) bool { return r.vnodes[i].hash >= h })
 	if i == len(r.vnodes) {
 		i = 0 // wrap past the top of the ring
 	}
-	return r.vnodes[i].node, true
+	return i
 }
 
 // Len is the live node count.

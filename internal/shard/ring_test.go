@@ -92,3 +92,60 @@ func TestRingEdges(t *testing.T) {
 		t.Fatalf("ring not empty after removing the last node: %d nodes, %d vnodes", r.Len(), len(r.vnodes))
 	}
 }
+
+// TestRingWalk: Walk starts at the Lookup owner, lists every live node
+// exactly once, and, like ownership, does not depend on join order —
+// so two coordinators spill a busy owner's job to the same next worker.
+func TestRingWalk(t *testing.T) {
+	cases := []struct {
+		name  string
+		joins []string // join order of the first ring; the second reverses it
+		evict string   // removed from both rings after the joins
+	}{
+		{name: "empty"},
+		{name: "one", joins: []string{"w1"}},
+		{name: "two", joins: []string{"w1", "w2"}},
+		{name: "three", joins: []string{"w1", "w2", "w3"}},
+		{name: "five", joins: []string{"a", "b", "c", "d", "e"}},
+		{name: "three after eviction", joins: []string{"w1", "w2", "w3", "w4"}, evict: "w2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := NewRing(), NewRing()
+			for i := range tc.joins {
+				a.Add(tc.joins[i])
+				b.Add(tc.joins[len(tc.joins)-1-i])
+			}
+			a.Remove(tc.evict)
+			b.Remove(tc.evict)
+			for _, k := range ringKeys(200) {
+				walk := a.Walk(k)
+				owner, ok := a.Lookup(k)
+				if !ok {
+					if walk != nil {
+						t.Fatalf("empty ring walked %v", walk)
+					}
+					continue
+				}
+				if len(walk) == 0 || walk[0] != owner {
+					t.Fatalf("key %s: walk %v does not start at owner %s", k, walk, owner)
+				}
+				seen := map[string]int{}
+				for _, n := range walk {
+					seen[n]++
+				}
+				for _, n := range a.Nodes() {
+					if seen[n] != 1 {
+						t.Fatalf("key %s: node %s appears %d times in walk %v", k, n, seen[n], walk)
+					}
+				}
+				if len(walk) != a.Len() {
+					t.Fatalf("key %s: walk %v has %d nodes, ring has %d", k, walk, len(walk), a.Len())
+				}
+				if other := b.Walk(k); fmt.Sprint(other) != fmt.Sprint(walk) {
+					t.Fatalf("key %s: walk %v vs %v depending on join order", k, walk, other)
+				}
+			}
+		})
+	}
+}
