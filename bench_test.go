@@ -4,6 +4,8 @@ package rcpn
 //
 //	Figure 10 (simulation performance, Mcycles/s):
 //	    BenchmarkFig10/<simulator>/<benchmark>
+//	The generated StrongARM simulator (genpipe5), same metric:
+//	    BenchmarkGenerated/<benchmark>
 //	Figure 11 (CPI; reported as the "CPI" metric):
 //	    BenchmarkFig11/<simulator>/<benchmark>
 //	§4/§5 engine-optimization ablations:
@@ -73,11 +75,20 @@ func benchCells(b *testing.B, e diffrun.Engine, report func(b *testing.B, sum ba
 func BenchmarkFig10(b *testing.B) {
 	for _, bar := range diffrun.Fig10() {
 		b.Run(bar.Label, func(b *testing.B) {
-			benchCells(b, benchEngine(b, bar.Engine), func(b *testing.B, sum batch.Metrics) {
-				b.ReportMetric(float64(sum.Cycles)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
-			})
+			benchCells(b, benchEngine(b, bar.Engine), reportMcps)
 		})
 	}
+}
+
+// BenchmarkGenerated measures genpipe5, the simulator rcpngen compiles from
+// the StrongARM spec, on every workload: the compiled twin of the
+// RCPN-StrongARM bar above, cycle for cycle.
+func BenchmarkGenerated(b *testing.B) {
+	benchCells(b, benchEngine(b, "genpipe5"), reportMcps)
+}
+
+func reportMcps(b *testing.B, sum batch.Metrics) {
+	b.ReportMetric(float64(sum.Cycles)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
 }
 
 // BenchmarkFig11 regenerates Figure 11: CPI of the StrongARM-class cycle

@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
+
+	"rcpn/internal/obsv"
 )
 
 // Build compiles the model for simulation (the paper's "simulator
@@ -33,8 +36,18 @@ func (n *Net) Build() error {
 	n.calculateSortedTransitions()
 	for _, t := range n.transitions {
 		t.needCap = t.To != t.From && !t.To.End && !t.To.Stage.Unlimited()
-		t.capOf = t.To.Stage
+		t.capOf, t.capLimit = t.To.Stage, t.To.Stage.Capacity
+		if !t.needCap {
+			t.capLimit = math.MaxInt
+		}
 		t.hasRes = len(t.ResIn)+len(t.ResOut) > 0
+		t.gate = t.Guard
+		if t.hasRes {
+			t := t
+			t.gate = func(tok *Token) bool {
+				return t.resBlock() == obsv.StallEmpty && (t.Guard == nil || t.Guard(tok))
+			}
+		}
 	}
 	// Event-driven scheduling structures: each place learns its slot in the
 	// evaluation order (the active masks are indexed by it), and the wakeup

@@ -192,9 +192,13 @@ type Transition struct {
 
 	id int
 	// Compiled fast-path facts (set by Build).
-	needCap bool   // firing consumes destination-stage capacity
-	capOf   *Stage // the stage whose capacity is consumed
-	hasRes  bool   // transition has reservation arcs
+	needCap  bool   // firing consumes destination-stage capacity
+	capOf    *Stage // the stage whose capacity is consumed
+	capLimit int    // capOf's capacity, or MaxInt when firing consumes none
+	hasRes   bool   // transition has reservation arcs
+	// gate is the guard with the reservation-arc clauses in front when
+	// the transition has any: everything enabled checks past capacity.
+	gate func(tok *Token) bool
 }
 
 // ID returns the transition's dense creation index (also its identity in

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/bits"
+
+	"rcpn/internal/obsv"
 )
 
 // The engine's cycle loop is event-driven: instead of sweeping every place in
@@ -205,14 +207,14 @@ func (n *Net) process(p *Place) (keepActive bool) {
 			i++
 			continue
 		}
-		cand := p.out[m.cls]
 		tok := p.tokens[i]
-		fired := false
+		cand := p.out[m.cls]
 		if n.dynamicSearch {
 			cand = n.candidates(p, tok)
 		}
+		fired := false
 		for _, t := range cand {
-			if n.enabled(t, tok) {
+			if t.enabled(tok) {
 				n.fire(t, tok, i)
 				fired = true
 				break
@@ -253,35 +255,41 @@ func (n *Net) candidates(p *Place, tok *Token) []*Transition {
 	return cand
 }
 
-// enabled checks a transition against one candidate token: output-stage
-// capacity (including reservation-token outputs), reservation-token inputs,
-// then the guard.
-func (n *Net) enabled(t *Transition, tok *Token) bool {
-	if t.needCap && t.capOf.occupancy >= t.capOf.Capacity {
-		return false
-	}
-	if t.hasRes {
-		for _, r := range t.ResIn {
-			if r.reservations < 1 {
-				return false
-			}
-		}
-		for _, r := range t.ResOut {
-			// A reservation output to the same stage the token is leaving
-			// can reuse the freed slot; otherwise it needs spare capacity.
-			need := 1
-			if t.From != nil && r.Stage == t.From.Stage {
-				need = 0
-			}
-			if r.Stage.Free() < need {
-				return false
-			}
+// enabled is the RCPN enabling rule for one candidate token: destination
+// capacity, reservation arcs, then the guard. It is the one check process,
+// the dynamic-search ablation and the stall explainer (classifyToken) share,
+// and small enough to inline into process: Build folds the reservation
+// arcs, which few transitions carry, into the compiled gate.
+func (t *Transition) enabled(tok *Token) bool {
+	return !t.capBlocked() && (t.gate == nil || t.gate(tok))
+}
+
+// capBlocked reports whether firing would overflow the destination stage.
+func (t *Transition) capBlocked() bool {
+	return t.capOf.occupancy >= t.capLimit
+}
+
+// resBlock names the first unsatisfied reservation arc — a missing input
+// reservation token or an output stage without room — or returns StallEmpty,
+// which never describes a token that is present, when every arc holds.
+func (t *Transition) resBlock() obsv.StallKind {
+	for _, r := range t.ResIn {
+		if r.reservations < 1 {
+			return obsv.StallReservation
 		}
 	}
-	if t.Guard != nil && !t.Guard(tok) {
-		return false
+	for _, r := range t.ResOut {
+		// A reservation output to the same stage the token is leaving
+		// can reuse the freed slot; otherwise it needs spare capacity.
+		need := 1
+		if t.From != nil && r.Stage == t.From.Stage {
+			need = 0
+		}
+		if r.Stage.Free() < need {
+			return obsv.StallCapacity
+		}
 	}
-	return true
+	return obsv.StallEmpty
 }
 
 // fire executes the transition for tok, currently at index idx of t.From:

@@ -121,39 +121,21 @@ func (n *Net) classifyStage(i int) obsv.StallKind {
 // order and names the first failing clause of the first blocked one,
 // mirroring enabled()'s clause order exactly.
 func (n *Net) classifyToken(p *Place, tok *Token) obsv.StallKind {
-	cand := p.out[tok.Class]
-	if n.dynamicSearch {
-		cand = n.candidates(p, tok)
-	}
-	for _, t := range cand {
-		if t.needCap && t.capOf.occupancy >= t.capOf.Capacity {
+	for _, t := range n.candidates(p, tok) {
+		if t.capBlocked() {
 			return obsv.StallCapacity
 		}
 		if t.hasRes {
-			for _, r := range t.ResIn {
-				if r.reservations < 1 {
-					return obsv.StallReservation
-				}
-			}
-			for _, r := range t.ResOut {
-				need := 1
-				if t.From != nil && r.Stage == t.From.Stage {
-					need = 0
-				}
-				if r.Stage.Free() < need {
-					return obsv.StallCapacity
-				}
+			if k := t.resBlock(); k != obsv.StallEmpty {
+				return k
 			}
 		}
-		if t.Guard != nil && !t.Guard(tok) {
-			if t.Explain != nil {
-				return t.Explain(tok)
-			}
-			return obsv.StallGuard
+		if !t.enabled(tok) && t.Explain != nil {
+			return t.Explain(tok)
 		}
-		// The transition is enabled now but did not fire this cycle (the
-		// place was processed before some state changed); count it as a
-		// guard-shaped transient.
+		// A false guard without an explainer, or a transition enabled now
+		// that did not fire this cycle (the place was processed before some
+		// state changed): a guard-shaped stall either way.
 		return obsv.StallGuard
 	}
 	return obsv.StallGuard

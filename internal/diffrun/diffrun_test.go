@@ -1,9 +1,12 @@
 package diffrun
 
 import (
+	"strings"
 	"testing"
 
+	"rcpn/internal/arm"
 	"rcpn/internal/armgen"
+	"rcpn/internal/iss"
 )
 
 // TestGeneratedSeedsConform is the in-tree slice of the fuzzer: a band of
@@ -84,6 +87,56 @@ func TestMutationHookDetected(t *testing.T) {
 	for _, d := range res.Divergences {
 		if d.Engine != "func" {
 			t.Errorf("unexpected divergence in unmutated engine %s+%s", d.Engine, d.Variant)
+		}
+	}
+}
+
+// TestLDMLoadsWrittenBackBase runs an LDM whose register list includes its
+// own written-back base on every registry engine. The loaded value must win
+// over the writeback (ARM7), and the base's writeback reservation must be
+// released even though the writeback is skipped, so younger readers of the
+// base do not wait forever. armgen never emits this shape, so the
+// generated-seed band does not cover it.
+func TestLDMLoadsWrittenBackBase(t *testing.T) {
+	const src = `
+	ldr r0, =buf
+	ldmia r0!, {r0, r1}
+	add r2, r0, r1
+	mov r0, r2
+	swi #1
+	mov r0, #0
+	swi #0
+buf:
+	.word 5
+	.word 7
+`
+	p, err := arm.Assemble(src, 0x8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := iss.New(p, 0)
+	golden.MaxInstrs = 1000
+	if err := golden.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := StateOf(func(r arm.Reg) uint32 { return golden.R[r] },
+		golden.F, golden.Mem, golden.Instret, golden.Exit, golden.Output, golden.Text)
+	if len(want.Output) != 1 || want.Output[0] != 12 {
+		t.Fatalf("iss emitted %v, want [12]", want.Output)
+	}
+	for _, name := range Names() {
+		e, _ := Lookup(name)
+		st, state, err := e.Build(p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		done, err := st.StepTo(10_000)
+		if err != nil || !done {
+			t.Errorf("%s: done=%v err=%v at position %d", name, done, err, st.Pos())
+			continue
+		}
+		if d := state().Diff(want); len(d) > 0 {
+			t.Errorf("%s diverges from the iss:\n%s", name, strings.Join(d, "\n"))
 		}
 	}
 }

@@ -463,19 +463,38 @@ func (s *Sim) Drained() bool {
 // Run simulates until the program exits (and the pipeline drains), an
 // error occurs, or maxCycles elapses (0 = 1<<40).
 func (s *Sim) Run(maxCycles int64) error {
+	limited, err := s.run(maxCycles)
+	if limited {
+		return s.limitErr(maxCycles)
+	}
+	return err
+}
+
+// run is Run's loop. It reports a reached cycle limit as limited instead
+// of as an error, so StepTo ends a chunk without building one; err is
+// the recorded failure that stopped it, if any.
+func (s *Sim) run(maxCycles int64) (limited bool, err error) {
 	if maxCycles <= 0 {
 		maxCycles = 1 << 40
 	}
 	for !(s.m.Exited && s.Drained()) {
 		if s.Cycles >= maxCycles {
-			return fmt.Errorf("%s: cycle limit %d exceeded at pc=%#08x", modelName, maxCycles, s.m.PC())
+			return true, nil
 		}
 		s.step()
 		if s.m.Err != nil {
-			return s.m.Err
+			return false, s.m.Err
 		}
 	}
-	return nil
+	return false, nil
+}
+
+// limitErr is the error Run returns when maxCycles elapses.
+func (s *Sim) limitErr(maxCycles int64) error {
+	if maxCycles <= 0 {
+		maxCycles = 1 << 40
+	}
+	return fmt.Errorf("%s: cycle limit %d exceeded at pc=%#08x", modelName, maxCycles, s.m.PC())
 }
 
 // RunUntil simulates until at least target total instructions retired,
@@ -560,14 +579,14 @@ func (s *Sim) Progress() (int64, uint64) { return s.Cycles, s.m.Instret }
 // StepTo advances until Cycles >= limit or the program exits; reaching
 // the limit is a clean chunk boundary, not an error.
 func (s *Sim) StepTo(limit int64) (bool, error) {
-	err := s.Run(limit)
-	if err == nil {
-		return true, nil
-	}
-	if s.m.Err == nil && !s.m.Exited && s.Cycles >= limit {
+	limited, err := s.run(limit)
+	switch {
+	case !limited:
+		return err == nil, err
+	case s.m.Err == nil && !s.m.Exited:
 		return false, nil // chunk boundary, not a failure
 	}
-	return false, err
+	return false, s.limitErr(limit)
 }
 
 // StepToRetired is RunUntil reporting program exit.

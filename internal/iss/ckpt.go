@@ -64,7 +64,7 @@ func (c *CPU) Restore(ck *ckpt.Checkpoint) error {
 	c.Output = append(c.Output[:0], ck.Output...)
 	c.Text = append(c.Text[:0], ck.Text...)
 	ckpt.RestoreMem(c.Mem, ck.Mem)
-	clear(c.decode)
+	c.decode.reset()
 	if err := ckpt.RestoreCache(c.WarmI, ck.ICache); err != nil {
 		return err
 	}
@@ -82,7 +82,7 @@ func (c *CPU) Restore(ck *ckpt.Checkpoint) error {
 // NewFromCheckpoint builds a CPU directly from a checkpoint, with no program
 // image (the checkpointed memory is the image).
 func NewFromCheckpoint(ck *ckpt.Checkpoint) (*CPU, error) {
-	c := &CPU{Mem: mem.New(), decode: make(map[uint32]*arm.Instr)}
+	c := &CPU{Mem: mem.New()}
 	if err := c.Restore(ck); err != nil {
 		return nil, err
 	}

@@ -27,7 +27,8 @@ type CPU struct {
 	Exited  bool
 	Exit    uint32
 
-	decode map[uint32]*arm.Instr // per-PC decode cache
+	decode     decodeCache
+	lsmScratch []uint32 // block-transfer addresses, reused across LDM/STM
 
 	// MaxInstrs aborts runaway programs; 0 means no limit.
 	MaxInstrs uint64
@@ -54,11 +55,57 @@ func New(p *arm.Program, stackTop uint32) *CPU {
 	if stackTop == 0 {
 		stackTop = 0x00400000
 	}
-	c := &CPU{Mem: mem.New(), decode: make(map[uint32]*arm.Instr)}
+	c := &CPU{Mem: mem.New(), decode: newDecodeCache(p.Base, len(p.Bytes))}
 	c.Mem.LoadImage(p.Base, p.Bytes)
 	c.R[arm.PC] = p.Entry
 	c.R[arm.SP] = stackTop
 	return c
+}
+
+// decodeCache holds decoded instructions per PC: a direct-mapped slice over
+// the program text (the fast path) with a map for every other address, the
+// layout of the machine package's per-PC instance pool.
+type decodeCache struct {
+	base  uint32
+	text  []*arm.Instr
+	extra map[uint32]*arm.Instr
+}
+
+// newDecodeCache covers n bytes of program text starting at base.
+func newDecodeCache(base uint32, n int) decodeCache {
+	return decodeCache{base: base, text: make([]*arm.Instr, (n+3)/4)}
+}
+
+// slot returns addr's index in the text slice, or -1 outside it.
+func (d *decodeCache) slot(addr uint32) int {
+	if i := (addr - d.base) / 4; addr&3 == 0 && uint64(i) < uint64(len(d.text)) {
+		return int(i)
+	}
+	return -1
+}
+
+func (d *decodeCache) get(addr uint32) *arm.Instr {
+	if i := d.slot(addr); i >= 0 {
+		return d.text[i]
+	}
+	return d.extra[addr]
+}
+
+func (d *decodeCache) put(addr uint32, ins *arm.Instr) {
+	if i := d.slot(addr); i >= 0 {
+		d.text[i] = ins
+		return
+	}
+	if d.extra == nil {
+		d.extra = make(map[uint32]*arm.Instr)
+	}
+	d.extra[addr] = ins
+}
+
+// reset drops every cached decode.
+func (d *decodeCache) reset() {
+	clear(d.text)
+	clear(d.extra)
 }
 
 // reg reads a register as an operand: r15 reads as the current instruction
@@ -86,11 +133,11 @@ func (e *ErrUndefined) Error() string {
 func (c *CPU) Step() error {
 	addr := c.R[arm.PC]
 	raw := c.Mem.Read32(addr)
-	ins := c.decode[addr]
+	ins := c.decode.get(addr)
 	if ins == nil || ins.Raw != raw {
 		d := arm.Decode(raw, addr)
 		ins = &d
-		c.decode[addr] = ins
+		c.decode.put(addr, ins)
 	}
 	c.Instret++
 	if c.prof != nil {
@@ -190,7 +237,8 @@ func (c *CPU) Step() error {
 
 	case arm.ClassLoadStoreM:
 		base := c.reg(ins.Rn, addr)
-		addrs, final := ins.LSMAddresses(base)
+		addrs, final := ins.LSMAddressesInto(base, c.lsmScratch)
+		c.lsmScratch = addrs
 		k := 0
 		for r := arm.Reg(0); r < 16; r++ {
 			if ins.RegList&(1<<r) == 0 {

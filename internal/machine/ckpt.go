@@ -159,12 +159,12 @@ func (m *Machine) Restore(ck *ckpt.Checkpoint) error {
 }
 
 // The batch.CheckpointStepper surface. Positions are cycles for pipelined
-// machines and retired instructions for functional ones. Run and
-// RunFunctional return a formatted error when their limit is reached but
-// record real failures in Err, so StepTo tells a chunk boundary (limit
-// reached, program not exited, no recorded error) apart from a failure.
-// Chunking is bit-exact: the limit check sits outside the per-cycle state
-// update, so where the boundaries fall cannot change the outcome.
+// machines and retired instructions for functional ones. StepTo drives the
+// loops behind Run and RunFunctional, which report a reached limit apart
+// from a recorded failure, so a chunk boundary (limit reached, program not
+// exited, no recorded error) costs no error value. Chunking is bit-exact:
+// the limit check sits outside the per-cycle state update, so where the
+// boundaries fall cannot change the outcome.
 
 // Pos is the cumulative position StepTo limits by.
 func (m *Machine) Pos() int64 {
@@ -185,19 +185,22 @@ func (m *Machine) Progress() (int64, uint64) {
 
 // StepTo advances until Pos() >= limit or the program exits.
 func (m *Machine) StepTo(limit int64) (bool, error) {
+	var limited bool
 	var err error
 	if m.functional {
-		err = m.RunFunctional(uint64(limit))
+		limited, err = m.runFunctional(uint64(limit))
 	} else {
-		err = m.Run(limit)
+		limited, err = m.run(limit)
 	}
-	if err == nil {
-		return true, nil
-	}
-	if m.Err == nil && !m.Exited && m.Pos() >= limit {
+	switch {
+	case !limited:
+		return err == nil, err
+	case m.Err == nil && !m.Exited:
 		return false, nil // chunk boundary, not a failure
+	case m.functional:
+		return false, m.instrLimitErr(uint64(limit))
 	}
-	return false, err
+	return false, m.limitErr(limit)
 }
 
 // StepToRetired advances until target instructions retired, the program

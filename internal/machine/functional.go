@@ -32,19 +32,37 @@ func (m *Machine) RunFunctional(maxInstrs uint64) error {
 	if !m.functional {
 		return fmt.Errorf("%s: not a functional machine (use NewFunctional)", m.Name)
 	}
+	limited, err := m.runFunctional(maxInstrs)
+	if limited {
+		return m.instrLimitErr(maxInstrs)
+	}
+	return err
+}
+
+// runFunctional is RunFunctional's loop, reporting a reached instruction
+// limit as limited instead of as an error (see run).
+func (m *Machine) runFunctional(maxInstrs uint64) (limited bool, err error) {
 	if maxInstrs == 0 {
 		maxInstrs = 1 << 40
 	}
 	for !m.Exited {
 		if m.Instret >= maxInstrs {
-			return fmt.Errorf("functional: instruction limit %d exceeded at pc=%#08x", maxInstrs, m.pc)
+			return true, nil
 		}
 		m.stepFunctional()
 		if m.Err != nil {
-			return m.Err
+			return false, m.Err
 		}
 	}
-	return nil
+	return false, nil
+}
+
+// instrLimitErr is the error RunFunctional returns when maxInstrs retire.
+func (m *Machine) instrLimitErr(maxInstrs uint64) error {
+	if maxInstrs == 0 {
+		maxInstrs = 1 << 40
+	}
+	return fmt.Errorf("functional: instruction limit %d exceeded at pc=%#08x", maxInstrs, m.pc)
 }
 
 // stepFunctional drives one instruction through the model's class semantics

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"math/bits"
+
 	"rcpn/internal/arm"
 	"rcpn/internal/core"
 	"rcpn/internal/reg"
@@ -29,6 +31,23 @@ type Inst struct {
 	lr               *reg.Ref   // link-register write (BL)
 	psr              *reg.Ref   // flags read and/or write
 	lrefs            []*reg.Ref // LDM/STM per-register refs, list order
+	lsmBase          *reg.Ref   // LDM/STM base (src1), reserved for a writeback
+
+	// The issue plan: the class-dependent half of the issue stage,
+	// evaluated once at decode (the paper's per-instance customisation of
+	// the class sub-net) so the per-cycle guard and action are plain loops.
+	reads  []*reg.Ref // register sources, read over the file or a bypass
+	dsts   []*reg.Ref // destinations, checked (CanWrite) then reserved, in order
+	nconst int        // constant sources; each counts as one register-file read
+	accum  bool       // long multiply-accumulate: dst and dst2 are read too
+
+	// The instance's operands and plan live inside it rather than in one
+	// heap object each; block transfers, whose register lists outgrow
+	// these, take one slice for the rest.
+	refs    [5]reg.Ref
+	consts  [3]reg.Const
+	readBuf [3]*reg.Ref
+	dstBuf  [2]*reg.Ref
 
 	needPSR     bool // reads flags (condition or carry-in)
 	writesFlags bool
@@ -43,7 +62,6 @@ type Inst struct {
 	wbVal    uint32 // base writeback value
 	lsmIdx   int    // next register slot during LDM/STM micro-steps
 	lsmAddrs []uint32
-	lsmBase  *reg.Ref
 }
 
 // InState forwards pipeline-state queries to the token, so Refs owned by
@@ -72,22 +90,43 @@ func (in *Inst) resetDynamic() {
 	in.Tok.Recycle(core.ClassID(in.I.Class), in)
 }
 
-// newInst decodes the word at addr and wires the operation class's symbols
-// to RegRef/Const operands.
+// newInst decodes the word at addr, wires the operation class's symbols to
+// RegRef/Const operands and builds the instance's issue plan.
 func (m *Machine) newInst(addr uint32) *Inst {
 	raw := m.Mem.Read32(addr)
 	in := &Inst{m: m, I: arm.Decode(raw, addr), inUse: true}
 	in.Tok = m.tokens.Get(core.ClassID(in.I.Class), in)
+	in.reads, in.dsts = in.readBuf[:0], in.dstBuf[:0]
 	i := &in.I
 
-	// A register operand; reads of r15 are the statically known addr+8.
+	refs := in.refs[:0]
+	if i.Class == arm.ClassLoadStoreM {
+		// src1, every listed register and the flags.
+		refs = make([]reg.Ref, 0, bits.OnesCount16(i.RegList)+2)
+	}
+	// ref returns a fresh operand reference to r.
+	ref := func(r *reg.Register) *reg.Ref {
+		refs = refs[:len(refs)+1]
+		x := &refs[len(refs)-1]
+		x.Retarget(r, in)
+		return x
+	}
+	wr := func(r arm.Reg) *reg.Ref { return ref(m.regs[r]) }
+	konst := func(v uint32) reg.Operand {
+		c := &in.consts[in.nconst]
+		in.nconst++
+		c.Reset(v)
+		return c
+	}
+	// A source operand; reads of r15 are the statically known addr+8.
 	rd := func(r arm.Reg) reg.Operand {
 		if r == arm.PC {
-			return reg.NewConst(addr + 8)
+			return konst(addr + 8)
 		}
-		return reg.NewRef(m.regs[r], in)
+		x := wr(r)
+		in.reads = append(in.reads, x)
+		return x
 	}
-	wr := func(r arm.Reg) *reg.Ref { return reg.NewRef(m.regs[r], in) }
 
 	in.needPSR = i.Cond != arm.AL
 	switch i.Class {
@@ -96,7 +135,7 @@ func (m *Machine) newInst(addr uint32) *Inst {
 			in.src1 = rd(i.Rn)
 		}
 		if i.HasImm {
-			in.src2 = reg.NewConst(i.Imm)
+			in.src2 = konst(i.Imm)
 		} else {
 			in.src2 = rd(i.Rm)
 		}
@@ -109,6 +148,7 @@ func (m *Machine) newInst(addr uint32) *Inst {
 			in.writesPC = true
 		default:
 			in.dst = wr(i.Rd)
+			in.dsts = append(in.dsts, in.dst)
 		}
 		in.writesFlags = i.SetFlags
 		usesCarry := i.Op == arm.OpADC || i.Op == arm.OpSBC || i.Op == arm.OpRSC ||
@@ -121,11 +161,14 @@ func (m *Machine) newInst(addr uint32) *Inst {
 		if i.Long {
 			in.dst = wr(i.Rd)  // RdHi
 			in.dst2 = wr(i.Rn) // RdLo
+			in.dsts = append(in.dsts, in.dst, in.dst2)
+			in.accum = i.Accum
 		} else {
 			if i.Accum {
 				in.src3 = rd(i.Rn)
 			}
 			in.dst = wr(i.Rd)
+			in.dsts = append(in.dsts, in.dst)
 		}
 		in.writesFlags = i.SetFlags
 		in.needPSR = in.needPSR || i.SetFlags
@@ -133,7 +176,7 @@ func (m *Machine) newInst(addr uint32) *Inst {
 	case arm.ClassLoadStore:
 		in.src1 = rd(i.Rn)
 		if i.HasImm {
-			in.src2 = reg.NewConst(i.Imm)
+			in.src2 = konst(i.Imm)
 		} else {
 			in.src2 = rd(i.Rm)
 		}
@@ -142,39 +185,48 @@ func (m *Machine) newInst(addr uint32) *Inst {
 				in.writesPC = true
 			} else {
 				in.dst = wr(i.Rd)
+				in.dsts = append(in.dsts, in.dst)
 			}
 		} else {
 			if i.Rd == arm.PC {
-				in.src3 = reg.NewConst(addr + 12) // STR pc stores pc+12
+				in.src3 = konst(addr + 12) // STR pc stores pc+12
 			} else {
 				in.src3 = rd(i.Rd)
 			}
 		}
+		if b := in.baseRef(); b != nil && in.baseWriteback() {
+			in.dsts = append(in.dsts, b)
+		}
 
 	case arm.ClassLoadStoreM:
 		in.src1 = rd(i.Rn)
-		if b, ok := in.src1.(*reg.Ref); ok {
-			in.lsmBase = b
-		}
+		in.lsmBase, _ = in.src1.(*reg.Ref)
 		for r := arm.Reg(0); r < 16; r++ {
 			if i.RegList&(1<<r) == 0 {
 				continue
 			}
 			if r == arm.PC {
-				if i.Load {
-					in.writesPC = true
-					in.lrefs = append(in.lrefs, nil) // slot for PC load
-				} else {
-					in.lrefs = append(in.lrefs, nil) // STM pc: handled as const
-				}
+				// LDM pc resolves control; STM pc stores a constant.
+				in.writesPC = in.writesPC || i.Load
+				in.lrefs = append(in.lrefs, nil)
 				continue
 			}
-			in.lrefs = append(in.lrefs, wr(r))
+			x := wr(r)
+			in.lrefs = append(in.lrefs, x)
+			if i.Load {
+				in.dsts = append(in.dsts, x)
+			} else {
+				in.reads = append(in.reads, x)
+			}
+		}
+		if i.Writeback && in.lsmBase != nil {
+			in.dsts = append(in.dsts, in.lsmBase)
 		}
 
 	case arm.ClassBranch:
 		if i.Link {
 			in.lr = wr(arm.LR)
+			in.dsts = append(in.dsts, in.lr)
 		}
 
 	case arm.ClassSystem:
@@ -182,7 +234,7 @@ func (m *Machine) newInst(addr uint32) *Inst {
 	}
 
 	if in.needPSR || in.writesFlags {
-		in.psr = reg.NewRef(m.psrReg, in)
+		in.psr = ref(m.psrReg)
 	}
 	return in
 }
@@ -191,90 +243,30 @@ func (m *Machine) newInst(addr uint32) *Inst {
 // (valid only after psr.Read()).
 func (in *Inst) flags() arm.Flags { return unpackFlags(in.psr.Value()) }
 
-// readable reports whether op can be sourced from the register file or any
-// of the bypass states.
-func readable(op reg.Operand, bypass ...int) bool {
-	if op == nil || op.CanRead() {
-		return true
-	}
-	for _, s := range bypass {
-		if op.CanReadIn(s) {
-			return true
-		}
-	}
-	return false
-}
-
-// readFrom is the counting wrapper the issue actions use: it loads the
-// operand like the package-level readFrom and attributes the read to the
-// register file or the bypass network in the machine's stall profile, so
-// hazards *hidden* by forwarding are visible next to the ones that
-// stalled ("bypass-served" in the DESIGN.md §10 taxonomy).
-func (in *Inst) readFrom(op reg.Operand, bypass ...int) {
-	p := in.m.prof
-	if p == nil {
-		readFrom(op, bypass...)
-		return
-	}
-	if op == nil {
-		return
-	}
-	if op.CanRead() {
-		op.Read()
-		p.FileReads++
-		return
-	}
-	for _, s := range bypass {
-		if op.CanReadIn(s) {
-			op.ReadIn(s)
+// readFrom loads a register source from the file or the first bypass state
+// holding it (guards must have established readability) and attributes the
+// read to the register file or the bypass network in the machine's stall
+// profile, so hazards *hidden* by forwarding are visible next to the ones
+// that stalled ("bypass-served" in the DESIGN.md §10 taxonomy).
+func (in *Inst) readFrom(r *reg.Ref, bypass []int) {
+	via := r.ReadVia(bypass)
+	if p := in.m.prof; p != nil {
+		switch via {
+		case reg.ViaFile:
+			p.FileReads++
+		case reg.ViaBypass:
 			p.BypassServed++
-			return
 		}
 	}
-	op.ReadIn(-1)
-}
-
-// readFrom loads op's value from the register file or the first bypass state
-// holding it; guards must have established readability.
-func readFrom(op reg.Operand, bypass ...int) {
-	if op == nil {
-		return
-	}
-	if op.CanRead() {
-		op.Read()
-		return
-	}
-	for _, s := range bypass {
-		if op.CanReadIn(s) {
-			op.ReadIn(s)
-			return
-		}
-	}
-	// Guard/action mismatch: surface the model bug like reg.Ref.ReadIn does.
-	op.ReadIn(-1)
 }
 
 // releaseLocks drops every reservation this (squashed) instance may hold.
 func (in *Inst) releaseLocks() {
-	if in.dst != nil {
-		in.dst.Release()
-	}
-	if in.dst2 != nil {
-		in.dst2.Release()
-	}
-	if in.lr != nil {
-		in.lr.Release()
+	for _, r := range in.dsts {
+		r.Release()
 	}
 	if in.psr != nil {
 		in.psr.Release()
-	}
-	for _, r := range in.lrefs {
-		if r != nil {
-			r.Release()
-		}
-	}
-	if in.lsmBase != nil {
-		in.lsmBase.Release()
 	}
 }
 

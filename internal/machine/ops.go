@@ -14,8 +14,8 @@ import (
 //
 // The canonical pairing discipline of §3.1 is kept throughout: every Read /
 // ReadIn / ReserveWrite in an action is covered by the matching CanRead /
-// CanReadIn / CanWrite (via Peek/readable) in the guard of the same
-// transition.
+// CanReadIn / CanWrite (via Peek/Readable, one-lookup forms of the first
+// two) in the guard of the same transition.
 
 // peekCond purely evaluates the instruction's condition. ready is false
 // while the flags are not yet readable (not even over the bypass states).
@@ -33,7 +33,9 @@ func (in *Inst) peekCond(bypass []int) (pass, ready bool) {
 
 // IssueReady is the issue-stage guard: flags readable, and — unless the
 // condition already fails — source operands readable (register file or
-// bypass) and destinations reservable.
+// bypass) and destinations reservable. The class-dependent part, which
+// operands are sources and which are destinations, is the instance's
+// decode-time plan.
 func (in *Inst) IssueReady(bypass []int) bool {
 	pass, ready := in.peekCond(bypass)
 	if !ready {
@@ -42,53 +44,26 @@ func (in *Inst) IssueReady(bypass []int) bool {
 	if !pass {
 		return true // will be annulled; needs nothing else
 	}
-	switch in.I.Class {
-	case arm.ClassDataProc, arm.ClassMult:
-		return readable(in.src1, bypass...) &&
-			readable(in.src2, bypass...) &&
-			readable(in.src3, bypass...) &&
-			(in.dst == nil || in.dst.CanWrite()) &&
-			(in.dst2 == nil || in.dst2.CanWrite())
-
-	case arm.ClassLoadStore:
-		if !readable(in.src1, bypass...) || !readable(in.src2, bypass...) {
-			return false
-		}
-		if in.baseWriteback() && !in.baseRef().CanWrite() {
-			return false
-		}
-		if in.I.Load {
-			return in.dst == nil || in.dst.CanWrite()
-		}
-		return readable(in.src3, bypass...)
-
-	case arm.ClassLoadStoreM:
-		if !readable(in.src1, bypass...) {
-			return false
-		}
-		if in.I.Writeback && (in.lsmBase == nil || !in.lsmBase.CanWrite()) {
-			return false
-		}
-		for _, r := range in.lrefs {
-			if r == nil {
-				continue
-			}
-			if in.I.Load {
-				if !r.CanWrite() {
-					return false
-				}
-			} else if !readable(r, bypass...) {
-				return false
-			}
-		}
-		return true
-
-	case arm.ClassBranch:
-		return in.lr == nil || in.lr.CanWrite()
-
-	default: // System
-		return readable(in.src1, bypass...)
+	if !in.sourcesReadable(bypass) {
+		return false
 	}
+	for _, r := range in.dsts {
+		if !r.CanWrite() {
+			return false
+		}
+	}
+	return true
+}
+
+// sourcesReadable reports whether every register source of the plan can be
+// read now, from the file or over one of the bypass states.
+func (in *Inst) sourcesReadable(bypass []int) bool {
+	for _, r := range in.reads {
+		if !r.Readable(bypass) {
+			return false
+		}
+	}
+	return true
 }
 
 // IssueStallKind sub-classifies a false IssueReady for stall attribution
@@ -105,43 +80,8 @@ func (in *Inst) IssueStallKind(bypass []int) obsv.StallKind {
 	if !pass {
 		return obsv.StallGuard // annulled instructions need nothing; not a hazard
 	}
-	anyUnreadable := func(ops ...reg.Operand) bool {
-		for _, op := range ops {
-			if !readable(op, bypass...) {
-				return true
-			}
-		}
-		return false
-	}
-	switch in.I.Class {
-	case arm.ClassDataProc, arm.ClassMult:
-		if anyUnreadable(in.src1, in.src2, in.src3) {
-			return obsv.StallRAW
-		}
-	case arm.ClassLoadStore:
-		if anyUnreadable(in.src1, in.src2) {
-			return obsv.StallRAW
-		}
-		if !in.I.Load && !readable(in.src3, bypass...) {
-			return obsv.StallRAW
-		}
-	case arm.ClassLoadStoreM:
-		if !readable(in.src1, bypass...) {
-			return obsv.StallRAW
-		}
-		if !in.I.Load {
-			for _, r := range in.lrefs {
-				if r != nil && !readable(r, bypass...) {
-					return obsv.StallRAW
-				}
-			}
-		}
-	case arm.ClassBranch:
-		// Only the link-register reservation can block a branch.
-	default: // System
-		if !readable(in.src1, bypass...) {
-			return obsv.StallRAW
-		}
+	if !in.sourcesReadable(bypass) {
+		return obsv.StallRAW
 	}
 	return obsv.StallWriteback
 }
@@ -151,71 +91,30 @@ func (in *Inst) IssueStallKind(bypass []int) obsv.StallKind {
 // register file or bypass network, and reserve the destinations.
 func (in *Inst) Issue(bypass []int) {
 	if in.psr != nil {
-		in.readFrom(in.psr, bypass...)
+		in.readFrom(in.psr, bypass)
 		f := in.flags()
 		if !in.I.Cond.Passes(f.N, f.Z, f.C, f.V) {
 			in.annulled = true
 			return
 		}
 	}
-	switch in.I.Class {
-	case arm.ClassDataProc, arm.ClassMult:
-		in.readFrom(in.src1, bypass...)
-		in.readFrom(in.src2, bypass...)
-		in.readFrom(in.src3, bypass...)
-		if in.I.Long && in.I.Accum {
-			// UMLAL/SMLAL read their destinations as the 64-bit accumulator;
-			// the guard established CanWrite, which implies self-readability.
-			in.dst.Read()
-			in.dst2.Read()
-		}
-		if in.dst != nil {
-			in.dst.ReserveWrite()
-		}
-		if in.dst2 != nil {
-			in.dst2.ReserveWrite()
-		}
-		if in.writesFlags {
-			in.psr.ReserveWrite() // flag writes stack in order (see reg doc)
-		}
-
-	case arm.ClassLoadStore:
-		in.readFrom(in.src1, bypass...)
-		in.readFrom(in.src2, bypass...)
-		if in.I.Load {
-			if in.dst != nil {
-				in.dst.ReserveWrite()
-			}
-		} else {
-			in.readFrom(in.src3, bypass...)
-		}
-		if in.baseWriteback() {
-			in.baseRef().ReserveWrite()
-		}
-
-	case arm.ClassLoadStoreM:
-		in.readFrom(in.src1, bypass...)
-		for _, r := range in.lrefs {
-			if r == nil {
-				continue
-			}
-			if in.I.Load {
-				r.ReserveWrite()
-			} else {
-				in.readFrom(r, bypass...)
-			}
-		}
-		if in.I.Writeback && in.lsmBase != nil {
-			in.lsmBase.ReserveWrite()
-		}
-
-	case arm.ClassBranch:
-		if in.lr != nil {
-			in.lr.ReserveWrite()
-		}
-
-	case arm.ClassSystem:
-		in.readFrom(in.src1, bypass...)
+	for _, r := range in.reads {
+		in.readFrom(r, bypass)
+	}
+	if p := in.m.prof; p != nil {
+		p.FileReads += uint64(in.nconst) // a constant reads like the file
+	}
+	if in.accum {
+		// UMLAL/SMLAL read their destinations as the 64-bit accumulator;
+		// the guard established CanWrite, which implies self-readability.
+		in.dst.Read()
+		in.dst2.Read()
+	}
+	for _, r := range in.dsts {
+		r.ReserveWrite()
+	}
+	if in.writesFlags {
+		in.psr.ReserveWrite() // flag writes stack in order (see reg doc)
 	}
 }
 
@@ -309,7 +208,7 @@ func (in *Inst) Execute() {
 			return
 		}
 		base := opVal(in.src1)
-		addrs, final := i.LSMAddresses(base)
+		addrs, final := i.LSMAddressesInto(base, in.lsmAddrs)
 		in.lsmAddrs = addrs
 		in.wbVal = final
 		if i.Writeback && in.lsmBase != nil && !in.lsmLoadsBase() {
@@ -435,8 +334,14 @@ func (in *Inst) LSMFinish() {
 	}
 	in.lsmTransfer(in.lsmIdx)
 	in.lsmIdx++
-	if in.I.Writeback && in.lsmBase != nil && !in.lsmLoadsBase() {
-		in.lsmBase.Writeback()
+	if in.I.Writeback && in.lsmBase != nil {
+		if in.lsmLoadsBase() {
+			// The loaded value already landed; only the reservation the
+			// issue took for the writeback is left to drop.
+			in.lsmBase.Release()
+		} else {
+			in.lsmBase.Writeback()
+		}
 	}
 }
 

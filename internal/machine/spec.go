@@ -150,8 +150,6 @@ func Generate(p *arm.Program, spec Spec, cfg Config) (*Machine, error) {
 		return nil, err
 	}
 
-	inst := func(tok *core.Token) *Inst { return tok.Data.(*Inst) }
-
 	for c := arm.Class(0); c < arm.NumClasses; c++ {
 		route, ok := spec.Routes[c]
 		if !ok || len(route) == 0 {
@@ -179,7 +177,7 @@ func Generate(p *arm.Program, spec Spec, cfg Config) (*Machine, error) {
 				}
 			}
 			name := fmt.Sprintf("%s.%s.%s", c, seg.Stage, seg.Exit)
-			if err := addRoleTransition(n, inst, name, c, seg.Exit, segStage, to, bypass, spec.MACExtra); err != nil {
+			if err := addRoleTransition(n, name, c, seg.Exit, segStage, to, bypass, spec.MACExtra); err != nil {
 				return nil, err
 			}
 			from = to
@@ -219,11 +217,14 @@ func XScaleUnits(c *Config) {
 	}
 }
 
+// instOf returns the instruction instance a token carries.
+func instOf(tok *core.Token) *Inst { return tok.Data.(*Inst) }
+
 // addRoleTransition wires one route segment to the operation-class
 // semantics, including the class-specific specials (multiplier latency at
 // issue, cache latency at execute, block-transfer stay loop at mem).
-func addRoleTransition(n *core.Net, inst func(*core.Token) *Inst,
-	name string, c arm.Class, role Role, from, to *core.Place, bypass []int, macExtra int64) error {
+func addRoleTransition(n *core.Net, name string, c arm.Class, role Role,
+	from, to *core.Place, bypass []int, macExtra int64) error {
 	class := core.ClassID(c)
 	switch role {
 	case RolePass:
@@ -232,13 +233,13 @@ func addRoleTransition(n *core.Net, inst func(*core.Token) *Inst,
 	case RoleIssue:
 		t := &core.Transition{
 			Name: name, Class: class, From: from, To: to,
-			Guard:   func(tok *core.Token) bool { return inst(tok).IssueReady(bypass) },
-			Explain: func(tok *core.Token) obsv.StallKind { return inst(tok).IssueStallKind(bypass) },
-			Action:  func(tok *core.Token) { inst(tok).Issue(bypass) },
+			Guard:   func(tok *core.Token) bool { return instOf(tok).IssueReady(bypass) },
+			Explain: func(tok *core.Token) obsv.StallKind { return instOf(tok).IssueStallKind(bypass) },
+			Action:  func(tok *core.Token) { instOf(tok).Issue(bypass) },
 		}
 		if c == arm.ClassMult {
 			t.Action = func(tok *core.Token) {
-				in := inst(tok)
+				in := instOf(tok)
 				in.Issue(bypass)
 				if !in.annulled {
 					tok.Delay = macExtra + in.MulLatency()
@@ -250,11 +251,11 @@ func addRoleTransition(n *core.Net, inst func(*core.Token) *Inst,
 	case RoleExecute:
 		t := &core.Transition{
 			Name: name, Class: class, From: from, To: to,
-			Action: func(tok *core.Token) { inst(tok).Execute() },
+			Action: func(tok *core.Token) { instOf(tok).Execute() },
 		}
 		if c == arm.ClassLoadStore || c == arm.ClassLoadStoreM {
 			t.Action = func(tok *core.Token) {
-				in := inst(tok)
+				in := instOf(tok)
 				in.Execute()
 				tok.Delay = in.MemLatency()
 			}
@@ -266,17 +267,17 @@ func addRoleTransition(n *core.Net, inst func(*core.Token) *Inst,
 		case arm.ClassLoadStore:
 			n.AddTransition(&core.Transition{
 				Name: name, Class: class, From: from, To: to,
-				Action: func(tok *core.Token) { inst(tok).MemAccess() },
+				Action: func(tok *core.Token) { instOf(tok).MemAccess() },
 			})
 		case arm.ClassLoadStoreM:
 			n.AddTransition(&core.Transition{
 				Name: name + "step", Class: class, From: from, To: from, Priority: 0,
-				Guard:  func(tok *core.Token) bool { return inst(tok).LSMMore() },
-				Action: func(tok *core.Token) { tok.Delay = inst(tok).LSMStep() },
+				Guard:  func(tok *core.Token) bool { return instOf(tok).LSMMore() },
+				Action: func(tok *core.Token) { tok.Delay = instOf(tok).LSMStep() },
 			})
 			n.AddTransition(&core.Transition{
 				Name: name + "last", Class: class, From: from, To: to, Priority: 1,
-				Action: func(tok *core.Token) { inst(tok).LSMFinish() },
+				Action: func(tok *core.Token) { instOf(tok).LSMFinish() },
 			})
 		default:
 			n.AddTransition(&core.Transition{Name: name, Class: class, From: from, To: to})
@@ -285,7 +286,7 @@ func addRoleTransition(n *core.Net, inst func(*core.Token) *Inst,
 	case RoleWriteback:
 		n.AddTransition(&core.Transition{
 			Name: name, Class: class, From: from, To: to,
-			Action: func(tok *core.Token) { inst(tok).Writeback() },
+			Action: func(tok *core.Token) { instOf(tok).Writeback() },
 		})
 
 	case RoleMemWriteback:
@@ -294,7 +295,7 @@ func addRoleTransition(n *core.Net, inst func(*core.Token) *Inst,
 			n.AddTransition(&core.Transition{
 				Name: name, Class: class, From: from, To: to,
 				Action: func(tok *core.Token) {
-					in := inst(tok)
+					in := instOf(tok)
 					in.MemAccess()
 					in.Writeback()
 				},
@@ -302,13 +303,13 @@ func addRoleTransition(n *core.Net, inst func(*core.Token) *Inst,
 		case arm.ClassLoadStoreM:
 			n.AddTransition(&core.Transition{
 				Name: name + "step", Class: class, From: from, To: from, Priority: 0,
-				Guard:  func(tok *core.Token) bool { return inst(tok).LSMMore() },
-				Action: func(tok *core.Token) { tok.Delay = inst(tok).LSMStep() },
+				Guard:  func(tok *core.Token) bool { return instOf(tok).LSMMore() },
+				Action: func(tok *core.Token) { tok.Delay = instOf(tok).LSMStep() },
 			})
 			n.AddTransition(&core.Transition{
 				Name: name + "last", Class: class, From: from, To: to, Priority: 1,
 				Action: func(tok *core.Token) {
-					in := inst(tok)
+					in := instOf(tok)
 					in.LSMFinish()
 					in.Writeback()
 				},
@@ -316,7 +317,7 @@ func addRoleTransition(n *core.Net, inst func(*core.Token) *Inst,
 		default:
 			n.AddTransition(&core.Transition{
 				Name: name, Class: class, From: from, To: to,
-				Action: func(tok *core.Token) { inst(tok).Writeback() },
+				Action: func(tok *core.Token) { instOf(tok).Writeback() },
 			})
 		}
 

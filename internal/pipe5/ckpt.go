@@ -108,9 +108,9 @@ func (s *Sim) Restore(ck *ckpt.Checkpoint) error {
 	return ckpt.RestorePred(s.Pred, ck.Pred)
 }
 
-// The batch.CheckpointStepper surface; positions are cycles. Run returns a
-// formatted error at its limit but records real failures in Err, so StepTo
-// reports a reached limit as a clean chunk boundary.
+// The batch.CheckpointStepper surface; positions are cycles. StepTo drives
+// Run's loop, which reports a reached limit apart from a recorded failure,
+// so a chunk boundary costs no error value.
 
 // Pos is the cumulative cycle count.
 func (s *Sim) Pos() int64 { return s.Cycles }
@@ -120,14 +120,14 @@ func (s *Sim) Progress() (int64, uint64) { return s.Cycles, s.Instret }
 
 // StepTo advances until Cycles >= limit or the program exits.
 func (s *Sim) StepTo(limit int64) (bool, error) {
-	err := s.Run(limit)
-	if err == nil {
-		return true, nil
-	}
-	if s.Err == nil && s.Cycles >= limit {
+	limited, err := s.run(limit)
+	switch {
+	case !limited:
+		return err == nil, err
+	case s.Err == nil:
 		return false, nil // chunk boundary, not a failure
 	}
-	return false, err
+	return false, s.limitErr(limit)
 }
 
 // StepToRetired is RunUntil reporting program exit.

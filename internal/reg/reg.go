@@ -183,7 +183,11 @@ func (r *Register) Set(v uint32) { r.file.vals[r.cell] = v }
 // internal temporary storage. The zero Ref is not usable; obtain Refs with
 // NewRef or Ref.Retarget.
 type Ref struct {
-	reg   *Register
+	reg *Register
+	// file and cell cache reg's storage location, so every hazard query
+	// reaches the writer list in one step instead of through the Register.
+	file  *File
+	cell  int
 	val   uint32
 	ready bool   // val holds a computed result (bypassable)
 	gen   uint64 // reservation-order stamp (see File.genCtr)
@@ -193,15 +197,18 @@ type Ref struct {
 // NewRef creates a reference to r owned by the instruction represented by
 // owner (may be nil when bypass queries are not used).
 func NewRef(r *Register, owner StateQuerier) *Ref {
-	return &Ref{reg: r, owner: owner}
+	return &Ref{reg: r, file: r.file, cell: r.cell, owner: owner}
 }
 
 // Retarget repoints a pooled Ref at a (possibly different) register and
 // owner, clearing the internal value. This supports the simulator's token
 // cache: decoded instructions and their Refs are recycled between dynamic
-// instances (§5 "the tokens are cached for later reuse").
+// instances (§5 "the tokens are cached for later reuse"). Retargeting a
+// zero Ref initialises it, so Refs may be embedded in larger structures.
 func (r *Ref) Retarget(reg *Register, owner StateQuerier) {
 	r.reg = reg
+	r.file = reg.file
+	r.cell = reg.cell
 	r.owner = owner
 	r.val = 0
 	r.ready = false
@@ -210,23 +217,84 @@ func (r *Ref) Retarget(reg *Register, owner StateQuerier) {
 // Register returns the referenced architectural register.
 func (r *Ref) Register() *Register { return r.reg }
 
-func (r *Ref) cell() (*File, int) { return r.reg.file, r.reg.cell }
-
 // lastWriter returns the newest pending writer of the cell, or nil.
 func (r *Ref) lastWriter() *Ref {
-	f, c := r.cell()
-	w := f.writers[c]
+	w := r.file.writers[r.cell]
 	if len(w) == 0 {
 		return nil
 	}
 	return w[len(w)-1]
 }
 
+// source looks up the cell's newest pending writer once and says where a
+// read over the given bypass states would take its value from: the register
+// file (nil, true), the bypassed writer (w, true), or nowhere yet (nil,
+// false). By construction ok == CanRead() || CanReadIn(s) for some s in
+// bypass, and a bypassed value is exactly what ReadIn would deliver.
+func (r *Ref) source(bypass []int) (w *Ref, ok bool) {
+	ws := r.file.writers[r.cell]
+	n := len(ws)
+	if n == 0 {
+		return nil, true
+	}
+	last := ws[n-1]
+	if last == r {
+		return nil, n == 1
+	}
+	if last.ready && last.owner != nil {
+		for _, s := range bypass {
+			if last.owner.InState(s) {
+				return last, true
+			}
+		}
+	}
+	return nil, false
+}
+
+// Readable reports whether the register can be sourced right now, from the
+// file or from a writer resident in one of the bypass states: CanRead, or
+// CanReadIn for some state, answered with one writer lookup.
+func (r *Ref) Readable(bypass []int) bool {
+	_, ok := r.source(bypass)
+	return ok
+}
+
+// Via says where ReadVia took a register's value from.
+type Via uint8
+
+const (
+	// ViaNone: no source was readable (a guard/action mismatch); the read
+	// fell back to ReadIn(-1), which takes a pending writer's value or
+	// panics when there is none.
+	ViaNone Via = iota
+	// ViaFile: the architected register file.
+	ViaFile
+	// ViaBypass: the newest pending writer, resident in a bypass state.
+	ViaBypass
+)
+
+// ReadVia is Read when the file is readable and ReadIn of the first bypass
+// state holding the value otherwise, and reports which one served the read.
+// The matching guard must have established Readable.
+func (r *Ref) ReadVia(bypass []int) Via {
+	w, ok := r.source(bypass)
+	switch {
+	case !ok:
+		r.ReadIn(-1)
+		return ViaNone
+	case w == nil:
+		r.Read()
+		return ViaFile
+	}
+	r.val = w.val
+	r.ready = true
+	return ViaBypass
+}
+
 // CanRead implements Operand: readable when no writer is pending, or the
 // only pending writer is this reference itself.
 func (r *Ref) CanRead() bool {
-	f, c := r.cell()
-	w := f.writers[c]
+	w := r.file.writers[r.cell]
 	return len(w) == 0 || (len(w) == 1 && w[0] == r)
 }
 
@@ -238,8 +306,7 @@ func (r *Ref) CanReadIn(state int) bool {
 
 // Read implements Operand.
 func (r *Ref) Read() {
-	f, c := r.cell()
-	r.val = f.vals[c]
+	r.val = r.file.vals[r.cell]
 	r.ready = true
 }
 
@@ -249,9 +316,8 @@ func (r *Ref) Read() {
 func (r *Ref) ReadIn(state int) {
 	w := r.lastWriter()
 	if w == nil || w == r {
-		f, _ := r.cell()
 		panic(fmt.Sprintf("reg: ReadIn(%d) on %s.%s with no pending writer (guard/action mismatch)",
-			state, f.name, r.reg.name))
+			state, r.file.name, r.reg.name))
 	}
 	r.val = w.val
 	r.ready = true
@@ -259,31 +325,28 @@ func (r *Ref) ReadIn(state int) {
 
 // Peek implements Operand.
 func (r *Ref) Peek(bypass ...int) (uint32, bool) {
-	if r.CanRead() {
-		f, c := r.cell()
-		return f.vals[c], true
+	w, ok := r.source(bypass)
+	switch {
+	case !ok:
+		return 0, false
+	case w == nil:
+		return r.file.vals[r.cell], true
 	}
-	for _, s := range bypass {
-		if r.CanReadIn(s) {
-			return r.lastWriter().val, true
-		}
-	}
-	return 0, false
+	return w.val, true
 }
 
 // CanWrite implements Operand: strict WAW — at most this reference itself
 // may already be reserved. In-order flag pipelines may skip this check and
 // stack reservations; see ReserveWrite.
 func (r *Ref) CanWrite() bool {
-	f, c := r.cell()
-	w := f.writers[c]
+	w := r.file.writers[r.cell]
 	return len(w) == 0 || (len(w) == 1 && w[0] == r)
 }
 
 // ReserveWrite implements Operand: push this reference as the newest pending
 // writer (idempotent per reference).
 func (r *Ref) ReserveWrite() {
-	f, c := r.cell()
+	f, c := r.file, r.cell
 	for _, w := range f.writers[c] {
 		if w == r {
 			return
@@ -300,7 +363,7 @@ func (r *Ref) ReserveWrite() {
 // a younger one (out-of-order completion) must not clobber the younger's
 // architected result.
 func (r *Ref) Writeback() {
-	f, c := r.cell()
+	f, c := r.file, r.cell
 	if r.gen >= f.wbGen[c] {
 		f.vals[c] = r.val
 		f.wbGen[c] = r.gen
@@ -313,7 +376,7 @@ func (r *Ref) Writeback() {
 func (r *Ref) Release() { r.removeReservation() }
 
 func (r *Ref) removeReservation() {
-	f, c := r.cell()
+	f, c := r.file, r.cell
 	w := f.writers[c]
 	for i, x := range w {
 		if x == r {

@@ -1,6 +1,7 @@
 package reg
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -397,4 +398,90 @@ func TestFileBasics(t *testing.T) {
 		}
 	}()
 	f.Register("bad", 16)
+}
+
+// TestSourceAgreesWithOperandInterface is the property behind the
+// one-lookup readiness path: over random writer stacks — including the
+// reader itself, writers whose value is not computed yet and writers with
+// no owner — random owner states and random bypass lists, Readable equals
+// CanRead() || CanReadIn(s) for some s, Peek delivers the value Read or
+// ReadIn would, and ReadVia reports and loads the same source.
+func TestSourceAgreesWithOperandInterface(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 20000; iter++ {
+		f := NewFile("gpr", 2)
+		reg := f.Register("r0", 1)
+		f.SetRaw(1, rng.Uint32())
+		reader := NewRef(reg, &fakeOwner{state: rng.Intn(4)})
+		reader.SetValue(rng.Uint32())
+		for k := rng.Intn(4); k > 0; k-- {
+			w := reader
+			if rng.Intn(4) > 0 {
+				var owner StateQuerier
+				if rng.Intn(4) > 0 {
+					owner = &fakeOwner{state: rng.Intn(4)}
+				}
+				w = NewRef(reg, owner)
+				if rng.Intn(3) > 0 {
+					w.SetValue(rng.Uint32())
+				}
+			}
+			f.writers[1] = append(f.writers[1], w)
+		}
+		var bypass []int
+		for k := rng.Intn(4); k > 0; k-- {
+			bypass = append(bypass, rng.Intn(5))
+		}
+
+		viaBypass := -1
+		for _, s := range bypass {
+			if reader.CanReadIn(s) {
+				viaBypass = s
+				break
+			}
+		}
+		want := reader.CanRead() || viaBypass >= 0
+		if got := reader.Readable(bypass); got != want {
+			t.Fatalf("iter %d: Readable(%v) = %v, CanRead/CanReadIn say %v", iter, bypass, got, want)
+		}
+
+		// The value Read or ReadIn delivers, on a twin reference.
+		twin := *reader
+		wantVia := ViaNone
+		switch {
+		case reader.CanRead():
+			twin.Read()
+			wantVia = ViaFile
+		case viaBypass >= 0:
+			twin.ReadIn(viaBypass)
+			wantVia = ViaBypass
+		}
+		v, ok := reader.Peek(bypass...)
+		if ok != want || (ok && v != twin.Value()) {
+			t.Fatalf("iter %d: Peek = (%#x, %v), want (%#x, %v)", iter, v, ok, twin.Value(), want)
+		}
+		if !want {
+			// The guard/action-mismatch fallback is ReadIn(-1): a pending
+			// writer's value, or a panic when there is none to take.
+			if w := reader.lastWriter(); w != nil && w != reader {
+				if via := reader.ReadVia(bypass); via != ViaNone || reader.Value() != w.Value() {
+					t.Fatalf("iter %d: fallback ReadVia = %v loading %#x, want ViaNone loading %#x",
+						iter, via, reader.Value(), w.Value())
+				}
+			} else if !panics(func() { reader.ReadVia(bypass) }) {
+				t.Fatalf("iter %d: ReadVia with no source and no other writer did not panic", iter)
+			}
+			continue
+		}
+		if via := reader.ReadVia(bypass); via != wantVia || reader.Value() != twin.Value() || !reader.Ready() {
+			t.Fatalf("iter %d: ReadVia = %v loading %#x, want %v loading %#x",
+				iter, via, reader.Value(), wantVia, twin.Value())
+		}
+	}
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }

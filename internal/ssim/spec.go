@@ -66,10 +66,11 @@ func (s *Sim) rollback() {
 		}
 		e.consumers = kept
 	}
-	// Unissued squashed entries have no pending event (their only remaining
-	// reference): recycle now. Issued ones recycle when their event drains.
+	// Squashed entries without a pending event — never issued, or issued
+	// and already completed — lose their last reference here: recycle now.
+	// Issued, still-executing ones recycle when their event drains.
 	for _, e := range old[n:] {
-		if !e.issued {
+		if !e.issued || e.completed {
 			s.freeEntry(e)
 		}
 	}

@@ -270,19 +270,38 @@ func (s *Sim) CPI() float64 {
 
 // Run simulates until the program exits and the pipeline drains.
 func (s *Sim) Run(maxCycles int64) error {
+	limited, err := s.run(maxCycles)
+	if limited {
+		return s.limitErr(maxCycles)
+	}
+	return err
+}
+
+// run is Run's loop. It reports a reached cycle limit as limited instead of
+// as an error, so StepTo ends a chunk without building one; err is the
+// recorded failure that stopped it, if any.
+func (s *Sim) run(maxCycles int64) (limited bool, err error) {
 	if maxCycles <= 0 {
 		maxCycles = 1 << 40
 	}
 	for !s.Exited || len(s.ruu) > 0 {
 		if s.Cycles >= maxCycles {
-			return fmt.Errorf("ssim: cycle limit %d exceeded at pc=%#08x", maxCycles, s.fetchPC)
+			return true, nil
 		}
 		s.cycle()
 		if s.Err != nil {
-			return s.Err
+			return false, s.Err
 		}
 	}
-	return nil
+	return false, nil
+}
+
+// limitErr is the error Run returns when maxCycles elapses.
+func (s *Sim) limitErr(maxCycles int64) error {
+	if maxCycles <= 0 {
+		maxCycles = 1 << 40
+	}
+	return fmt.Errorf("ssim: cycle limit %d exceeded at pc=%#08x", maxCycles, s.fetchPC)
 }
 
 // cycle is sim-outorder's main loop: ruu_commit, ruu_writeback, ruu_issue,
