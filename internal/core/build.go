@@ -41,12 +41,13 @@ func (n *Net) Build() error {
 			t.capLimit = math.MaxInt
 		}
 		t.hasRes = len(t.ResIn)+len(t.ResOut) > 0
-		t.gate = t.Guard
+		t.gate = &t.Guard
 		if t.hasRes {
 			t := t
-			t.gate = func(tok *Token) bool {
+			t.resGate = func(tok *Token) bool {
 				return t.resBlock() == obsv.StallEmpty && (t.Guard == nil || t.Guard(tok))
 			}
+			t.gate = &t.resGate
 		}
 	}
 	// Event-driven scheduling structures: each place learns its slot in the

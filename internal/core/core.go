@@ -196,9 +196,12 @@ type Transition struct {
 	capOf    *Stage // the stage whose capacity is consumed
 	capLimit int    // capOf's capacity, or MaxInt when firing consumes none
 	hasRes   bool   // transition has reservation arcs
-	// gate is the guard with the reservation-arc clauses in front when
-	// the transition has any: everything enabled checks past capacity.
-	gate func(tok *Token) bool
+	// gate points at the function enabled calls once capacity holds: the
+	// Guard field itself or, when hasRes, resGate, which checks the
+	// reservation arcs before calling the Guard. Either way the Guard is
+	// read at call time, so one assigned after Build takes effect.
+	gate    *func(tok *Token) bool
+	resGate func(tok *Token) bool
 }
 
 // ID returns the transition's dense creation index (also its identity in

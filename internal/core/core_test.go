@@ -190,6 +190,50 @@ func TestReservationTokensStallSource(t *testing.T) {
 	}
 }
 
+// TestGuardAssignedAfterBuild checks that the engine reads Guard at call
+// time on transitions with and without reservation arcs, so a guard set
+// after Build takes effect.
+func TestGuardAssignedAfterBuild(t *testing.T) {
+	resNet := func() *Net {
+		n := NewNet(1)
+		l1 := n.Place("L1", n.Stage("L1", 1))
+		l2 := n.Place("L2", n.Stage("L2", 1))
+		end := n.EndPlace("end")
+		n.AddTransition(&Transition{Name: "D", Class: 0, From: l1, To: l2, ResOut: []*Place{l1}})
+		n.AddTransition(&Transition{Name: "B", Class: 0, From: l2, To: end, ResIn: []*Place{l1}})
+		made := false
+		n.AddSource(&Source{Name: "F", To: l1, Fire: func() *Token {
+			if made {
+				return nil
+			}
+			made = true
+			return NewToken(0, 1)
+		}})
+		n.MustBuild()
+		return n
+	}
+	plain, _, _, _ := linearNet(t, 1)
+	for _, n := range []*Net{plain, resNet()} {
+		open := false
+		for _, tr := range n.Transitions() {
+			tr.Guard = func(*Token) bool { return open }
+		}
+		for i := 0; i < 5; i++ {
+			n.Step()
+		}
+		if n.RetiredCount != 0 {
+			t.Fatalf("closed guards: retired %d, want 0", n.RetiredCount)
+		}
+		open = true
+		for i := 0; i < 5; i++ {
+			n.Step()
+		}
+		if n.RetiredCount != 1 {
+			t.Fatalf("open guards: retired %d, want 1", n.RetiredCount)
+		}
+	}
+}
+
 func TestTokenDelayOverridesPlaceDelay(t *testing.T) {
 	// A transition sets tok.Delay (cache miss); the token then waits that
 	// long in the next place.

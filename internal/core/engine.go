@@ -258,10 +258,11 @@ func (n *Net) candidates(p *Place, tok *Token) []*Transition {
 // enabled is the RCPN enabling rule for one candidate token: destination
 // capacity, reservation arcs, then the guard. It is the one check process,
 // the dynamic-search ablation and the stall explainer (classifyToken) share,
-// and small enough to inline into process: Build folds the reservation
-// arcs, which few transitions carry, into the compiled gate.
+// and small enough to inline into process: past capacity it makes one
+// call, through gate, to the Guard or, on the few transitions with
+// reservation arcs, to resGate.
 func (t *Transition) enabled(tok *Token) bool {
-	return !t.capBlocked() && (t.gate == nil || t.gate(tok))
+	return !t.capBlocked() && (*t.gate == nil || (*t.gate)(tok))
 }
 
 // capBlocked reports whether firing would overflow the destination stage.

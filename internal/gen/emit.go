@@ -443,32 +443,28 @@ func emit(m *model, opts Options) []byte {
 	e.f("// Run simulates until the program exits (and the pipeline drains), an\n")
 	e.f("// error occurs, or maxCycles elapses (0 = 1<<40).\n")
 	e.f("func (s *Sim) Run(maxCycles int64) error {\n")
-	e.f("limited, err := s.run(maxCycles)\n")
-	e.f("if limited {\nreturn s.limitErr(maxCycles)\n}\n")
-	e.f("return err\n}\n\n")
-
-	e.f("// run is Run's loop. It reports a reached cycle limit as limited instead\n")
-	e.f("// of as an error, so StepTo ends a chunk without building one; err is\n")
-	e.f("// the recorded failure that stopped it, if any.\n")
-	e.f("func (s *Sim) run(maxCycles int64) (limited bool, err error) {\n")
 	e.f("if maxCycles <= 0 {\nmaxCycles = 1 << 40\n}\n")
-	e.f("for !(s.m.Exited && s.Drained()) {\n")
-	e.f("if s.Cycles >= maxCycles {\nreturn true, nil\n}\n")
-	e.f("s.step()\n")
-	e.f("if s.m.Err != nil {\nreturn false, s.m.Err\n}\n")
-	e.f("}\nreturn false, nil\n}\n\n")
-
-	e.f("// limitErr is the error Run returns when maxCycles elapses.\n")
-	e.f("func (s *Sim) limitErr(maxCycles int64) error {\n")
-	e.f("if maxCycles <= 0 {\nmaxCycles = 1 << 40\n}\n")
+	e.f("if err := s.run(maxCycles); err != nil || s.halted() {\nreturn err\n}\n")
 	e.f("return fmt.Errorf(\"%%s: cycle limit %%d exceeded at pc=%%#08x\", modelName, maxCycles, s.m.PC())\n}\n\n")
+
+	e.f("// halted reports whether the program exited and the pipeline drained.\n")
+	e.f("func (s *Sim) halted() bool { return s.m.Exited && s.Drained() }\n\n")
+
+	e.f("// run is Run's loop: it steps until the simulator halts, a failure is\n")
+	e.f("// recorded (returned), or Cycles reaches limit. A reached limit is no\n")
+	e.f("// error here, so StepTo ends a chunk without building one.\n")
+	e.f("func (s *Sim) run(limit int64) error {\n")
+	e.f("for !s.halted() && s.Cycles < limit {\n")
+	e.f("s.step()\n")
+	e.f("if s.m.Err != nil {\nreturn s.m.Err\n}\n")
+	e.f("}\nreturn nil\n}\n\n")
 
 	e.f("// RunUntil simulates until at least target total instructions retired,\n")
 	e.f("// the program exited, or the cycle count reached cycleLimit (0 =\n")
 	e.f("// 1<<40); reaching the limit is a clean chunk boundary, not an error.\n")
 	e.f("func (s *Sim) RunUntil(target uint64, cycleLimit int64) error {\n")
 	e.f("if cycleLimit <= 0 {\ncycleLimit = 1 << 40\n}\n")
-	e.f("for !(s.m.Exited && s.Drained()) && s.m.Instret < target && s.Cycles < cycleLimit {\n")
+	e.f("for !s.halted() && s.m.Instret < target && s.Cycles < cycleLimit {\n")
 	e.f("s.step()\n")
 	e.f("if s.m.Err != nil {\nreturn s.m.Err\n}\n")
 	e.f("}\nreturn nil\n}\n\n")
@@ -519,10 +515,10 @@ func emit(m *model, opts Options) []byte {
 	e.f("// StepTo advances until Cycles >= limit or the program exits; reaching\n")
 	e.f("// the limit is a clean chunk boundary, not an error.\n")
 	e.f("func (s *Sim) StepTo(limit int64) (bool, error) {\n")
-	e.f("limited, err := s.run(limit)\n")
-	e.f("switch {\ncase !limited:\nreturn err == nil, err\n")
-	e.f("case s.m.Err == nil && !s.m.Exited:\nreturn false, nil // chunk boundary, not a failure\n}\n")
-	e.f("return false, s.limitErr(limit)\n}\n\n")
+	e.f("if err := s.run(limit); err != nil || s.halted() {\nreturn err == nil, err\n}\n")
+	e.f("if s.m.Err == nil && !s.m.Exited {\nreturn false, nil // chunk boundary, not a failure\n}\n")
+	e.f("// Still draining at the limit, or failed earlier: the limit error.\n")
+	e.f("return false, s.Run(limit)\n}\n\n")
 	e.f("// StepToRetired is RunUntil reporting program exit.\n")
 	e.f("func (s *Sim) StepToRetired(target uint64, posLimit int64) (bool, error) {\n")
 	e.f("if err := s.RunUntil(target, posLimit); err != nil {\nreturn false, err\n}\n")

@@ -463,38 +463,29 @@ func (s *Sim) Drained() bool {
 // Run simulates until the program exits (and the pipeline drains), an
 // error occurs, or maxCycles elapses (0 = 1<<40).
 func (s *Sim) Run(maxCycles int64) error {
-	limited, err := s.run(maxCycles)
-	if limited {
-		return s.limitErr(maxCycles)
-	}
-	return err
-}
-
-// run is Run's loop. It reports a reached cycle limit as limited instead
-// of as an error, so StepTo ends a chunk without building one; err is
-// the recorded failure that stopped it, if any.
-func (s *Sim) run(maxCycles int64) (limited bool, err error) {
 	if maxCycles <= 0 {
 		maxCycles = 1 << 40
 	}
-	for !(s.m.Exited && s.Drained()) {
-		if s.Cycles >= maxCycles {
-			return true, nil
-		}
-		s.step()
-		if s.m.Err != nil {
-			return false, s.m.Err
-		}
-	}
-	return false, nil
-}
-
-// limitErr is the error Run returns when maxCycles elapses.
-func (s *Sim) limitErr(maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
+	if err := s.run(maxCycles); err != nil || s.halted() {
+		return err
 	}
 	return fmt.Errorf("%s: cycle limit %d exceeded at pc=%#08x", modelName, maxCycles, s.m.PC())
+}
+
+// halted reports whether the program exited and the pipeline drained.
+func (s *Sim) halted() bool { return s.m.Exited && s.Drained() }
+
+// run is Run's loop: it steps until the simulator halts, a failure is
+// recorded (returned), or Cycles reaches limit. A reached limit is no
+// error here, so StepTo ends a chunk without building one.
+func (s *Sim) run(limit int64) error {
+	for !s.halted() && s.Cycles < limit {
+		s.step()
+		if s.m.Err != nil {
+			return s.m.Err
+		}
+	}
+	return nil
 }
 
 // RunUntil simulates until at least target total instructions retired,
@@ -504,7 +495,7 @@ func (s *Sim) RunUntil(target uint64, cycleLimit int64) error {
 	if cycleLimit <= 0 {
 		cycleLimit = 1 << 40
 	}
-	for !(s.m.Exited && s.Drained()) && s.m.Instret < target && s.Cycles < cycleLimit {
+	for !s.halted() && s.m.Instret < target && s.Cycles < cycleLimit {
 		s.step()
 		if s.m.Err != nil {
 			return s.m.Err
@@ -579,14 +570,14 @@ func (s *Sim) Progress() (int64, uint64) { return s.Cycles, s.m.Instret }
 // StepTo advances until Cycles >= limit or the program exits; reaching
 // the limit is a clean chunk boundary, not an error.
 func (s *Sim) StepTo(limit int64) (bool, error) {
-	limited, err := s.run(limit)
-	switch {
-	case !limited:
+	if err := s.run(limit); err != nil || s.halted() {
 		return err == nil, err
-	case s.m.Err == nil && !s.m.Exited:
+	}
+	if s.m.Err == nil && !s.m.Exited {
 		return false, nil // chunk boundary, not a failure
 	}
-	return false, s.limitErr(limit)
+	// Still draining at the limit, or failed earlier: the limit error.
+	return false, s.Run(limit)
 }
 
 // StepToRetired is RunUntil reporting program exit.

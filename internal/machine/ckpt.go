@@ -185,22 +185,21 @@ func (m *Machine) Progress() (int64, uint64) {
 
 // StepTo advances until Pos() >= limit or the program exits.
 func (m *Machine) StepTo(limit int64) (bool, error) {
-	var limited bool
-	var err error
 	if m.functional {
-		limited, err = m.runFunctional(uint64(limit))
-	} else {
-		limited, err = m.run(limit)
-	}
-	switch {
-	case !limited:
+		if err := m.runFunctional(uint64(limit)); err != nil || m.Exited {
+			return err == nil, err
+		}
+	} else if err := m.run(limit); err != nil || m.halted() {
 		return err == nil, err
-	case m.Err == nil && !m.Exited:
-		return false, nil // chunk boundary, not a failure
-	case m.functional:
-		return false, m.instrLimitErr(uint64(limit))
 	}
-	return false, m.limitErr(limit)
+	if m.Err == nil && !m.Exited {
+		return false, nil // chunk boundary, not a failure
+	}
+	// Still draining at the limit, or failed earlier: the limit error.
+	if m.functional {
+		return false, m.RunFunctional(uint64(limit))
+	}
+	return false, m.Run(limit)
 }
 
 // StepToRetired advances until target instructions retired, the program

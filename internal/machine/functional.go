@@ -32,37 +32,25 @@ func (m *Machine) RunFunctional(maxInstrs uint64) error {
 	if !m.functional {
 		return fmt.Errorf("%s: not a functional machine (use NewFunctional)", m.Name)
 	}
-	limited, err := m.runFunctional(maxInstrs)
-	if limited {
-		return m.instrLimitErr(maxInstrs)
-	}
-	return err
-}
-
-// runFunctional is RunFunctional's loop, reporting a reached instruction
-// limit as limited instead of as an error (see run).
-func (m *Machine) runFunctional(maxInstrs uint64) (limited bool, err error) {
 	if maxInstrs == 0 {
 		maxInstrs = 1 << 40
 	}
-	for !m.Exited {
-		if m.Instret >= maxInstrs {
-			return true, nil
-		}
-		m.stepFunctional()
-		if m.Err != nil {
-			return false, m.Err
-		}
-	}
-	return false, nil
-}
-
-// instrLimitErr is the error RunFunctional returns when maxInstrs retire.
-func (m *Machine) instrLimitErr(maxInstrs uint64) error {
-	if maxInstrs == 0 {
-		maxInstrs = 1 << 40
+	if err := m.runFunctional(maxInstrs); err != nil || m.Exited {
+		return err
 	}
 	return fmt.Errorf("functional: instruction limit %d exceeded at pc=%#08x", maxInstrs, m.pc)
+}
+
+// runFunctional is RunFunctional's loop; like run, it returns only a
+// recorded failure, not a reached limit.
+func (m *Machine) runFunctional(limit uint64) error {
+	for !m.Exited && m.Instret < limit {
+		m.stepFunctional()
+		if m.Err != nil {
+			return m.Err
+		}
+	}
+	return nil
 }
 
 // stepFunctional drives one instruction through the model's class semantics

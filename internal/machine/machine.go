@@ -217,41 +217,29 @@ func (m *Machine) halted() bool {
 // Run simulates until the program exits (and the pipeline drains), an error
 // occurs, or maxCycles elapses (0 = 1<<40).
 func (m *Machine) Run(maxCycles int64) error {
-	limited, err := m.run(maxCycles)
-	if limited {
-		return m.limitErr(maxCycles)
-	}
-	return err
-}
-
-// run is Run's loop. It reports a reached cycle limit as limited instead of
-// as an error, so StepTo ends a chunk without building one; err is the
-// recorded failure that stopped it, if any.
-func (m *Machine) run(maxCycles int64) (limited bool, err error) {
 	if maxCycles <= 0 {
 		maxCycles = 1 << 40
 	}
-	for !m.halted() {
-		if m.Net.CycleCount() >= maxCycles {
-			return true, nil
-		}
+	if err := m.run(maxCycles); err != nil || m.halted() {
+		return err
+	}
+	return fmt.Errorf("%s: cycle limit %d exceeded at pc=%#08x", m.Name, maxCycles, m.pc)
+}
+
+// run is Run's loop: it steps until the machine halts, a failure is recorded
+// (returned), or the cycle count reaches limit. A reached limit is no error
+// here, so StepTo ends a chunk without building one.
+func (m *Machine) run(limit int64) error {
+	for !m.halted() && m.Net.CycleCount() < limit {
 		m.Net.Step()
 		if m.tracer != nil {
 			m.tracer.snap()
 		}
 		if m.Err != nil {
-			return false, m.Err
+			return m.Err
 		}
 	}
-	return false, nil
-}
-
-// limitErr is the error Run returns when maxCycles elapses.
-func (m *Machine) limitErr(maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
-	return fmt.Errorf("%s: cycle limit %d exceeded at pc=%#08x", m.Name, maxCycles, m.pc)
+	return nil
 }
 
 // Dot renders the model's RCPN in Graphviz format.

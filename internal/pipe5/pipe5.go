@@ -136,38 +136,26 @@ func (s *Sim) CPI() float64 {
 
 // Run simulates to completion.
 func (s *Sim) Run(maxCycles int64) error {
-	limited, err := s.run(maxCycles)
-	if limited {
-		return s.limitErr(maxCycles)
-	}
-	return err
-}
-
-// run is Run's loop. It reports a reached cycle limit as limited instead of
-// as an error, so StepTo ends a chunk without building one; err is the
-// recorded failure that stopped it, if any.
-func (s *Sim) run(maxCycles int64) (limited bool, err error) {
 	if maxCycles <= 0 {
 		maxCycles = 1 << 40
 	}
-	for !s.Exited {
-		if s.Cycles >= maxCycles {
-			return true, nil
-		}
-		s.cycle()
-		if s.Err != nil {
-			return false, s.Err
-		}
-	}
-	return false, nil
-}
-
-// limitErr is the error Run returns when maxCycles elapses.
-func (s *Sim) limitErr(maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
+	if err := s.run(maxCycles); err != nil || s.Exited {
+		return err
 	}
 	return fmt.Errorf("pipe5: cycle limit %d exceeded at pc=%#08x", maxCycles, s.pc)
+}
+
+// run is Run's loop: it cycles until the program exits, a failure is
+// recorded (returned), or Cycles reaches limit. A reached limit is no error
+// here, so StepTo ends a chunk without building one.
+func (s *Sim) run(limit int64) error {
+	for !s.Exited && s.Cycles < limit {
+		s.cycle()
+		if s.Err != nil {
+			return s.Err
+		}
+	}
+	return nil
 }
 
 // cycle advances one clock: stages processed back to front so values flow

@@ -149,14 +149,13 @@ func (s *Sim) Progress() (int64, uint64) { return s.Cycles, s.Instret }
 
 // StepTo advances until Cycles >= limit or the program finishes.
 func (s *Sim) StepTo(limit int64) (bool, error) {
-	limited, err := s.run(limit)
-	switch {
-	case !limited:
+	if err := s.run(limit); err != nil || s.Finished() {
 		return err == nil, err
-	case s.Err == nil:
+	}
+	if s.Err == nil {
 		return false, nil // chunk boundary, not a failure
 	}
-	return false, s.limitErr(limit)
+	return false, s.Run(limit) // failed earlier: the limit error
 }
 
 // StepToRetired is RunUntil reporting program completion.

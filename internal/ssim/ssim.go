@@ -191,8 +191,9 @@ func (s *Sim) newEntry() *ruuEntry {
 
 // freeEntry recycles an RUU record. Callers must guarantee no event or
 // consumer chain still references it: commit (all producers completed and
-// unlinked before issue), rollback (unissued squashed entries, after the
-// stale-consumer filter), and the squashed-event drain in writeback.
+// unlinked before issue), rollback (squashed entries with no pending event,
+// unissued or already completed, after the stale-consumer filter), and the
+// squashed-event drain in writeback.
 func (s *Sim) freeEntry(e *ruuEntry) {
 	s.entryPool = append(s.entryPool, e)
 }
@@ -270,38 +271,26 @@ func (s *Sim) CPI() float64 {
 
 // Run simulates until the program exits and the pipeline drains.
 func (s *Sim) Run(maxCycles int64) error {
-	limited, err := s.run(maxCycles)
-	if limited {
-		return s.limitErr(maxCycles)
-	}
-	return err
-}
-
-// run is Run's loop. It reports a reached cycle limit as limited instead of
-// as an error, so StepTo ends a chunk without building one; err is the
-// recorded failure that stopped it, if any.
-func (s *Sim) run(maxCycles int64) (limited bool, err error) {
 	if maxCycles <= 0 {
 		maxCycles = 1 << 40
 	}
-	for !s.Exited || len(s.ruu) > 0 {
-		if s.Cycles >= maxCycles {
-			return true, nil
-		}
-		s.cycle()
-		if s.Err != nil {
-			return false, s.Err
-		}
-	}
-	return false, nil
-}
-
-// limitErr is the error Run returns when maxCycles elapses.
-func (s *Sim) limitErr(maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
+	if err := s.run(maxCycles); err != nil || s.Finished() {
+		return err
 	}
 	return fmt.Errorf("ssim: cycle limit %d exceeded at pc=%#08x", maxCycles, s.fetchPC)
+}
+
+// run is Run's loop: it cycles until the program finishes, a failure is
+// recorded (returned), or Cycles reaches limit. A reached limit is no error
+// here, so StepTo ends a chunk without building one.
+func (s *Sim) run(limit int64) error {
+	for !s.Finished() && s.Cycles < limit {
+		s.cycle()
+		if s.Err != nil {
+			return s.Err
+		}
+	}
+	return nil
 }
 
 // cycle is sim-outorder's main loop: ruu_commit, ruu_writeback, ruu_issue,
