@@ -207,9 +207,13 @@ func BenchmarkDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := words[i%len(words)]
-		_ = arm.Decode(w, 0x8000+uint32(4*(i%len(words))))
+		decoded.Decode(w, 0x8000+uint32(4*(i%len(words))))
 	}
 }
+
+// decoded is BenchmarkDecode's target; package-level so the decodes are
+// not dead stores.
+var decoded arm.Instr
 
 // BenchmarkAssemble measures the two-pass assembler on the largest kernel.
 func BenchmarkAssemble(b *testing.B) {

@@ -54,7 +54,8 @@ func main() {
 	case "list":
 		for i, w := range p.Words() {
 			addr := p.Base + uint32(4*i)
-			ins := arm.Decode(w, addr)
+			var ins arm.Instr
+			ins.Decode(w, addr)
 			fmt.Fprintf(&b, "%08x: %08x  %s\n", addr, w, arm.Disassemble(&ins))
 		}
 	default:

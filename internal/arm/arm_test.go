@@ -68,7 +68,7 @@ func TestEncodeImmRoundTrip(t *testing.T) {
 			return false
 		}
 		_ = enc
-		ins := Decode(w, 0)
+		ins := decoded(w, 0)
 		return ins.Class == ClassDataProc && ins.HasImm && ins.Imm == v
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 5000}); err != nil {
@@ -94,7 +94,7 @@ func TestDecodeDPFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins := Decode(w, 0x8000)
+	ins := decoded(w, 0x8000)
 	if ins.Class != ClassDataProc || ins.Cond != NE || ins.Op != OpADD ||
 		!ins.SetFlags || ins.Rd != 3 || ins.Rn != 4 || ins.Rm != 5 ||
 		ins.ShiftTyp != LSR || ins.ShiftAmt != 7 || ins.HasImm || ins.ShiftReg {
@@ -107,7 +107,7 @@ func TestDecodeRegShift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins := Decode(w, 0)
+	ins := decoded(w, 0)
 	if !ins.ShiftReg || ins.Rs != 4 || ins.Rm != 3 || ins.ShiftTyp != ASR {
 		t.Fatalf("bad reg-shift decode: %+v", ins)
 	}
@@ -115,7 +115,7 @@ func TestDecodeRegShift(t *testing.T) {
 
 func TestDecodeMul(t *testing.T) {
 	w := EncodeMul(AL, true, true, 2, 3, 4, 5)
-	ins := Decode(w, 0)
+	ins := decoded(w, 0)
 	if ins.Class != ClassMult || !ins.Accum || !ins.SetFlags ||
 		ins.Rd != 2 || ins.Rm != 3 || ins.Rs != 4 || ins.Rn != 5 {
 		t.Fatalf("bad MLA decode: %+v", ins)
@@ -127,7 +127,7 @@ func TestDecodeLS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins := Decode(w, 0)
+	ins := decoded(w, 0)
 	if ins.Class != ClassLoadStore || !ins.Load || !ins.Byte || !ins.PreIndex ||
 		!ins.Up || !ins.Writeback || ins.Rn != 2 || ins.Rd != 1 || !ins.HasImm || ins.Imm != 20 {
 		t.Fatalf("bad LDRB decode: %+v", ins)
@@ -145,7 +145,7 @@ func TestDecodeBranchOffsets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ins := Decode(w, tc.addr)
+		ins := decoded(w, tc.addr)
 		if ins.Class != ClassBranch || ins.Target() != tc.target {
 			t.Errorf("branch %#x->%#x decoded target %#x", tc.addr, tc.target, ins.Target())
 		}
@@ -162,7 +162,7 @@ func TestDecodeBranchRange(t *testing.T) {
 }
 
 func TestDecodeSWI(t *testing.T) {
-	ins := Decode(EncodeSWI(AL, 42), 0)
+	ins := decoded(EncodeSWI(AL, 42), 0)
 	if ins.Class != ClassSystem || ins.SWINum != 42 || ins.Undefined() {
 		t.Fatalf("bad SWI decode: %+v", ins)
 	}
@@ -170,7 +170,7 @@ func TestDecodeSWI(t *testing.T) {
 
 func TestDecodeUndefined(t *testing.T) {
 	// Coprocessor space (1110 110... ) is outside the subset.
-	ins := Decode(0xec000000, 0)
+	ins := decoded(0xec000000, 0)
 	if !ins.Undefined() {
 		t.Fatalf("expected undefined, got %+v", ins)
 	}
@@ -179,7 +179,7 @@ func TestDecodeUndefined(t *testing.T) {
 // Decoding any word never panics and always yields a class.
 func TestDecodeTotal(t *testing.T) {
 	err := quick.Check(func(raw, addr uint32) bool {
-		ins := Decode(raw, addr)
+		ins := decoded(raw, addr)
 		return ins.Class < NumClasses
 	}, &quick.Config{MaxCount: 20000})
 	if err != nil {
@@ -212,7 +212,7 @@ func TestWritesPC(t *testing.T) {
 		{EncodeSWI(AL, 0), false},
 	}
 	for _, c := range cases {
-		ins := Decode(c.raw, 0)
+		ins := decoded(c.raw, 0)
 		if ins.WritesPC() != c.want {
 			t.Errorf("WritesPC(%08x) = %v, want %v", c.raw, !c.want, c.want)
 		}
@@ -226,4 +226,11 @@ func mustDP(t *testing.T, op DPOp, rd, rn Reg) uint32 {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// decoded returns the decoding of raw fetched from addr.
+func decoded(raw, addr uint32) Instr {
+	var ins Instr
+	ins.Decode(raw, addr)
+	return ins
 }

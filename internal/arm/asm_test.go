@@ -12,7 +12,7 @@ func asmOne(t *testing.T, line string) *Instr {
 	if err != nil {
 		t.Fatalf("assemble %q: %v", line, err)
 	}
-	ins := Decode(p.Words()[0], 0x8000)
+	ins := decoded(p.Words()[0], 0x8000)
 	return &ins
 }
 
@@ -118,11 +118,11 @@ fin:
 	if p.Entry != 0x8000 {
 		t.Errorf("entry = %#x", p.Entry)
 	}
-	bne := Decode(words[3], 0x8000+12)
+	bne := decoded(words[3], 0x8000+12)
 	if bne.Class != ClassBranch || bne.Cond != NE || bne.Target() != p.Symbols["loop"] {
 		t.Errorf("bne: %+v target=%#x want %#x", bne, bne.Target(), p.Symbols["loop"])
 	}
-	bl := Decode(words[4], 0x8000+16)
+	bl := decoded(words[4], 0x8000+16)
 	if !bl.Link || bl.Target() != p.Symbols["fin"] {
 		t.Errorf("bl: target=%#x", bl.Target())
 	}
@@ -163,7 +163,7 @@ tail:
 	}
 	// Literal pool: simulate the ldr and verify it fetches the right values.
 	check := func(word uint32, addr uint32, want uint32) {
-		ins := Decode(word, addr)
+		ins := decoded(word, addr)
 		if ins.Class != ClassLoadStore || !ins.Load || ins.Rn != PC {
 			t.Fatalf("not a literal load: %+v", ins)
 		}
@@ -199,7 +199,7 @@ later:
 	}
 	w := p.Words()
 	resolve := func(idx int) uint32 {
-		ins := Decode(w[idx], 0x8000+uint32(4*idx))
+		ins := decoded(w[idx], 0x8000+uint32(4*idx))
 		ea := ins.Addr + 8 + ins.Imm
 		if !ins.Up {
 			ea = ins.Addr + 8 - ins.Imm
@@ -231,7 +231,7 @@ tbl:
 		t.Fatal(err)
 	}
 	w := p.Words()
-	ins := Decode(w[0], 0x8000)
+	ins := decoded(w[0], 0x8000)
 	lit := w[(0x8000+8+ins.Imm-0x8000)/4]
 	if lit != p.Symbols["tbl"]+8 {
 		t.Errorf("tbl+8 literal = %#x, want %#x", lit, p.Symbols["tbl"]+8)
@@ -292,7 +292,7 @@ s:
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins := Decode(p.Words()[0], 0)
+	ins := decoded(p.Words()[0], 0)
 	if ins.Imm != 'A' {
 		t.Errorf("char imm = %d", ins.Imm)
 	}
@@ -342,7 +342,7 @@ func TestDisassembleBranchRoundTrip(t *testing.T) {
 	}
 	for i, w := range p.Words() {
 		addr := 0x8000 + uint32(4*i)
-		ins := Decode(w, addr)
+		ins := decoded(w, addr)
 		dis := Disassemble(&ins)
 		p2, err := Assemble("x:\n\t.space "+strconv.Itoa(int(addr-0x8000))+"\n"+dis+"\n", 0x8000)
 		if err != nil {

@@ -2,12 +2,14 @@ package arm
 
 import "fmt"
 
-// Decode decodes one ARM instruction word fetched from addr into its
-// operation class and fields. It never fails for the supported subset;
-// words outside the subset decode to ClassSystem with SWINum = ^0 so the
-// simulators can trap them as undefined instructions.
-func Decode(raw, addr uint32) Instr {
-	ins := Instr{
+// Decode overwrites ins with the ARM instruction word raw fetched from
+// addr: its operation class and fields. It never fails for the supported
+// subset; words outside the subset decode to ClassSystem with SWINum = ^0
+// so the simulators can trap them as undefined instructions. Decoding in
+// place, with no Instr value returned, keeps the hot decode paths free of
+// a struct copy-out.
+func (ins *Instr) Decode(raw, addr uint32) {
+	*ins = Instr{
 		Raw:  raw,
 		Addr: addr,
 		Cond: Cond(raw >> 28),
@@ -125,7 +127,6 @@ func Decode(raw, addr uint32) Instr {
 		ins.Class = ClassSystem
 		ins.SWINum = ^uint32(0)
 	}
-	return ins
 }
 
 // Undefined reports whether a decoded instruction fell outside the supported

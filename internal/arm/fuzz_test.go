@@ -125,7 +125,7 @@ func FuzzEncodeDecode(f *testing.F) {
 		f.Add(s, uint32(0x8000))
 	}
 	f.Fuzz(func(t *testing.T, raw, addr uint32) {
-		ins := Decode(raw, addr)
+		ins := decoded(raw, addr)
 		_ = Disassemble(&ins) // must not panic on any decodable word
 		if ins.Undefined() {
 			return
@@ -136,7 +136,7 @@ func FuzzEncodeDecode(f *testing.F) {
 			// (signed stores). They must still disassemble, checked above.
 			return
 		}
-		ins2 := Decode(re, addr)
+		ins2 := decoded(re, addr)
 		a, b := ins, ins2
 		a.Raw, b.Raw = 0, 0
 		if a != b {

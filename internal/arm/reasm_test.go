@@ -32,7 +32,7 @@ func TestDisasmReassembleRoundTrip(t *testing.T) {
 		}
 		for i, w := range p.Image.Words() {
 			addr := p.Image.Base + uint32(4*i)
-			ins := arm.Decode(w, addr)
+			ins := decoded(w, addr)
 			if ins.Undefined() {
 				t.Fatalf("seed %d: generator emitted undefined word %#08x at %#x", seed, w, addr)
 			}
@@ -73,7 +73,7 @@ func TestDisasmReassembleBranchLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := p.Words()[0]
-	ins := arm.Decode(w, p.Base)
+	ins := decoded(w, p.Base)
 	text := arm.Disassemble(&ins)
 	if !strings.HasPrefix(text, "b") {
 		t.Fatalf("expected a branch, got %q", text)
@@ -85,4 +85,11 @@ func TestDisasmReassembleBranchLabels(t *testing.T) {
 	if got := rp.Words()[0]; got != w {
 		t.Fatalf("branch round trip: %#08x -> %q -> %#08x", w, text, got)
 	}
+}
+
+// decoded returns the decoding of raw fetched from addr.
+func decoded(raw, addr uint32) arm.Instr {
+	var ins arm.Instr
+	ins.Decode(raw, addr)
+	return ins
 }

@@ -38,7 +38,7 @@ func TestRoundTripDataProcRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		ins := Decode(w, 0)
+		ins := decoded(w, 0)
 		if ins.Class != ClassDataProc || ins.Cond != cond || ins.Op != op {
 			t.Fatalf("case %d: class/cond/op mismatch: %+v", i, ins)
 		}
@@ -91,7 +91,7 @@ func TestRoundTripLoadStoreRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		ins := Decode(w, 0)
+		ins := decoded(w, 0)
 		if ins.Class != ClassLoadStore || ins.Load != load || ins.Byte != byteSz ||
 			ins.Rd != rd || ins.Rn != m.Rn || ins.Up != m.Up || ins.PreIndex != m.PreIndex {
 			t.Fatalf("case %d: mismatch %+v", i, ins)
@@ -131,7 +131,7 @@ func TestRoundTripHalfwordRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		ins := Decode(w, 0)
+		ins := decoded(w, 0)
 		if ins.Class != ClassLoadStore || ins.Load != c.load ||
 			ins.Half != c.half || ins.SignedLoad != c.signed {
 			t.Fatalf("case %d: form mismatch %+v (want %+v)", i, ins, c)
@@ -156,7 +156,7 @@ func TestRoundTripLSMRandom(t *testing.T) {
 		rn := Reg(rng.Intn(15))
 		list := uint16(rng.Intn(1<<16-1) + 1)
 		w := EncodeLSM(cond, load, pre, up, wb, rn, list)
-		ins := Decode(w, 0)
+		ins := decoded(w, 0)
 		if ins.Class != ClassLoadStoreM || ins.Load != load || ins.PreIndex != pre ||
 			ins.Up != up || ins.Writeback != wb || ins.Rn != rn || ins.RegList != list {
 			t.Fatalf("case %d: %+v", i, ins)
@@ -173,7 +173,7 @@ func TestRoundTripMulLongRandom(t *testing.T) {
 		s := rng.Intn(2) == 0
 		hi, lo, rm, rs := Reg(rng.Intn(15)), Reg(rng.Intn(15)), Reg(rng.Intn(15)), Reg(rng.Intn(15))
 		w := EncodeMulLong(cond, signed, accum, s, hi, lo, rm, rs)
-		ins := Decode(w, 0)
+		ins := decoded(w, 0)
 		if ins.Class != ClassMult || !ins.Long || ins.SignedMul != signed ||
 			ins.Accum != accum || ins.SetFlags != s ||
 			ins.Rd != hi || ins.Rn != lo || ins.Rm != rm || ins.Rs != rs {
@@ -194,7 +194,7 @@ func TestRoundTripBranchRandom(t *testing.T) {
 		if err != nil {
 			continue // out-of-range combos are rejected, which is fine
 		}
-		ins := Decode(w, addr)
+		ins := decoded(w, addr)
 		if ins.Class != ClassBranch || ins.Link != link || ins.Target() != target {
 			t.Fatalf("case %d: target %#x want %#x", i, ins.Target(), target)
 		}

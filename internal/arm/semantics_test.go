@@ -207,7 +207,7 @@ func TestLSAddressModes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ins := Decode(w, 0)
+		ins := decoded(w, 0)
 		return &ins
 	}
 	// Pre-indexed, no writeback.
@@ -231,7 +231,7 @@ func TestLSAddressModes(t *testing.T) {
 func TestLSMAddresses(t *testing.T) {
 	mk := func(pre, up bool) *Instr {
 		w := EncodeLSM(AL, true, pre, up, true, 0, 0b1110) // r1,r2,r3
-		ins := Decode(w, 0)
+		ins := decoded(w, 0)
 		return &ins
 	}
 	// IA from 100: 100,104,108; final 112.
@@ -263,8 +263,8 @@ func TestLSMStackProperty(t *testing.T) {
 			return true
 		}
 		sp &^= 3
-		push := Decode(EncodeLSM(AL, false, true, false, true, SP, mask), 0)
-		pop := Decode(EncodeLSM(AL, true, false, true, true, SP, mask), 0)
+		push := decoded(EncodeLSM(AL, false, true, false, true, SP, mask), 0)
+		pop := decoded(EncodeLSM(AL, true, false, true, true, SP, mask), 0)
 		_, spAfterPush := push.LSMAddresses(sp)
 		pushAddrs, _ := push.LSMAddresses(sp)
 		popAddrs, spAfterPop := pop.LSMAddresses(spAfterPush)

@@ -117,8 +117,42 @@ func RestoreMem(m *mem.Memory, pages []Page) {
 	}
 }
 
-// CapturePred snapshots p's state if the predictor supports it, else nil.
-func CapturePred(p bpred.Predictor) *bpred.State {
+// Units are an engine's warm microarchitectural structures. A nil unit
+// captures nothing, and a checkpoint's state for a unit the engine lacks is
+// ignored on restore: the consumer model simply does not have that
+// structure.
+type Units struct {
+	ICache, DCache, ITLB, DTLB *mem.Cache
+	Pred                       bpred.Predictor
+}
+
+// CaptureUnits records the warm state of u in ck.
+func (ck *Checkpoint) CaptureUnits(u Units) {
+	ck.ICache, ck.DCache = captureCache(u.ICache), captureCache(u.DCache)
+	ck.ITLB, ck.DTLB = captureCache(u.ITLB), captureCache(u.DTLB)
+	ck.Pred = capturePred(u.Pred)
+}
+
+// RestoreUnits resets every unit of u, then warms it from ck where ck
+// carries its state. Restoring always clears whatever warm history a unit
+// accumulated before, so nothing stale survives.
+func (ck *Checkpoint) RestoreUnits(u Units) error {
+	for _, c := range []struct {
+		unit *mem.Cache
+		st   *mem.CacheState
+	}{{u.ICache, ck.ICache}, {u.DCache, ck.DCache}, {u.ITLB, ck.ITLB}, {u.DTLB, ck.DTLB}} {
+		if err := restoreCache(c.unit, c.st); err != nil {
+			return err
+		}
+	}
+	if u.Pred == nil {
+		return nil
+	}
+	return restorePred(u.Pred, ck.Pred)
+}
+
+// capturePred snapshots p's state if the predictor supports it, else nil.
+func capturePred(p bpred.Predictor) *bpred.State {
 	if s, ok := p.(bpred.Snapshotter); ok {
 		st := s.Snapshot()
 		return &st
@@ -126,10 +160,9 @@ func CapturePred(p bpred.Predictor) *bpred.State {
 	return nil
 }
 
-// RestorePred resets p, then installs the snapshot if one is present and p
-// supports restoring. A nil snapshot leaves p cold — never stale: restore
-// always clears whatever warm history the predictor accumulated before.
-func RestorePred(p bpred.Predictor, st *bpred.State) error {
+// restorePred resets p, then installs the snapshot if one is present and p
+// supports restoring. A nil snapshot leaves p cold.
+func restorePred(p bpred.Predictor, st *bpred.State) error {
 	s, ok := p.(bpred.Snapshotter)
 	if !ok {
 		if st != nil {
@@ -144,8 +177,8 @@ func RestorePred(p bpred.Predictor, st *bpred.State) error {
 	return s.Restore(*st)
 }
 
-// CaptureCache snapshots c (nil-safe).
-func CaptureCache(c *mem.Cache) *mem.CacheState {
+// captureCache snapshots c (nil-safe).
+func captureCache(c *mem.Cache) *mem.CacheState {
 	if c == nil {
 		return nil
 	}
@@ -153,10 +186,9 @@ func CaptureCache(c *mem.Cache) *mem.CacheState {
 	return &st
 }
 
-// RestoreCache resets c, then installs the snapshot if present (nil-safe on
-// both sides; a snapshot without a cache to receive it is ignored, since the
-// consumer model simply does not have that structure).
-func RestoreCache(c *mem.Cache, st *mem.CacheState) error {
+// restoreCache resets c, then installs the snapshot if present (nil-safe on
+// both sides).
+func restoreCache(c *mem.Cache, st *mem.CacheState) error {
 	if c == nil {
 		return nil
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"rcpn/internal/bpred"
 	"rcpn/internal/mem"
@@ -209,16 +210,34 @@ func (r *reader) count(what string, max uint32) int {
 	return int(n)
 }
 
+// maxPrealloc bounds the elements a declared count may reserve before its
+// data arrives; past it, slices grow as the data is read, so a corrupt
+// count costs no more memory than the stream actually holds.
+const maxPrealloc = 1024
+
 func (r *reader) u32s(what string, max uint32) []uint32 {
 	n := r.count(what, max)
 	if n == 0 {
 		return nil
 	}
-	vs := make([]uint32, n)
-	for i := range vs {
-		vs[i] = r.u32()
+	vs := make([]uint32, 0, min(n, maxPrealloc))
+	for i := 0; i < n && r.err == nil; i++ {
+		vs = append(vs, r.u32())
 	}
 	return vs
+}
+
+// take reads n bytes, growing its buffer as they arrive instead of
+// allocating a declared length up front.
+func (r *reader) take(n int) []byte {
+	var b []byte
+	for len(b) < n && r.err == nil {
+		k := min(n-len(b), max(len(b), 4096))
+		b = slices.Grow(b, k)
+		r.bytes(b[len(b) : len(b)+k])
+		b = b[:len(b)+k]
+	}
+	return b
 }
 
 // DecodeFrom reads one checkpoint from in.
@@ -245,13 +264,14 @@ func DecodeFrom(in io.Reader) (*Checkpoint, error) {
 	ck.Exit = r.u32()
 	ck.Output = r.u32s("output", 1<<28)
 	if n := r.count("text", 1<<28); n > 0 {
-		ck.Text = make([]byte, n)
-		r.bytes(ck.Text)
+		ck.Text = r.take(n)
 	}
 
 	nPages := r.count("page", maxPages)
 	prevBase := int64(-1)
 	for i := 0; i < nPages && r.err == nil; i++ {
+		// One page at a time: a page is allocated only once the previous
+		// one has been read in full.
 		p := Page{Base: r.u32(), Data: make([]byte, mem.PageBytes)}
 		r.bytes(p.Data)
 		if r.err != nil {
@@ -279,9 +299,9 @@ func DecodeFrom(in io.Reader) (*Checkpoint, error) {
 			continue
 		}
 		st := &mem.CacheState{Tags: r.u32s("cache tag", 1<<24)}
-		st.LRU = make([]uint64, len(st.Tags))
-		for i := range st.LRU {
-			st.LRU[i] = r.u64()
+		st.LRU = make([]uint64, 0, len(st.Tags))
+		for range st.Tags {
+			st.LRU = append(st.LRU, r.u64())
 		}
 		st.Clock = r.u64()
 		st.Stats.Hits = r.u64()
@@ -290,14 +310,11 @@ func DecodeFrom(in io.Reader) (*Checkpoint, error) {
 	}
 	if present&hasPred != 0 {
 		st := &bpred.State{}
-		kind := make([]byte, r.count("predictor kind", 64))
-		r.bytes(kind)
-		st.Kind = string(kind)
+		st.Kind = string(r.take(r.count("predictor kind", 64)))
 		st.Stats.Lookups = r.u64()
 		st.Stats.Correct = r.u64()
 		if n := r.count("predictor counter", 1<<24); n > 0 {
-			st.Counter = make([]uint8, n)
-			r.bytes(st.Counter)
+			st.Counter = r.take(n)
 		}
 		st.BTBTag = r.u32s("btb tag", 1<<24)
 		st.BTBTgt = r.u32s("btb target", 1<<24)

@@ -2,8 +2,11 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"rcpn/internal/bpred"
@@ -194,4 +197,60 @@ func TestCodecRejectsBadPages(t *testing.T) {
 	if _, err := FromBytes(mk([]Page{{Base: 12, Data: blank()}})); err == nil {
 		t.Error("misaligned page base accepted")
 	}
+}
+
+// decodeAllocSlack is what DecodeFrom may allocate beyond a small multiple
+// of its input: the checkpoint, the bufio buffer, the first reservation of
+// each table, one 64 KiB memory page (each page is allocated only once
+// the previous one has arrived in full) and whatever the test runtime
+// allocates in the background. A 97-byte stream declaring four million
+// output words is far above it.
+const decodeAllocSlack = 192 << 10
+
+// FuzzDecodeCheckpoint: DecodeFrom must never panic on arbitrary bytes;
+// its allocation must stay bounded by its input, whatever counts the
+// stream declares; and any checkpoint it accepts must re-encode to a fixed
+// point — Bytes of the decoded checkpoint decodes to the same checkpoint,
+// which encodes to the same bytes again. The committed corpus holds an
+// empty checkpoint and a warm one (caches, TLBs, predictor, output).
+func FuzzDecodeCheckpoint(f *testing.F) {
+	empty, err := (&Checkpoint{}).Bytes()
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Hostile counts behind a valid header (the 93 bytes before the
+	// output count): output words, text bytes and cache tags.
+	le := binary.LittleEndian
+	hdr := empty[:93]
+	f.Add(le.AppendUint32(slices.Clone(hdr), 1<<22))
+	f.Add(le.AppendUint32(le.AppendUint32(slices.Clone(hdr), 0), 1<<28))
+	f.Add(le.AppendUint32(append(le.AppendUint32(le.AppendUint32(le.AppendUint32(
+		slices.Clone(hdr), 0), 0), 0), hasICache), 1<<24))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ck, err := FromBytes(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > decodeAllocSlack+8*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		enc, err := ck.Bytes()
+		if err != nil {
+			t.Fatalf("decoded checkpoint does not encode: %v", err)
+		}
+		again, err := FromBytes(enc)
+		if err != nil {
+			t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, ck) {
+			t.Fatalf("decode(Bytes(ck)) = %+v, want %+v", again, ck)
+		}
+		if re, err := again.Bytes(); err != nil || !bytes.Equal(re, enc) {
+			t.Fatalf("encoding is not a fixed point (%v)", err)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package diffrun
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -198,6 +199,81 @@ func TestResumeChunkIndependent(t *testing.T) {
 				if !reflect.DeepEqual(b, refB) || !reflect.DeepEqual(c, refC) {
 					t.Fatalf("chunk %d: boundaries (instret %v, cycles %v), reference (%v, %v)",
 						chunk, b, c, refB, refC)
+				}
+			}
+		})
+	}
+}
+
+// exitBeforeLoadSrc commits its exit call while an older load is still in
+// flight on an engine that completes out of order: XScale's memory pipe
+// holds the cache-missing ldr r2 after the SWI has committed through the
+// ALU pipe. No paper kernel opens that window between exit and drain.
+const exitBeforeLoadSrc = `
+	ldr r1, =val
+	ldr r2, [r1]
+	mov r0, #0
+	swi 0
+	.ltorg
+	.space 256
+val:	.word 0x1234
+`
+
+// TestExitWaitsForDrain pins the driver's completion rule on every engine:
+// a run reports exit only once nothing older than the exit is in flight,
+// and a limit reached in the window between exit and drain is a chunk
+// boundary, never an error. Chunked runs of every size up to the unchunked
+// run's position and checkpointed runs every 1..5 instructions must all
+// end in the ISS's state; chunked runs must also match the unchunked run's
+// (cycles, instret), and checkpointed runs the unchunked run at the same
+// interval.
+func TestExitWaitsForDrain(t *testing.T) {
+	p, err := arm.Assemble(exitBeforeLoadSrc, 0x8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := Lookup("iss")
+	golden, err := RunPlain(ref, p, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, e := range Engines() {
+		t.Run(e.Name, func(t *testing.T) {
+			// run drives a fresh instance, checks it against the ISS and
+			// returns its final position and (cycles, instret).
+			run := func(what string, drive func(batch.CheckpointStepper) error) (int64, [2]int64) {
+				t.Helper()
+				st, state := build(t, e, p)
+				if err := drive(st); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if d := state().Diff(golden); len(d) > 0 {
+					t.Fatalf("%s: final state differs from the ISS: %v", what, d)
+				}
+				c, i := st.Progress()
+				return st.Pos(), [2]int64{c, int64(i)}
+			}
+			end, want := run("unchunked", func(st batch.CheckpointStepper) error { return Finish(st, 1<<20) })
+			for chunk := int64(1); chunk <= end; chunk++ {
+				what := fmt.Sprintf("Drive chunk %d", chunk)
+				if _, got := run(what, func(st batch.CheckpointStepper) error {
+					return batch.Drive(ctx, st, 0, chunk, nil)
+				}); got != want {
+					t.Fatalf("%s: (cycles, instret) %v, unchunked %v", what, got, want)
+				}
+			}
+			for interval := uint64(1); interval <= 5; interval++ {
+				end, want := run(fmt.Sprintf("DriveCkpt interval %d", interval), func(st batch.CheckpointStepper) error {
+					return batch.DriveCkpt(ctx, st, 0, 0, interval, nil, nil)
+				})
+				for chunk := int64(1); chunk <= end; chunk++ {
+					what := fmt.Sprintf("DriveCkpt interval %d chunk %d", interval, chunk)
+					if _, got := run(what, func(st batch.CheckpointStepper) error {
+						return batch.DriveCkpt(ctx, st, 0, chunk, interval, nil, nil)
+					}); got != want {
+						t.Fatalf("%s: (cycles, instret) %v, unchunked %v", what, got, want)
+					}
 				}
 			}
 		})

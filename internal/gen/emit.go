@@ -249,9 +249,10 @@ func emit(m *model, opts Options) []byte {
 	e.f("// per-operation-class dispatch devirtualized into direct calls. Fetch and\n")
 	e.f("// decode (with the per-PC decoded-instruction cache), architected state,\n")
 	e.f("// flush handling and checkpointing are shared with the interpreted\n")
-	e.f("// machines through the machine package's generated-simulator runtime.\n")
+	e.f("// machines through the machine package's generated-simulator runtime,\n")
+	e.f("// and the chunked-stepping protocol through batch.Driver.\n")
 	e.f("package %s\n\n", opts.Package)
-	e.f("import (\n\"fmt\"\n\n\"rcpn/internal/arm\"\n\"rcpn/internal/ckpt\"\n\"rcpn/internal/machine\"\n\"rcpn/internal/obsv\"\n)\n\n")
+	e.f("import (\n\"fmt\"\n\n\"rcpn/internal/arm\"\n\"rcpn/internal/batch\"\n\"rcpn/internal/ckpt\"\n\"rcpn/internal/machine\"\n\"rcpn/internal/obsv\"\n)\n\n")
 
 	e.f("const modelName = %q\n\n", m.spec.Name)
 	e.f("// Pipeline state indices: the source net's place ids, reused as trace\n")
@@ -325,6 +326,9 @@ func emit(m *model, opts Options) []byte {
 	e.f("// Sim is one %s pipeline instance: a single-slot latch per stage plus\n", m.spec.Name)
 	e.f("// the shared net-free machine runtime.\n")
 	e.f("type Sim struct {\n")
+	e.f("// Driver is the shared chunked-stepping protocol (Run, RunUntil, Drain\n")
+	e.f("// and the batch.CheckpointStepper methods) over Cycle.\n")
+	e.f("batch.Driver\n\n")
 	e.f("m *machine.Machine\n\n")
 	e.f("// One latch per capacity-1 stage place; r<stage> is the first cycle\n// the occupant's output transitions may fire (residency delay).\n")
 	for _, st := range m.stages {
@@ -342,6 +346,7 @@ func emit(m *model, opts Options) []byte {
 	e.f("// New builds a fresh simulator over program p.\n")
 	e.f("func New(p *arm.Program, cfg machine.Config) *Sim {\n")
 	e.f("s := &Sim{m: machine.NewGenRuntime(modelName, p, cfg)}\n")
+	e.f("s.Driver = batch.NewDriver(s)\n")
 	e.f("s.m.SetGenFlush(s.flushYounger)\n")
 	e.f("for i := range s.fired {\ns.fired[i] = -1\n}\n")
 	e.f("return s\n}\n\n")
@@ -349,21 +354,23 @@ func emit(m *model, opts Options) []byte {
 	e.f("// Runtime exposes the shared machine runtime (architected state, fetch\n// statistics, program results).\n")
 	e.f("func (s *Sim) Runtime() *machine.Machine { return s.m }\n\n")
 
-	// step: stages in reverse topological order, then fetch, then profile.
-	e.f("// step executes one cycle: every stage in the net's reverse topological\n")
-	e.f("// order (downstream first, so a latch empties before its feeder fills\n")
-	e.f("// it and one token moves at most once per cycle), then fetch, then the\n")
-	e.f("// per-cycle profile slot.\n")
-	e.f("func (s *Sim) step() {\n")
+	// Cycle: stages in reverse topological order, then fetch, then profile.
+	e.f("// Cycle executes one cycle (batch.Core): every stage in the net's reverse\n")
+	e.f("// topological order (downstream first, so a latch empties before its\n")
+	e.f("// feeder fills it and one token moves at most once per cycle), then\n")
+	e.f("// fetch, then the per-cycle profile slot.\n")
+	e.f("func (s *Sim) Cycle() (int64, uint64, bool) {\n")
 	e.f("now := s.Cycles\n")
 	for _, id := range m.order {
 		e.f("s.step%s(now)\n", m.stages[id].ident)
 	}
 	e.f("s.fetch(now)\n")
 	e.f("if s.prof != nil {\ns.profileCycle(now)\n}\n")
-	e.f("s.Cycles++\n}\n\n")
+	e.f("s.Cycles++\n")
+	e.f("m := s.m\n")
+	e.f("return s.Cycles, m.Instret, m.Err != nil || (m.Exited || m.Draining()) && s.Drained()\n}\n\n")
 
-	// Stage step functions, in the same order as the step loop.
+	// Stage step functions, in the same order as Cycle calls them.
 	for _, id := range m.order {
 		st := &m.stages[id]
 		e.f("// step%s advances the %s stage.\n", st.ident, st.name)
@@ -440,46 +447,17 @@ func emit(m *model, opts Options) []byte {
 	e.f("// Drained reports whether no instruction is in flight.\n")
 	e.f("func (s *Sim) Drained() bool {\nreturn %s\n}\n\n", strings.Join(drained, " && "))
 
-	e.f("// Run simulates until the program exits (and the pipeline drains), an\n")
-	e.f("// error occurs, or maxCycles elapses (0 = 1<<40).\n")
-	e.f("func (s *Sim) Run(maxCycles int64) error {\n")
-	e.f("if maxCycles <= 0 {\nmaxCycles = 1 << 40\n}\n")
-	e.f("if err := s.run(maxCycles); err != nil || s.halted() {\nreturn err\n}\n")
-	e.f("return fmt.Errorf(\"%%s: cycle limit %%d exceeded at pc=%%#08x\", modelName, maxCycles, s.m.PC())\n}\n\n")
-
-	e.f("// halted reports whether the program exited and the pipeline drained.\n")
-	e.f("func (s *Sim) halted() bool { return s.m.Exited && s.Drained() }\n\n")
-
-	e.f("// run is Run's loop: it steps until the simulator halts, a failure is\n")
-	e.f("// recorded (returned), or Cycles reaches limit. A reached limit is no\n")
-	e.f("// error here, so StepTo ends a chunk without building one.\n")
-	e.f("func (s *Sim) run(limit int64) error {\n")
-	e.f("for !s.halted() && s.Cycles < limit {\n")
-	e.f("s.step()\n")
-	e.f("if s.m.Err != nil {\nreturn s.m.Err\n}\n")
-	e.f("}\nreturn nil\n}\n\n")
-
-	e.f("// RunUntil simulates until at least target total instructions retired,\n")
-	e.f("// the program exited, or the cycle count reached cycleLimit (0 =\n")
-	e.f("// 1<<40); reaching the limit is a clean chunk boundary, not an error.\n")
-	e.f("func (s *Sim) RunUntil(target uint64, cycleLimit int64) error {\n")
-	e.f("if cycleLimit <= 0 {\ncycleLimit = 1 << 40\n}\n")
-	e.f("for !s.halted() && s.m.Instret < target && s.Cycles < cycleLimit {\n")
-	e.f("s.step()\n")
-	e.f("if s.m.Err != nil {\nreturn s.m.Err\n}\n")
-	e.f("}\nreturn nil\n}\n\n")
-
-	e.f("// Drain holds the front end and runs the pipeline empty, leaving the\n")
-	e.f("// simulator at a checkpointable architectural boundary.\n")
-	e.f("func (s *Sim) Drain(maxCycles int64) error {\n")
-	e.f("if maxCycles <= 0 {\nmaxCycles = 1 << 40\n}\n")
-	e.f("s.m.GenHoldFetch(true)\n")
-	e.f("defer s.m.GenHoldFetch(false)\n")
-	e.f("for !s.Drained() {\n")
-	e.f("if s.Cycles >= maxCycles {\nreturn fmt.Errorf(\"%%s: cycle limit %%d exceeded draining at pc=%%#08x\", modelName, maxCycles, s.m.PC())\n}\n")
-	e.f("s.step()\n")
-	e.f("if s.m.Err != nil {\nreturn s.m.Err\n}\n")
-	e.f("}\nreturn nil\n}\n\n")
+	e.f("// Finished reports whether the program exited and the pipeline drained.\n")
+	e.f("func (s *Sim) Finished() bool { return s.m.Exited && s.Drained() }\n\n")
+	e.f("// HoldFetch pauses (true) or resumes (false) the front end.\n")
+	e.f("func (s *Sim) HoldFetch(hold bool) { s.m.HoldFetch(hold) }\n\n")
+	e.f("// Failure returns the recorded simulation failure, or nil.\n")
+	e.f("func (s *Sim) Failure() error { return s.m.Err }\n\n")
+	e.f("// Counters returns the cumulative (position, cycles, instructions); the\n")
+	e.f("// position is the cycle count.\n")
+	e.f("func (s *Sim) Counters() (int64, int64, uint64) { return s.Cycles, s.Cycles, s.m.Instret }\n\n")
+	e.f("// Where names the model and its fetch PC for limit errors.\n")
+	e.f("func (s *Sim) Where() (string, uint32) { return modelName, s.m.PC() }\n\n")
 
 	e.f("// Checkpoint captures architected plus warm microarchitectural state;\n")
 	e.f("// the pipeline must be drained.\n")
@@ -506,25 +484,6 @@ func emit(m *model, opts Options) []byte {
 	e.f("func (s *Sim) EnableProfile() *obsv.StallProfile {\n")
 	e.f("if s.prof == nil {\ns.prof = obsv.NewStallProfile(stageNames...)\ns.m.InstallProfile(s.prof)\n}\n")
 	e.f("return s.prof\n}\n\n")
-
-	// The batch.CheckpointStepper surface; positions are cycles.
-	e.f("// Pos is the cumulative cycle count (batch.Stepper).\n")
-	e.f("func (s *Sim) Pos() int64 { return s.Cycles }\n\n")
-	e.f("// Progress returns the cumulative (cycles, instructions).\n")
-	e.f("func (s *Sim) Progress() (int64, uint64) { return s.Cycles, s.m.Instret }\n\n")
-	e.f("// StepTo advances until Cycles >= limit or the program exits; reaching\n")
-	e.f("// the limit is a clean chunk boundary, not an error.\n")
-	e.f("func (s *Sim) StepTo(limit int64) (bool, error) {\n")
-	e.f("if err := s.run(limit); err != nil || s.halted() {\nreturn err == nil, err\n}\n")
-	e.f("if s.m.Err == nil && !s.m.Exited {\nreturn false, nil // chunk boundary, not a failure\n}\n")
-	e.f("// Still draining at the limit, or failed earlier: the limit error.\n")
-	e.f("return false, s.Run(limit)\n}\n\n")
-	e.f("// StepToRetired is RunUntil reporting program exit.\n")
-	e.f("func (s *Sim) StepToRetired(target uint64, posLimit int64) (bool, error) {\n")
-	e.f("if err := s.RunUntil(target, posLimit); err != nil {\nreturn false, err\n}\n")
-	e.f("return s.m.Exited, nil\n}\n\n")
-	e.f("// DrainBoundary runs the pipeline empty with fetch held.\n")
-	e.f("func (s *Sim) DrainBoundary() error { return s.Drain(0) }\n")
 
 	return e.buf.Bytes()
 }

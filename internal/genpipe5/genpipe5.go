@@ -10,13 +10,15 @@
 // per-operation-class dispatch devirtualized into direct calls. Fetch and
 // decode (with the per-PC decoded-instruction cache), architected state,
 // flush handling and checkpointing are shared with the interpreted
-// machines through the machine package's generated-simulator runtime.
+// machines through the machine package's generated-simulator runtime,
+// and the chunked-stepping protocol through batch.Driver.
 package genpipe5
 
 import (
 	"fmt"
 
 	"rcpn/internal/arm"
+	"rcpn/internal/batch"
 	"rcpn/internal/ckpt"
 	"rcpn/internal/machine"
 	"rcpn/internal/obsv"
@@ -85,6 +87,10 @@ var (
 // Sim is one strongarm pipeline instance: a single-slot latch per stage plus
 // the shared net-free machine runtime.
 type Sim struct {
+	// Driver is the shared chunked-stepping protocol (Run, RunUntil, Drain
+	// and the batch.CheckpointStepper methods) over Cycle.
+	batch.Driver
+
 	m *machine.Machine
 
 	// One latch per capacity-1 stage place; r<stage> is the first cycle
@@ -114,6 +120,7 @@ type Sim struct {
 // New builds a fresh simulator over program p.
 func New(p *arm.Program, cfg machine.Config) *Sim {
 	s := &Sim{m: machine.NewGenRuntime(modelName, p, cfg)}
+	s.Driver = batch.NewDriver(s)
 	s.m.SetGenFlush(s.flushYounger)
 	for i := range s.fired {
 		s.fired[i] = -1
@@ -125,11 +132,11 @@ func New(p *arm.Program, cfg machine.Config) *Sim {
 // statistics, program results).
 func (s *Sim) Runtime() *machine.Machine { return s.m }
 
-// step executes one cycle: every stage in the net's reverse topological
-// order (downstream first, so a latch empties before its feeder fills
-// it and one token moves at most once per cycle), then fetch, then the
-// per-cycle profile slot.
-func (s *Sim) step() {
+// Cycle executes one cycle (batch.Core): every stage in the net's reverse
+// topological order (downstream first, so a latch empties before its
+// feeder fills it and one token moves at most once per cycle), then
+// fetch, then the per-cycle profile slot.
+func (s *Sim) Cycle() (int64, uint64, bool) {
 	now := s.Cycles
 	s.stepWB(now)
 	s.stepME(now)
@@ -140,6 +147,8 @@ func (s *Sim) step() {
 		s.profileCycle(now)
 	}
 	s.Cycles++
+	m := s.m
+	return s.Cycles, m.Instret, m.Err != nil || (m.Exited || m.Draining()) && s.Drained()
 }
 
 // stepWB advances the WB stage.
@@ -460,69 +469,21 @@ func (s *Sim) Drained() bool {
 	return s.lFD == nil && s.lEX == nil && s.lME == nil && s.lWB == nil && !s.m.FetchHeld()
 }
 
-// Run simulates until the program exits (and the pipeline drains), an
-// error occurs, or maxCycles elapses (0 = 1<<40).
-func (s *Sim) Run(maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
-	if err := s.run(maxCycles); err != nil || s.halted() {
-		return err
-	}
-	return fmt.Errorf("%s: cycle limit %d exceeded at pc=%#08x", modelName, maxCycles, s.m.PC())
-}
+// Finished reports whether the program exited and the pipeline drained.
+func (s *Sim) Finished() bool { return s.m.Exited && s.Drained() }
 
-// halted reports whether the program exited and the pipeline drained.
-func (s *Sim) halted() bool { return s.m.Exited && s.Drained() }
+// HoldFetch pauses (true) or resumes (false) the front end.
+func (s *Sim) HoldFetch(hold bool) { s.m.HoldFetch(hold) }
 
-// run is Run's loop: it steps until the simulator halts, a failure is
-// recorded (returned), or Cycles reaches limit. A reached limit is no
-// error here, so StepTo ends a chunk without building one.
-func (s *Sim) run(limit int64) error {
-	for !s.halted() && s.Cycles < limit {
-		s.step()
-		if s.m.Err != nil {
-			return s.m.Err
-		}
-	}
-	return nil
-}
+// Failure returns the recorded simulation failure, or nil.
+func (s *Sim) Failure() error { return s.m.Err }
 
-// RunUntil simulates until at least target total instructions retired,
-// the program exited, or the cycle count reached cycleLimit (0 =
-// 1<<40); reaching the limit is a clean chunk boundary, not an error.
-func (s *Sim) RunUntil(target uint64, cycleLimit int64) error {
-	if cycleLimit <= 0 {
-		cycleLimit = 1 << 40
-	}
-	for !s.halted() && s.m.Instret < target && s.Cycles < cycleLimit {
-		s.step()
-		if s.m.Err != nil {
-			return s.m.Err
-		}
-	}
-	return nil
-}
+// Counters returns the cumulative (position, cycles, instructions); the
+// position is the cycle count.
+func (s *Sim) Counters() (int64, int64, uint64) { return s.Cycles, s.Cycles, s.m.Instret }
 
-// Drain holds the front end and runs the pipeline empty, leaving the
-// simulator at a checkpointable architectural boundary.
-func (s *Sim) Drain(maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
-	s.m.GenHoldFetch(true)
-	defer s.m.GenHoldFetch(false)
-	for !s.Drained() {
-		if s.Cycles >= maxCycles {
-			return fmt.Errorf("%s: cycle limit %d exceeded draining at pc=%#08x", modelName, maxCycles, s.m.PC())
-		}
-		s.step()
-		if s.m.Err != nil {
-			return s.m.Err
-		}
-	}
-	return nil
-}
+// Where names the model and its fetch PC for limit errors.
+func (s *Sim) Where() (string, uint32) { return modelName, s.m.PC() }
 
 // Checkpoint captures architected plus warm microarchitectural state;
 // the pipeline must be drained.
@@ -560,33 +521,3 @@ func (s *Sim) EnableProfile() *obsv.StallProfile {
 	}
 	return s.prof
 }
-
-// Pos is the cumulative cycle count (batch.Stepper).
-func (s *Sim) Pos() int64 { return s.Cycles }
-
-// Progress returns the cumulative (cycles, instructions).
-func (s *Sim) Progress() (int64, uint64) { return s.Cycles, s.m.Instret }
-
-// StepTo advances until Cycles >= limit or the program exits; reaching
-// the limit is a clean chunk boundary, not an error.
-func (s *Sim) StepTo(limit int64) (bool, error) {
-	if err := s.run(limit); err != nil || s.halted() {
-		return err == nil, err
-	}
-	if s.m.Err == nil && !s.m.Exited {
-		return false, nil // chunk boundary, not a failure
-	}
-	// Still draining at the limit, or failed earlier: the limit error.
-	return false, s.Run(limit)
-}
-
-// StepToRetired is RunUntil reporting program exit.
-func (s *Sim) StepToRetired(target uint64, posLimit int64) (bool, error) {
-	if err := s.RunUntil(target, posLimit); err != nil {
-		return false, err
-	}
-	return s.m.Exited, nil
-}
-
-// DrainBoundary runs the pipeline empty with fetch held.
-func (s *Sim) DrainBoundary() error { return s.Drain(0) }

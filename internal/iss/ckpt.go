@@ -42,13 +42,9 @@ func (c *CPU) Checkpoint() (*ckpt.Checkpoint, error) {
 		Output:  append([]uint32(nil), c.Output...),
 		Text:    append([]byte(nil), c.Text...),
 		Mem:     ckpt.CaptureMem(c.Mem),
-		ICache:  ckpt.CaptureCache(c.WarmI),
-		DCache:  ckpt.CaptureCache(c.WarmD),
 	}
 	ck.SetArchFlags(c.F)
-	if c.WarmPred != nil {
-		ck.Pred = ckpt.CapturePred(c.WarmPred)
-	}
+	ck.CaptureUnits(c.warm())
 	return ck, nil
 }
 
@@ -65,18 +61,12 @@ func (c *CPU) Restore(ck *ckpt.Checkpoint) error {
 	c.Text = append(c.Text[:0], ck.Text...)
 	ckpt.RestoreMem(c.Mem, ck.Mem)
 	c.decode.reset()
-	if err := ckpt.RestoreCache(c.WarmI, ck.ICache); err != nil {
-		return err
-	}
-	if err := ckpt.RestoreCache(c.WarmD, ck.DCache); err != nil {
-		return err
-	}
-	if c.WarmPred != nil {
-		if err := ckpt.RestorePred(c.WarmPred, ck.Pred); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ck.RestoreUnits(c.warm())
+}
+
+// warm names the attached warm units (nil members are not attached).
+func (c *CPU) warm() ckpt.Units {
+	return ckpt.Units{ICache: c.WarmI, DCache: c.WarmD, Pred: c.WarmPred}
 }
 
 // NewFromCheckpoint builds a CPU directly from a checkpoint, with no program

@@ -135,8 +135,8 @@ func (c *CPU) Step() error {
 	raw := c.Mem.Read32(addr)
 	ins := c.decode.get(addr)
 	if ins == nil || ins.Raw != raw {
-		d := arm.Decode(raw, addr)
-		ins = &d
+		ins = new(arm.Instr)
+		ins.Decode(raw, addr)
 		c.decode.put(addr, ins)
 	}
 	c.Instret++

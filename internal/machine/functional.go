@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rcpn/internal/arm"
+	"rcpn/internal/batch"
 )
 
 // This file implements the direction the paper's conclusion sets out:
@@ -23,6 +24,7 @@ import (
 func NewFunctional(p *arm.Program, cfg Config) *Machine {
 	m := newMachine("functional", p, cfg, func(c *Config) {})
 	m.functional = true
+	m.Driver = batch.NewDriver(functionalCore{m})
 	return m
 }
 
@@ -35,22 +37,25 @@ func (m *Machine) RunFunctional(maxInstrs uint64) error {
 	if maxInstrs == 0 {
 		maxInstrs = 1 << 40
 	}
-	if err := m.runFunctional(maxInstrs); err != nil || m.Exited {
+	if done, err := m.StepTo(int64(maxInstrs)); err != nil || done {
 		return err
 	}
 	return fmt.Errorf("functional: instruction limit %d exceeded at pc=%#08x", maxInstrs, m.pc)
 }
 
-// runFunctional is RunFunctional's loop; like run, it returns only a
-// recorded failure, not a reached limit.
-func (m *Machine) runFunctional(limit uint64) error {
-	for !m.Exited && m.Instret < limit {
-		m.stepFunctional()
-		if m.Err != nil {
-			return m.Err
-		}
-	}
-	return nil
+// functionalCore is the batch.Core of a functional machine: one step is
+// one instruction, so its position is the retirement count, and it reports
+// zero cycles. Every instruction boundary is drained, so the driver never
+// steps it to drain.
+type functionalCore struct{ *Machine }
+
+func (f functionalCore) Cycle() (int64, uint64, bool) {
+	f.stepFunctional()
+	return int64(f.Instret), f.Instret, f.Err != nil || f.Exited || f.holdFetch
+}
+
+func (f functionalCore) Counters() (int64, int64, uint64) {
+	return int64(f.Instret), 0, f.Instret
 }
 
 // stepFunctional drives one instruction through the model's class semantics

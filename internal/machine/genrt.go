@@ -59,10 +59,6 @@ func (m *Machine) GenRetire(in *Inst) {
 // before the next call, so the hook may reuse a scratch buffer.
 func (m *Machine) SetGenFlush(f func(youngerThan uint64) []*Inst) { m.genFlush = f }
 
-// GenHoldFetch pauses (true) or resumes (false) the front end, the drain
-// primitive generated Run/Drain loops use.
-func (m *Machine) GenHoldFetch(hold bool) { m.holdFetch = hold }
-
 // FetchHeld reports whether a serializing instruction currently holds the
 // front end (part of the generated simulator's Drained predicate).
 func (m *Machine) FetchHeld() bool { return m.fetchHold != nil }

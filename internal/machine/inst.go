@@ -94,7 +94,8 @@ func (in *Inst) resetDynamic() {
 // RegRef/Const operands and builds the instance's issue plan.
 func (m *Machine) newInst(addr uint32) *Inst {
 	raw := m.Mem.Read32(addr)
-	in := &Inst{m: m, I: arm.Decode(raw, addr), inUse: true}
+	in := &Inst{m: m, inUse: true}
+	in.I.Decode(raw, addr)
 	in.Tok = m.tokens.Get(core.ClassID(in.I.Class), in)
 	in.reads, in.dsts = in.readBuf[:0], in.dstBuf[:0]
 	i := &in.I

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"rcpn/internal/arm"
+	"rcpn/internal/batch"
 	"rcpn/internal/bpred"
 	"rcpn/internal/core"
 	"rcpn/internal/mem"
@@ -68,6 +69,10 @@ func Ablations() []Ablation {
 
 // Machine is a processor model plus its architected and simulation state.
 type Machine struct {
+	// Driver is the shared chunked-stepping protocol (Run, RunUntil, Drain
+	// and the batch.CheckpointStepper methods) over the machine's cycles.
+	batch.Driver
+
 	Name string
 	Net  *core.Net
 	Mem  *mem.Memory
@@ -171,6 +176,7 @@ func newMachine(name string, p *arm.Program, cfg Config, defaults func(*Config))
 			"DataProc", "Mult", "LoadStore", "LoadStoreM", "Branch", "System",
 		},
 	}
+	m.Driver = batch.NewDriver(m)
 	for i := 0; i < 16; i++ {
 		m.regs[i] = m.GPR.Register(arm.Reg(i).String(), i)
 	}
@@ -203,44 +209,46 @@ func (m *Machine) CPI() float64 {
 	return float64(m.Net.CycleCount()) / float64(m.Instret)
 }
 
-// halted reports whether simulation can stop: the program has exited AND
-// every older in-flight instruction has written back. The second clause
-// makes traps precise on machines that complete out of order — XScale's
-// separate memory pipe can hold a cache-missing load for dozens of cycles
-// while the SWI commits through the ALU pipe, and stopping on Exited alone
-// would lose that load's architected writeback (and its retirement count).
+// The batch.Core surface: the per-cycle steps batch.Driver (embedded in
+// Machine) runs in chunks, to retirement targets and to drained boundaries.
+
+// Cycle advances the net one clock.
+func (m *Machine) Cycle() (int64, uint64, bool) {
+	m.Net.Step()
+	if m.tracer != nil {
+		m.tracer.snap()
+	}
+	return m.Net.CycleCount(), m.Instret, m.Err != nil || (m.Exited || m.holdFetch) && m.Drained()
+}
+
+// Finished reports whether the program has exited AND every older
+// in-flight instruction has written back. The second clause makes traps
+// precise on machines that complete out of order — XScale's separate memory
+// pipe can hold a cache-missing load for dozens of cycles while the SWI
+// commits through the ALU pipe, and stopping on Exited alone would lose
+// that load's architected writeback (and its retirement count).
 // Short-circuit keeps the Drained sweep off the hot path.
-func (m *Machine) halted() bool {
-	return m.Exited && m.Drained()
+func (m *Machine) Finished() bool { return m.Exited && m.Drained() }
+
+// HoldFetch pauses (true) or resumes (false) the front end: the drain
+// primitive, for the net path and generated simulators alike.
+func (m *Machine) HoldFetch(hold bool) { m.holdFetch = hold }
+
+// Draining reports whether the front end is held for a drain.
+func (m *Machine) Draining() bool { return m.holdFetch }
+
+// Failure returns the recorded simulation failure, or nil.
+func (m *Machine) Failure() error { return m.Err }
+
+// Counters returns the cumulative (position, cycles, instructions); a
+// pipelined machine's position is its cycle count.
+func (m *Machine) Counters() (int64, int64, uint64) {
+	c := m.Net.CycleCount()
+	return c, c, m.Instret
 }
 
-// Run simulates until the program exits (and the pipeline drains), an error
-// occurs, or maxCycles elapses (0 = 1<<40).
-func (m *Machine) Run(maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
-	if err := m.run(maxCycles); err != nil || m.halted() {
-		return err
-	}
-	return fmt.Errorf("%s: cycle limit %d exceeded at pc=%#08x", m.Name, maxCycles, m.pc)
-}
-
-// run is Run's loop: it steps until the machine halts, a failure is recorded
-// (returned), or the cycle count reaches limit. A reached limit is no error
-// here, so StepTo ends a chunk without building one.
-func (m *Machine) run(limit int64) error {
-	for !m.halted() && m.Net.CycleCount() < limit {
-		m.Net.Step()
-		if m.tracer != nil {
-			m.tracer.snap()
-		}
-		if m.Err != nil {
-			return m.Err
-		}
-	}
-	return nil
-}
+// Where names the machine and its fetch PC for limit errors.
+func (m *Machine) Where() (string, uint32) { return m.Name, m.pc }
 
 // Dot renders the model's RCPN in Graphviz format.
 func (m *Machine) Dot() string { return m.Net.Dot(m.classNames) }

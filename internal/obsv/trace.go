@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // EventKind tags one trace event. The vocabulary is the RCPN token game
@@ -241,7 +243,11 @@ func (t *Tracer) WriteBinary(w io.Writer) error {
 }
 
 // ReadBinary parses a trace written by WriteBinary, returning a tracer
-// whose Events/Locs/Ops/Dropped round-trip the original.
+// whose Events/Locs/Ops/Dropped round-trip the original. It accepts only
+// what WriteBinary writes: a nonzero pad byte or data after the last
+// event is an error. The tables grow with the records actually read, not
+// with the declared counts, so a hostile header costs no more than the
+// input carries.
 func ReadBinary(r io.Reader) (*Tracer, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
@@ -264,8 +270,8 @@ func ReadBinary(r io.Reader) (*Tracer, error) {
 		if n > 1<<20 {
 			return nil, fmt.Errorf("obsv: implausible %s count %d", what, n)
 		}
-		ss := make([]string, n)
-		for i := range ss {
+		ss := make([]string, 0, min(n, maxPrealloc))
+		for i := uint32(0); i < n; i++ {
 			if _, err := io.ReadFull(br, scratch[:4]); err != nil {
 				return nil, fmt.Errorf("obsv: %s[%d] length: %w", what, i, err)
 			}
@@ -277,7 +283,7 @@ func ReadBinary(r io.Reader) (*Tracer, error) {
 			if _, err := io.ReadFull(br, b); err != nil {
 				return nil, fmt.Errorf("obsv: %s[%d]: %w", what, i, err)
 			}
-			ss[i] = string(b)
+			ss = append(ss, string(b))
 		}
 		return ss, nil
 	}
@@ -296,15 +302,15 @@ func ReadBinary(r io.Reader) (*Tracer, error) {
 	if n > 1<<28 {
 		return nil, fmt.Errorf("obsv: implausible event count %d", n)
 	}
-	t := &Tracer{buf: make([]Event, 0, n), dropped: dropped, Locs: locs, Ops: ops}
-	if n == 0 {
-		t.buf = make([]Event, 0, 1)
-	}
+	events := make([]Event, 0, min(n, maxPrealloc))
 	for i := uint32(0); i < n; i++ {
 		if _, err := io.ReadFull(br, scratch[:]); err != nil {
 			return nil, fmt.Errorf("obsv: event %d: %w", i, err)
 		}
-		t.buf = append(t.buf, Event{
+		if scratch[25] != 0 {
+			return nil, fmt.Errorf("obsv: event %d: nonzero pad byte", i)
+		}
+		events = append(events, Event{
 			Cycle: int64(binary.LittleEndian.Uint64(scratch[0:8])),
 			Tok:   binary.LittleEndian.Uint64(scratch[8:16]),
 			Loc:   int32(binary.LittleEndian.Uint32(scratch[16:20])),
@@ -312,8 +318,24 @@ func ReadBinary(r io.Reader) (*Tracer, error) {
 			Kind:  EventKind(scratch[24]),
 		})
 	}
-	return t, nil
+	if _, err := br.ReadByte(); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the last event")
+		}
+		return nil, fmt.Errorf("obsv: trace trailer: %w", err)
+	}
+	// The ring's capacity is the event count, as in the traced run; a
+	// zero-capacity ring could not record, so an empty trace keeps one slot.
+	events = slices.Clip(events)
+	if n == 0 {
+		events = make([]Event, 0, 1)
+	}
+	return &Tracer{buf: events, dropped: dropped, Locs: locs, Ops: ops}, nil
 }
+
+// maxPrealloc bounds the elements a declared count may reserve before its
+// records arrive; past it, slices grow as the records are read.
+const maxPrealloc = 1024
 
 // Stall-snapshot checkpoint framing. A profiled job's checkpoint must
 // carry its accounting along with the simulator's architected state — a

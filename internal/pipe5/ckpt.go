@@ -8,49 +8,12 @@ import (
 
 // Checkpoint support for the hand-written baseline, mirroring the RCPN
 // models: snapshots only at drained-pipeline boundaries, produced on demand
-// by RunUntil plus Drain (run to a retirement target, hold fetch, let the
-// latches empty).
+// by batch.Driver's RunUntil plus Drain (run to a retirement target, hold
+// fetch, let the latches empty).
 
 // Drained reports whether all four pipeline latches are empty.
 func (s *Sim) Drained() bool {
 	return s.fq == nil && s.dx == nil && s.mx == nil && s.wx == nil
-}
-
-// RunUntil simulates until at least target total instructions have retired,
-// the program exits, or Cycles reaches cycleLimit (0 = 1<<40). Reaching the
-// cycle limit is a clean stop, not an error, and the first state with
-// Instret >= target does not depend on where the limit-sized bursts end.
-func (s *Sim) RunUntil(target uint64, cycleLimit int64) error {
-	if cycleLimit <= 0 {
-		cycleLimit = 1 << 40
-	}
-	for !s.Exited && s.Instret < target && s.Cycles < cycleLimit {
-		s.cycle()
-		if s.Err != nil {
-			return s.Err
-		}
-	}
-	return nil
-}
-
-// Drain holds fetch and runs the latches empty, leaving the simulator at a
-// checkpointable boundary. maxCycles bounds the drain (0 = 1<<40).
-func (s *Sim) Drain(maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
-	s.holdFetch = true
-	defer func() { s.holdFetch = false }()
-	for !s.Exited && !s.Drained() {
-		if s.Cycles >= maxCycles {
-			return fmt.Errorf("pipe5: cycle limit %d exceeded draining at pc=%#08x", maxCycles, s.pc)
-		}
-		s.cycle()
-		if s.Err != nil {
-			return s.Err
-		}
-	}
-	return nil
 }
 
 // Checkpoint captures the architected state plus warm cache and predictor
@@ -70,10 +33,8 @@ func (s *Sim) Checkpoint() (*ckpt.Checkpoint, error) {
 		Output:  append([]uint32(nil), s.Output...),
 		Text:    append([]byte(nil), s.Text...),
 		Mem:     ckpt.CaptureMem(s.Mem),
-		ICache:  ckpt.CaptureCache(s.ICache),
-		DCache:  ckpt.CaptureCache(s.DCache),
-		Pred:    ckpt.CapturePred(s.Pred),
 	}
+	ck.CaptureUnits(s.units())
 	ck.R[15] = s.pc
 	ck.SetArchFlags(s.F)
 	return ck, nil
@@ -99,43 +60,10 @@ func (s *Sim) Restore(ck *ckpt.Checkpoint) error {
 	s.Err = nil
 	s.fetchHold = 0
 	s.pending = [16]int{}
-	if err := ckpt.RestoreCache(s.ICache, ck.ICache); err != nil {
-		return err
-	}
-	if err := ckpt.RestoreCache(s.DCache, ck.DCache); err != nil {
-		return err
-	}
-	return ckpt.RestorePred(s.Pred, ck.Pred)
+	return ck.RestoreUnits(s.units())
 }
 
-// The batch.CheckpointStepper surface; positions are cycles. StepTo drives
-// Run's loop, which reports a reached limit apart from a recorded failure,
-// so a chunk boundary costs no error value.
-
-// Pos is the cumulative cycle count.
-func (s *Sim) Pos() int64 { return s.Cycles }
-
-// Progress returns the cumulative (cycles, instructions).
-func (s *Sim) Progress() (int64, uint64) { return s.Cycles, s.Instret }
-
-// StepTo advances until Cycles >= limit or the program exits.
-func (s *Sim) StepTo(limit int64) (bool, error) {
-	if err := s.run(limit); err != nil || s.Exited {
-		return err == nil, err
-	}
-	if s.Err == nil {
-		return false, nil // chunk boundary, not a failure
-	}
-	return false, s.Run(limit) // failed earlier: the limit error
+// units names the simulator's warm microarchitectural structures.
+func (s *Sim) units() ckpt.Units {
+	return ckpt.Units{ICache: s.ICache, DCache: s.DCache, Pred: s.Pred}
 }
-
-// StepToRetired is RunUntil reporting program exit.
-func (s *Sim) StepToRetired(target uint64, posLimit int64) (bool, error) {
-	if err := s.RunUntil(target, posLimit); err != nil {
-		return false, err
-	}
-	return s.Exited, nil
-}
-
-// DrainBoundary runs the latches empty with fetch held.
-func (s *Sim) DrainBoundary() error { return s.Drain(0) }

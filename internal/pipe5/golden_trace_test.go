@@ -44,7 +44,7 @@ func TestGoldenTracePipe5(t *testing.T) {
 		if s.Cycles >= 1<<24 {
 			t.Fatal("runaway simulation")
 		}
-		s.cycle()
+		s.Cycle()
 		if s.Err != nil {
 			t.Fatal(s.Err)
 		}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"rcpn/internal/arm"
+	"rcpn/internal/batch"
 	"rcpn/internal/bpred"
 	"rcpn/internal/mem"
 	"rcpn/internal/obsv"
@@ -59,6 +60,10 @@ type slot struct {
 
 // Sim is the baseline simulator instance.
 type Sim struct {
+	// Driver is the shared chunked-stepping protocol (Run, RunUntil, Drain
+	// and the batch.CheckpointStepper methods) over the simulator's cycles.
+	batch.Driver
+
 	Mem    *mem.Memory
 	R      [16]uint32
 	F      arm.Flags
@@ -121,6 +126,7 @@ func New(p *arm.Program, cfg Config) *Sim {
 		Pred:   cfg.Predictor,
 		pc:     p.Entry,
 	}
+	s.Driver = batch.NewDriver(s)
 	s.Mem.LoadImage(p.Base, p.Bytes)
 	s.R[arm.SP] = cfg.StackTop
 	return s
@@ -134,33 +140,10 @@ func (s *Sim) CPI() float64 {
 	return float64(s.Cycles) / float64(s.Instret)
 }
 
-// Run simulates to completion.
-func (s *Sim) Run(maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
-	if err := s.run(maxCycles); err != nil || s.Exited {
-		return err
-	}
-	return fmt.Errorf("pipe5: cycle limit %d exceeded at pc=%#08x", maxCycles, s.pc)
-}
-
-// run is Run's loop: it cycles until the program exits, a failure is
-// recorded (returned), or Cycles reaches limit. A reached limit is no error
-// here, so StepTo ends a chunk without building one.
-func (s *Sim) run(limit int64) error {
-	for !s.Exited && s.Cycles < limit {
-		s.cycle()
-		if s.Err != nil {
-			return s.Err
-		}
-	}
-	return nil
-}
-
-// cycle advances one clock: stages processed back to front so values flow
-// one stage per cycle and forwarding sees this cycle's results.
-func (s *Sim) cycle() {
+// Cycle advances one clock (batch.Core): stages processed back to front
+// so values flow one stage per cycle and forwarding sees this cycle's
+// results.
+func (s *Sim) Cycle() (int64, uint64, bool) {
 	s.stageWB()
 	s.stageMEM()
 	s.stageEX()
@@ -170,7 +153,25 @@ func (s *Sim) cycle() {
 		s.prof.EndCycle()
 	}
 	s.Cycles++
+	return s.Cycles, s.Instret, s.Err != nil || s.Exited || s.holdFetch && s.Drained()
 }
+
+// Finished reports program completion. The pipe is in order, so when the
+// exit call retires nothing older is left in flight.
+func (s *Sim) Finished() bool { return s.Exited }
+
+// HoldFetch pauses (true) or resumes (false) the front end.
+func (s *Sim) HoldFetch(hold bool) { s.holdFetch = hold }
+
+// Failure returns the recorded simulation failure, or nil.
+func (s *Sim) Failure() error { return s.Err }
+
+// Counters returns the cumulative (position, cycles, instructions); the
+// position is the cycle count.
+func (s *Sim) Counters() (int64, int64, uint64) { return s.Cycles, s.Cycles, s.Instret }
+
+// Where names the simulator and its fetch PC for limit errors.
+func (s *Sim) Where() (string, uint32) { return "pipe5", s.pc }
 
 // ---- WB ----------------------------------------------------------------
 
@@ -186,7 +187,8 @@ func (s *Sim) stageWB() {
 		s.tr.Retire(s.Cycles, w.seq, stMEWB)
 	}
 	s.wx = nil
-	ins := arm.Decode(w.raw, w.addr) // baseline re-decode
+	var ins arm.Instr
+	ins.Decode(w.raw, w.addr) // baseline re-decode
 	if !w.annulled {
 		for r := 0; r < 15; r++ {
 			if w.wrMask&(1<<r) != 0 && w.ready&(1<<r) != 0 {
@@ -277,7 +279,8 @@ func (s *Sim) stageMEM() {
 		s.profStall(stEXME, obsv.StallDelay)
 		return
 	}
-	ins := arm.Decode(m.raw, m.addr) // baseline re-decode
+	var ins arm.Instr
+	ins.Decode(m.raw, m.addr) // baseline re-decode
 	if !m.annulled {
 		switch ins.Class {
 		case arm.ClassLoadStore:

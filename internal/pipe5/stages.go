@@ -23,7 +23,8 @@ func (s *Sim) stageEX() {
 		s.profStall(stIDEX, obsv.StallCapacity)
 		return
 	}
-	ins := arm.Decode(e.raw, e.addr) // baseline re-decode
+	var ins arm.Instr
+	ins.Decode(e.raw, e.addr) // baseline re-decode
 	if !ins.Cond.Passes(s.F.N, s.F.Z, s.F.C, s.F.V) {
 		e.annulled = true
 	}
@@ -185,7 +186,8 @@ func (s *Sim) stageID() {
 		s.profStall(stIFID, obsv.StallCapacity)
 		return
 	}
-	ins := arm.Decode(d.raw, d.addr) // baseline re-decode
+	var ins arm.Instr
+	ins.Decode(d.raw, d.addr) // baseline re-decode
 	p8 := d.addr + 8
 
 	srcs := s.idSrcs[:0]
@@ -352,7 +354,8 @@ func (s *Sim) stageIF() {
 		lat = s.ICache.Access(addr)
 	}
 	raw := s.Mem.Read32(addr)
-	ins := arm.Decode(raw, addr) // decode for prediction/serialization...
+	var ins arm.Instr
+	ins.Decode(raw, addr) // decode for prediction/serialization...
 	s.seq++
 	sl := s.newSlot()
 	sl.raw, sl.addr, sl.seq, sl.delay = raw, addr, s.seq, lat-1

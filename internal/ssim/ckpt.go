@@ -25,61 +25,20 @@ func (s *Sim) Drained() bool {
 }
 
 // Finished reports program completion: the exit system call has committed
-// and the window has emptied (the condition Run stops on).
+// and the window has emptied (the condition Run stops on). The leftover
+// fetch-queue slots and unit stamps of a finished run never clear, so a
+// drain stops here too.
 func (s *Sim) Finished() bool { return s.Exited && len(s.ruu) == 0 }
-
-// RunUntil simulates until at least target total instructions have
-// committed, the program exits (and the window empties), or Cycles reaches
-// cycleLimit (0 = 1<<40). Reaching the cycle limit is a clean stop, not an
-// error, and the first state with Instret >= target does not depend on
-// where the limit-sized bursts end.
-func (s *Sim) RunUntil(target uint64, cycleLimit int64) error {
-	if cycleLimit <= 0 {
-		cycleLimit = 1 << 40
-	}
-	for (!s.Exited || len(s.ruu) > 0) && s.Instret < target && s.Cycles < cycleLimit {
-		s.cycle()
-		if s.Err != nil {
-			return s.Err
-		}
-	}
-	return nil
-}
-
-// Drain holds fetch and runs to a timing-reproducible checkpointable
-// boundary (window and fetch queue empty, unit stamps in the past).
-// maxCycles bounds the drain (0 = 1<<40).
-func (s *Sim) Drain(maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
-	s.holdFetch = true
-	defer func() { s.holdFetch = false }()
-	for !s.Drained() {
-		if s.Exited && len(s.ruu) == 0 {
-			// Program over: the leftover fetch-queue slots and unit stamps
-			// will never clear; there is no boundary to reach.
-			return nil
-		}
-		if s.Cycles >= maxCycles {
-			return fmt.Errorf("ssim: cycle limit %d exceeded draining at pc=%#08x", maxCycles, s.fetchPC)
-		}
-		s.cycle()
-		if s.Err != nil {
-			return s.Err
-		}
-	}
-	return nil
-}
 
 // Checkpoint captures the architected state (the oracle core's, which is the
 // committed state) plus warm cache, TLB and predictor state. It fails unless
-// the simulator is drained.
+// the simulator is drained or finished: a drain that ends in the exit stops
+// at Finished, and a finished run has no future timing to reproduce.
 func (s *Sim) Checkpoint() (*ckpt.Checkpoint, error) {
 	if s.Err != nil {
 		return nil, s.Err
 	}
-	if !s.Drained() {
+	if !s.Drained() && !s.Finished() {
 		return nil, fmt.Errorf("ssim: checkpoint requires a drained window (use Drain)")
 	}
 	if s.Instret != s.oracle.Instret {
@@ -90,11 +49,7 @@ func (s *Sim) Checkpoint() (*ckpt.Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	ck.ICache = ckpt.CaptureCache(s.ICache)
-	ck.DCache = ckpt.CaptureCache(s.DCache)
-	ck.ITLB = ckpt.CaptureCache(s.ITLB)
-	ck.DTLB = ckpt.CaptureCache(s.DTLB)
-	ck.Pred = ckpt.CapturePred(s.Pred)
+	ck.CaptureUnits(s.units())
 	return ck, nil
 }
 
@@ -122,49 +77,10 @@ func (s *Sim) Restore(ck *ckpt.Checkpoint) error {
 	s.createVec = [16]*ruuEntry{}
 	clear(s.spec.mem)
 	s.spec.active = false
-	if err := ckpt.RestoreCache(s.ICache, ck.ICache); err != nil {
-		return err
-	}
-	if err := ckpt.RestoreCache(s.DCache, ck.DCache); err != nil {
-		return err
-	}
-	if err := ckpt.RestoreCache(s.ITLB, ck.ITLB); err != nil {
-		return err
-	}
-	if err := ckpt.RestoreCache(s.DTLB, ck.DTLB); err != nil {
-		return err
-	}
-	return ckpt.RestorePred(s.Pred, ck.Pred)
+	return ck.RestoreUnits(s.units())
 }
 
-// The batch.CheckpointStepper surface; positions are cycles. StepTo drives
-// Run's loop, which reports a reached limit apart from a recorded failure,
-// so a chunk boundary costs no error value.
-
-// Pos is the cumulative cycle count.
-func (s *Sim) Pos() int64 { return s.Cycles }
-
-// Progress returns the cumulative (cycles, instructions).
-func (s *Sim) Progress() (int64, uint64) { return s.Cycles, s.Instret }
-
-// StepTo advances until Cycles >= limit or the program finishes.
-func (s *Sim) StepTo(limit int64) (bool, error) {
-	if err := s.run(limit); err != nil || s.Finished() {
-		return err == nil, err
-	}
-	if s.Err == nil {
-		return false, nil // chunk boundary, not a failure
-	}
-	return false, s.Run(limit) // failed earlier: the limit error
+// units names the simulator's warm microarchitectural structures.
+func (s *Sim) units() ckpt.Units {
+	return ckpt.Units{ICache: s.ICache, DCache: s.DCache, ITLB: s.ITLB, DTLB: s.DTLB, Pred: s.Pred}
 }
-
-// StepToRetired is RunUntil reporting program completion.
-func (s *Sim) StepToRetired(target uint64, posLimit int64) (bool, error) {
-	if err := s.RunUntil(target, posLimit); err != nil {
-		return false, err
-	}
-	return s.Finished(), nil
-}
-
-// DrainBoundary runs to a timing-reproducible drained boundary.
-func (s *Sim) DrainBoundary() error { return s.Drain(0) }

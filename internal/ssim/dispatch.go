@@ -45,7 +45,8 @@ func (s *Sim) dispatch() {
 		s.popIFQ()
 
 		raw := s.oracle.Mem.Read32(pc)
-		ins := arm.Decode(raw, pc) // re-derive fields at dispatch
+		var ins arm.Instr
+		ins.Decode(raw, pc) // re-derive fields at dispatch
 
 		s.seq++
 		e := s.newEntry()
@@ -283,7 +284,8 @@ func (s *Sim) fetch() {
 			lat += int64(s.ICache.Access(addr)) - 1
 		}
 		raw := s.oracle.Mem.Read32(addr)
-		ins := arm.Decode(raw, addr) // predecode for branch prediction
+		var ins arm.Instr
+		ins.Decode(raw, addr) // predecode for branch prediction
 
 		next := addr + 4
 		if ins.Class == arm.ClassBranch {

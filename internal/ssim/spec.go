@@ -252,7 +252,8 @@ func (s *Sim) dispatchSpec() {
 	s.popIFQ()
 
 	raw := s.specRead32(slot.addr)
-	ins := arm.Decode(raw, slot.addr)
+	var ins arm.Instr
+	ins.Decode(raw, slot.addr)
 
 	s.seq++
 	e := s.newEntry()

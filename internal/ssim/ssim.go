@@ -29,9 +29,8 @@
 package ssim
 
 import (
-	"fmt"
-
 	"rcpn/internal/arm"
+	"rcpn/internal/batch"
 	"rcpn/internal/bpred"
 	"rcpn/internal/iss"
 	"rcpn/internal/mem"
@@ -91,6 +90,10 @@ type ruuEntry struct {
 
 // Sim is the baseline simulator.
 type Sim struct {
+	// Driver is the shared chunked-stepping protocol (Run, RunUntil, Drain
+	// and the batch.CheckpointStepper methods) over the simulator's cycles.
+	batch.Driver
+
 	oracle *iss.CPU // functional core (executes at dispatch)
 
 	ICache *mem.Cache
@@ -146,6 +149,9 @@ type Sim struct {
 	inScratch   []int
 	outScratch  []int
 	lsmScratch  []uint32
+	// rederive is the target of the per-stage field re-derivations whose
+	// results sim-outorder discards: the decode work stays modeled.
+	rederive arm.Instr
 
 	// Observability attachments (obsv.go); nil unless enabled.
 	prof *obsv.StallProfile
@@ -237,6 +243,7 @@ func New(p *arm.Program, cfg Config) *Sim {
 		Pred:   cfg.Predictor,
 		cfg:    cfg,
 	}
+	s.Driver = batch.NewDriver(s)
 	s.oracle.MaxInstrs = 0
 	s.fetchPC = p.Entry
 	return s
@@ -269,33 +276,10 @@ func (s *Sim) CPI() float64 {
 	return float64(s.Cycles) / float64(s.Instret)
 }
 
-// Run simulates until the program exits and the pipeline drains.
-func (s *Sim) Run(maxCycles int64) error {
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
-	if err := s.run(maxCycles); err != nil || s.Finished() {
-		return err
-	}
-	return fmt.Errorf("ssim: cycle limit %d exceeded at pc=%#08x", maxCycles, s.fetchPC)
-}
-
-// run is Run's loop: it cycles until the program finishes, a failure is
-// recorded (returned), or Cycles reaches limit. A reached limit is no error
-// here, so StepTo ends a chunk without building one.
-func (s *Sim) run(limit int64) error {
-	for !s.Finished() && s.Cycles < limit {
-		s.cycle()
-		if s.Err != nil {
-			return s.Err
-		}
-	}
-	return nil
-}
-
-// cycle is sim-outorder's main loop: ruu_commit, ruu_writeback, ruu_issue,
-// ruu_dispatch, ruu_fetch — every stage every cycle.
-func (s *Sim) cycle() {
+// Cycle is sim-outorder's main loop body (batch.Core): ruu_commit,
+// ruu_writeback, ruu_issue, ruu_dispatch, ruu_fetch — every stage every
+// cycle.
+func (s *Sim) Cycle() (int64, uint64, bool) {
 	s.commit()
 	s.writeback()
 	s.issue()
@@ -307,7 +291,21 @@ func (s *Sim) cycle() {
 		s.prof.EndCycle()
 	}
 	s.Cycles++
+	return s.Cycles, s.Instret, s.Err != nil || s.Finished() || s.holdFetch && s.Drained()
 }
+
+// HoldFetch pauses (true) or resumes (false) the front end.
+func (s *Sim) HoldFetch(hold bool) { s.holdFetch = hold }
+
+// Failure returns the recorded simulation failure, or nil.
+func (s *Sim) Failure() error { return s.Err }
+
+// Counters returns the cumulative (position, cycles, instructions); the
+// position is the cycle count.
+func (s *Sim) Counters() (int64, int64, uint64) { return s.Cycles, s.Cycles, s.Instret }
+
+// Where names the simulator and its fetch PC for limit errors.
+func (s *Sim) Where() (string, uint32) { return "ssim", s.fetchPC }
 
 // ---- commit --------------------------------------------------------------
 
@@ -330,7 +328,7 @@ func (s *Sim) commit() {
 			return // speculative entries never commit; rollback removes them
 		}
 		// Field re-derivation at commit (as SimpleScalar's macros do).
-		_ = arm.Decode(head.raw, head.addr)
+		s.rederive.Decode(head.raw, head.addr)
 		for r := range s.createVec {
 			if s.createVec[r] == head {
 				s.createVec[r] = nil
@@ -384,7 +382,7 @@ func (s *Sim) writeback() {
 			s.refetchAt = s.Cycles + 1
 			s.Flushes++
 		}
-		_ = arm.Decode(e.raw, e.addr) // per-stage field re-derivation
+		s.rederive.Decode(e.raw, e.addr) // per-stage field re-derivation
 	}
 }
 
@@ -429,7 +427,8 @@ func (s *Sim) issue() {
 			s.profSlot(stIssue, issued, obsv.StallRAW)
 			return
 		}
-		ins := arm.Decode(e.raw, e.addr) // re-derive fields at issue
+		var ins arm.Instr
+		ins.Decode(e.raw, e.addr) // re-derive fields at issue
 		var done int64
 		switch {
 		case e.isLoad:
