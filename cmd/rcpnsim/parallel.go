@@ -76,15 +76,8 @@ func runParallel(p *arm.Program, engine diffrun.Engine, f parallelFlags) {
 		if wl == "" {
 			wl = f.arg
 		}
-		extra := map[string]float64{
-			"segments": float64(res.Plan.Segments),
-			"workers":  float64(res.Workers),
-			"reruns":   float64(res.Reruns),
-			"adopted":  float64(res.Adopted),
-		}
-		if res.Mode == tpar.Sampled {
-			extra["err_bound_pct"] = res.ErrBoundPct
-		}
+		extra := res.Extra()
+		extra["workers"] = float64(res.Workers)
 		rep := &batch.Report{Workers: res.Workers, Wall: wall, Results: []batch.Result{{
 			Simulator: f.sim, Workload: wl,
 			Metrics: batch.Metrics{Cycles: res.Cycles, Instret: res.Instret,

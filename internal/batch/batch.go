@@ -5,8 +5,8 @@
 // study is hundreds of independent runs, and a cycle-accurate model saturates
 // one core, so the natural unit of parallelism is the whole job.
 //
-// The pool claims jobs with an atomic counter, so with Workers == 1 execution
-// order is exactly submission order and the run is byte-identical to a serial
+// Run queues every job on a Pool, so with Workers == 1 execution order is
+// exactly submission order and the run is byte-identical to a serial
 // loop. With more workers, jobs complete in nondeterministic order but results
 // are stored by job index, so every aggregate view (stats.Set, JSON report)
 // is independent of scheduling. Each job runs under a panic handler and an
@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rcpn/internal/obsv"
@@ -166,33 +165,23 @@ func Run(jobs []Job, opt Options) *Report {
 	}
 	rep := &Report{Results: make([]Result, len(jobs)), Workers: workers}
 	start := time.Now()
-	parent := opt.parent()
-
-	var next atomic.Int64
-	var done atomic.Int64
-	var progressMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				r := runOne(&jobs[i], parent, opt.Timeout)
-				rep.Results[i] = r
-				n := int(done.Add(1))
-				if opt.Progress != nil {
-					progressMu.Lock()
-					opt.Progress(n, len(jobs), r)
-					progressMu.Unlock()
-				}
+	// The queue holds every job, so no submission is refused; with one
+	// worker the FIFO queue runs them in submission order.
+	pool := NewPool(len(jobs), Options{Workers: workers, Timeout: opt.Timeout, Context: opt.Context})
+	var mu sync.Mutex
+	done := 0
+	for i := range jobs {
+		pool.TrySubmit(jobs[i], func(r Result) { //nolint:errcheck // the queue has room for every job
+			rep.Results[i] = r
+			if opt.Progress != nil {
+				mu.Lock()
+				done++
+				opt.Progress(done, len(jobs), r)
+				mu.Unlock()
 			}
-		}()
+		})
 	}
-	wg.Wait()
+	pool.Close()
 	rep.Wall = time.Since(start)
 	return rep
 }

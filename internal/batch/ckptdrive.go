@@ -2,7 +2,6 @@ package batch
 
 import (
 	"context"
-	"fmt"
 
 	"rcpn/internal/ckpt"
 )
@@ -56,55 +55,30 @@ func DriveCkpt(ctx context.Context, s CheckpointStepper, cap, chunk int64, inter
 	if interval == 0 {
 		return Drive(ctx, s, cap, chunk, progress)
 	}
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	report := func() {
-		if progress != nil {
-			c, i := s.Progress()
-			progress(c, i)
-		}
-	}
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		_, i := s.Progress()
 		// Next boundary target: the first multiple of interval strictly
 		// above the current retirement count (drain overshoot can skip
 		// whole multiples; the formula is self-healing either way).
 		target := (i/interval + 1) * interval
-		limit := s.Pos() + chunk
-		if cap > 0 && limit > cap {
-			limit = cap
+		if exited, err := StepRetired(ctx, s, target, cap, chunk, progress); err != nil || exited {
+			return err
 		}
-		exited, err := s.StepToRetired(target, limit)
-		report()
+		if err := s.DrainBoundary(); err != nil {
+			return err
+		}
+		ck, err := s.Checkpoint()
 		if err != nil {
 			return err
 		}
-		if exited {
-			return nil
-		}
-		if _, i = s.Progress(); i >= target {
-			if err := s.DrainBoundary(); err != nil {
+		c, i := s.Progress()
+		if sink != nil {
+			if err := sink(i, c, ck); err != nil {
 				return err
 			}
-			ck, err := s.Checkpoint()
-			if err != nil {
-				return err
-			}
-			c, i := s.Progress()
-			if sink != nil {
-				if err := sink(i, c, ck); err != nil {
-					return err
-				}
-			}
-			report()
 		}
-		if cap > 0 && s.Pos() >= cap {
-			c, i := s.Progress()
-			return fmt.Errorf("batch: cap %d exceeded (cycles %d, instructions %d)", cap, c, i)
+		if progress != nil {
+			progress(c, i)
 		}
 	}
 }

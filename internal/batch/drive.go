@@ -3,6 +3,7 @@ package batch
 import (
 	"context"
 	"fmt"
+	"math"
 )
 
 // Stepper is the minimal chunked-execution surface of a simulator. The
@@ -38,31 +39,51 @@ const DefaultChunk = 1 << 18
 // stops, nothing is leaked), or an error when the simulation fails or
 // exceeds cap (a cumulative position cap; 0 = none).
 func Drive(ctx context.Context, s Stepper, cap, chunk int64, progress func(cycles int64, instret uint64)) error {
+	_, err := chunks(ctx, s, math.MaxUint64, cap, chunk, progress, s.StepTo)
+	return err
+}
+
+// StepRetired steps s in chunk-sized bursts, like Drive, until target
+// instructions have retired or the program exits, and reports whether it
+// exited. Context, cap and progress are handled as in Drive; reaching the
+// target is a clean stop. It does not drain: the caller decides what a
+// reached target means (DriveCkpt checkpoints there, tpar ends a segment).
+func StepRetired(ctx context.Context, s CheckpointStepper, target uint64, cap, chunk int64,
+	progress func(cycles int64, instret uint64)) (exited bool, err error) {
+	return chunks(ctx, s, target, cap, chunk, progress, func(limit int64) (bool, error) {
+		return s.StepToRetired(target, limit)
+	})
+}
+
+// chunks is the one chunk loop under Drive, DriveCkpt and StepRetired:
+// context check, limit = min(Pos()+chunk, cap), step, progress report, then
+// the exit, target and cap checks.
+func chunks(ctx context.Context, s Stepper, target uint64, cap, chunk int64,
+	progress func(cycles int64, instret uint64), step func(limit int64) (bool, error)) (bool, error) {
 	if chunk <= 0 {
 		chunk = DefaultChunk
 	}
 	for {
 		if err := ctx.Err(); err != nil {
-			return err
+			return false, err
 		}
 		limit := s.Pos() + chunk
 		if cap > 0 && limit > cap {
 			limit = cap
 		}
-		exited, err := s.StepTo(limit)
+		exited, err := step(limit)
+		c, i := s.Progress()
 		if progress != nil {
-			c, i := s.Progress()
 			progress(c, i)
 		}
-		if err != nil {
-			return err
+		if err != nil || exited {
+			return exited, err
 		}
-		if exited {
-			return nil
+		if i >= target {
+			return false, nil
 		}
 		if cap > 0 && s.Pos() >= cap {
-			c, i := s.Progress()
-			return fmt.Errorf("batch: cap %d exceeded (cycles %d, instructions %d)", cap, c, i)
+			return false, fmt.Errorf("batch: cap %d exceeded (cycles %d, instructions %d)", cap, c, i)
 		}
 	}
 }

@@ -6,13 +6,12 @@ import (
 	"sync"
 )
 
-// Run covers the fixed-matrix case: all jobs known up front, one Report at
-// the end. Pool is the streaming counterpart for long-lived callers (the
-// simulation service): jobs arrive one at a time, wait in a bounded queue,
-// and complete through a per-job callback. The bounded queue is the
-// backpressure mechanism — TrySubmit refuses instead of buffering without
-// limit, so an overloaded caller can shed load (HTTP 429) rather than grow
-// memory.
+// Pool runs jobs for long-lived callers (the simulation service); Run's
+// fixed matrix is one Pool whose queue holds every job. In the service,
+// jobs arrive one at a time, wait in a bounded queue, and complete through
+// a per-job callback. The bounded queue is the backpressure mechanism —
+// TrySubmit refuses instead of buffering without limit, so an overloaded
+// caller can shed load (HTTP 429) rather than grow memory.
 //
 // The queue is two-level: PriHigh (interactive work, the default) and
 // PriLow (bulk sweeps). Workers prefer high-priority jobs whenever one is

@@ -3,6 +3,7 @@ package batch
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 
 	"rcpn/internal/obsv"
 )
@@ -74,4 +75,16 @@ func (rep *Report) JSON(includeWall bool) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// JobPayload renders one finished job as its deterministic one-job report:
+// the bytes a served job's result holds, whichever process ran it. A
+// render failure (impossible for plain data) still yields a one-job report,
+// carrying the error, so the job can be recorded as terminal.
+func JobPayload(r Result) []byte {
+	payload, err := (&Report{Results: []Result{r}}).JSON(false)
+	if err != nil {
+		return []byte(fmt.Sprintf(`{"schema":%q,"jobs":[{"error":%q}]}`, Schema, err))
+	}
+	return payload
 }

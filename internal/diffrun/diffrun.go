@@ -328,6 +328,13 @@ func RunCheckpointed(e Engine, p *arm.Program, boundary uint64, posLimit int64) 
 	return state2(), nil
 }
 
+// HangGuard is the default position limit for a run of instret retired
+// instructions: no engine spends anywhere near 64 positions per retired
+// instruction, so crossing it means a hang.
+func HangGuard(instret uint64) int64 {
+	return int64(instret)*64 + 1_000_000
+}
+
 // Options configure a differential run.
 type Options struct {
 	// Engines to compare against the ISS golden model (default Engines()).
@@ -422,9 +429,7 @@ func Run(p *arm.Program, opt Options) (Result, error) {
 
 	posLimit := opt.PosLimit
 	if posLimit == 0 {
-		// Generous: no engine spends anywhere near 64 cycles per retired
-		// instruction on these workloads, so crossing this means a hang.
-		posLimit = int64(res.Golden.Instret)*64 + 1_000_000
+		posLimit = HangGuard(res.Golden.Instret)
 	}
 	boundary := opt.CkptBoundary
 	if boundary == 0 {

@@ -232,6 +232,21 @@ func (in *Injector) Rand63n(n int64) int64 {
 	return in.rng.Int63n(n)
 }
 
+// Backoff is the retry delay after the given completed attempt count:
+// exponential from base, capped at max, with half-width jitter so
+// synchronized retries spread out. The jitter comes from Rand63n, so an
+// armed injector replays the same retry schedule every time.
+func (in *Injector) Backoff(attempt int, base, max time.Duration) time.Duration {
+	d := base
+	for i := 1; i < attempt && d < max; i++ {
+		d *= 2
+	}
+	if d > max {
+		d = max
+	}
+	return d/2 + time.Duration(in.Rand63n(int64(d/2)+1))
+}
+
 // Hits returns how many times site has been hit so far.
 func (in *Injector) Hits(site string) int {
 	if in == nil {

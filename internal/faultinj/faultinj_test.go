@@ -150,3 +150,20 @@ func TestSeededDeterministic(t *testing.T) {
 		t.Logf("seeds 42 and 43 coincide (possible but unlikely): %v", a)
 	}
 }
+
+// TestBackoff: the delay after attempt n lies in [d/2, d] for d = base·2^(n-1)
+// capped at max, and two injectors on the same seed replay the same schedule.
+func TestBackoff(t *testing.T) {
+	base, max := 10*time.Millisecond, 50*time.Millisecond
+	a, b := Seeded(7, nil, 0, 0), Seeded(7, nil, 0, 0)
+	for i, d := range []time.Duration{base, 2 * base, 4 * base, max, max} {
+		attempt := i + 1
+		got := a.Backoff(attempt, base, max)
+		if got < d/2 || got > d {
+			t.Errorf("attempt %d: delay %v outside [%v, %v]", attempt, got, d/2, d)
+		}
+		if again := b.Backoff(attempt, base, max); again != got {
+			t.Errorf("attempt %d: same seed gave %v then %v", attempt, got, again)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"rcpn/internal/diffrun"
 	"rcpn/internal/faultinj"
 	"rcpn/internal/obsv"
+	"rcpn/internal/store"
 	"rcpn/internal/tpar"
 )
 
@@ -203,14 +204,13 @@ func (env *execEnv) sink(prof *obsv.StallProfile) batch.CheckpointSink {
 	}
 }
 
-// runParallel runs a parallelism > 1 job through internal/tpar, wrapped in
-// a tpar.Stepper so the ordinary batch.Drive progress loop — and with it
-// SSE streams, /v1/jobs polling and the durable result path — works
-// unchanged. Exact mode is the serial run with a drain at every segment
-// boundary; sampled mode simulates the segments concurrently. The result
-// is a pure function of the spec: segment count and mode are in the
-// content address, worker count and injected crashes are not and must
-// not show in the result bytes.
+// runParallel runs a parallelism > 1 job through internal/tpar, whose
+// progress feeds the job's live counters like a serial job's chunk reports.
+// Exact mode is the serial run with a drain at every segment boundary;
+// sampled mode simulates the segments concurrently. The result is a pure
+// function of the spec: segment count and mode are in the content address,
+// worker count and injected crashes are not and must not show in the
+// result bytes.
 func runParallel(ctx context.Context, spec *JobSpec, env execEnv) (batch.Metrics, error) {
 	p, err := spec.program()
 	if err != nil {
@@ -251,37 +251,20 @@ func runParallel(ctx context.Context, spec *JobSpec, env execEnv) (batch.Metrics
 		PosBudget: limit,
 		Chunk:     env.chunk,
 		Context:   ctx,
+		Progress:  env.setProgress,
 		Profile:   spec.Profile,
 		Fault:     env.fault,
 		Logf: func(format string, args ...any) {
 			env.logff("job %s "+format, append([]any{env.name}, args...)...)
 		},
 	}
-	st := tpar.NewStepper(p, segBuild, opt)
-	err = batch.Drive(ctx, st, 0, env.chunk, env.setProgress)
+	res, err := tpar.Run(p, segBuild, opt)
 	if err != nil {
 		return batch.Metrics{}, err
 	}
-	res, err := st.Result()
-	if err != nil {
-		return batch.Metrics{}, err
-	}
-	m := batch.Metrics{
-		Cycles:  res.Cycles,
-		Instret: res.Instret,
-		Stalls:  res.Stalls,
-		// Host- and fault-independent extras only: worker and reassignment
-		// counts vary run to run and would break cached-result
-		// byte-identity.
-		Extra: map[string]float64{
-			"segments": float64(res.Plan.Segments),
-			"reruns":   float64(res.Reruns),
-			"adopted":  float64(res.Adopted),
-		},
-	}
-	if res.Mode == tpar.Sampled {
-		m.Extra["err_bound_pct"] = res.ErrBoundPct
-	}
+	m := batch.Metrics{Cycles: res.Cycles, Instret: res.Instret, Stalls: res.Stalls, Extra: res.Extra()}
+	// Sampled-mode totals can run past the stitched result; the job ends
+	// on the stitched numbers.
 	env.setProgress(res.Cycles, res.Instret)
 	if res.Stalls != nil && env.stalls != nil {
 		env.stalls(res.Stalls)
@@ -329,7 +312,7 @@ func ExecuteSpec(ctx context.Context, spec *JobSpec, opt ExecOptions) (metrics b
 		chunk:     opt.Chunk,
 		fault:     opt.Fault,
 		logf:      opt.Logf,
-		name:      shortID(spec.ID()),
+		name:      store.ShortID(spec.ID()),
 		progress:  opt.Progress,
 		trace:     func(b []byte) { trace = b },
 	}

@@ -135,3 +135,38 @@ func TestParallelSampledJob(t *testing.T) {
 		t.Errorf("sampled mode must adopt every segment: %v", extra)
 	}
 }
+
+// TestParallelFinalProgress: once an exact-mode and a sampled-mode parallel
+// job finish, the job's progress — the counters a finished job's events
+// stream reports — equals the result's cycles and instructions, even
+// though sampled-mode totals can run past the stitched result while the
+// job runs.
+func TestParallelFinalProgress(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 2})
+	for _, spec := range []string{
+		`{"simulator":"pipe5","kernel":"crc","parallelism":3}`,
+		`{"simulator":"strongarm","kernel":"crc","parallelism":4,"parallel_mode":"sampled"}`,
+	} {
+		r := submit(t, hs.URL, spec)
+		rec := parallelResult(t, waitState(t, hs.URL, r.ID))
+		if rec["error"] != nil && rec["error"] != "" {
+			t.Fatalf("spec %s failed: %v", spec, rec["error"])
+		}
+		code, raw := get(t, hs.URL+"/v1/jobs/"+r.ID+"/events")
+		if code != http.StatusOK {
+			t.Fatalf("GET events = %d: %s", code, raw)
+		}
+		var prog progressBody
+		for _, line := range strings.Split(string(raw), "\n") {
+			if data, ok := strings.CutPrefix(line, "data: "); ok && strings.Contains(data, `"cycles"`) {
+				if err := json.Unmarshal([]byte(data), &prog); err != nil {
+					t.Fatalf("bad progress event %q: %v", data, err)
+				}
+			}
+		}
+		if float64(prog.Cycles) != rec["cycles"] || float64(prog.Instret) != rec["instructions"] {
+			t.Errorf("spec %s: final progress (%d, %d), result (%v, %v)",
+				spec, prog.Cycles, prog.Instret, rec["cycles"], rec["instructions"])
+		}
+	}
+}

@@ -309,7 +309,7 @@ func (s *Server) adopt(jobs []store.Job) {
 		if len(jb.Spec) > 0 {
 			sp, err := ParseSpec(bytes.NewReader(jb.Spec))
 			if err != nil || sp.ID() != jb.ID {
-				s.logf("serve: recovered job %s has a bad spec (%v); dropping", shortID(jb.ID), err)
+				s.logf("serve: recovered job %s has a bad spec (%v); dropping", store.ShortID(jb.ID), err)
 				s.drop(jb.ID)
 				continue
 			}
@@ -347,7 +347,7 @@ func (s *Server) adopt(jobs []store.Job) {
 			s.mu.Unlock()
 			s.queued.Add(1)
 			if err := s.enqueue(j); err != nil {
-				s.logf("serve: recovered job %s does not fit the queue (%v); dropping", shortID(jb.ID), err)
+				s.logf("serve: recovered job %s does not fit the queue (%v); dropping", store.ShortID(jb.ID), err)
 				s.queued.Add(-1)
 				s.mu.Lock()
 				delete(s.jobs, jb.ID)
@@ -356,7 +356,7 @@ func (s *Server) adopt(jobs []store.Job) {
 				continue
 			}
 			s.recovered.Add(1)
-			s.logf("serve: recovered pending job %s; re-enqueued", shortID(jb.ID))
+			s.logf("serve: recovered pending job %s; re-enqueued", store.ShortID(jb.ID))
 		}
 	}
 }
@@ -413,31 +413,6 @@ func (s *Server) drop(id string) {
 	if err := s.store.Drop(id); err != nil {
 		s.degrade(err)
 	}
-}
-
-// backoff computes the retry delay for the given completed attempt count:
-// exponential from RetryBase, capped at RetryMax, with half-width jitter so
-// synchronized retries spread out. The jitter draws from the injector's
-// seeded stream when fault injection is armed, so a faultinj run replays
-// the same retry schedule every time; a nil/unarmed injector falls back to
-// the global RNG.
-func (s *Server) backoff(attempt int) time.Duration {
-	d := s.cfg.RetryBase
-	for i := 1; i < attempt && d < s.cfg.RetryMax; i++ {
-		d *= 2
-	}
-	if d > s.cfg.RetryMax {
-		d = s.cfg.RetryMax
-	}
-	return d/2 + time.Duration(s.cfg.Fault.Rand63n(int64(d/2)+1))
-}
-
-// shortID abbreviates a content address for logs.
-func shortID(id string) string {
-	if len(id) > 12 {
-		return id[:12]
-	}
-	return id
 }
 
 // ---- admission ------------------------------------------------------------
@@ -606,7 +581,7 @@ func (s *Server) execute(ctx context.Context, j *job) (batch.Metrics, error) {
 		chunk:     s.cfg.Chunk,
 		fault:     s.cfg.Fault,
 		logf:      func(format string, args ...any) { s.logf("serve: "+format, args...) },
-		name:      shortID(j.id),
+		name:      store.ShortID(j.id),
 		progress: func(c int64, i uint64) {
 			j.cycles.Store(c)
 			j.instret.Store(i)
@@ -686,7 +661,7 @@ func (s *Server) executeRemote(ctx context.Context, j *job) (_ batch.Metrics, _ 
 		return batch.Metrics{}, err, true
 	default:
 		s.dispatchErrs.Add(1)
-		return batch.Metrics{}, fmt.Errorf("%w: dispatch %s: %v", batch.ErrTransient, shortID(j.id), err), true
+		return batch.Metrics{}, fmt.Errorf("%w: dispatch %s: %v", batch.ErrTransient, store.ShortID(j.id), err), true
 	}
 }
 
@@ -706,7 +681,7 @@ func (s *Server) loadCheckpoint(j *job) (raw []byte, instret uint64, cycles int6
 			return p, i, c, true
 		}
 		if !errors.Is(err, fs.ErrNotExist) {
-			s.logf("serve: job %s checkpoint unavailable, restarting from scratch: %v", shortID(j.id), err)
+			s.logf("serve: job %s checkpoint unavailable, restarting from scratch: %v", store.ShortID(j.id), err)
 		}
 	}
 	return nil, 0, 0, false
@@ -722,7 +697,7 @@ func (s *Server) discardCheckpoint(j *job, why string) {
 	if s.store != nil {
 		s.store.QuarantineCheckpoint(j.id, why)
 	}
-	s.logf("serve: job %s restarting from scratch: %s", shortID(j.id), why)
+	s.logf("serve: job %s restarting from scratch: %s", store.ShortID(j.id), why)
 }
 
 // finish handles a completed execution: successes and permanent failures
@@ -761,7 +736,7 @@ func (s *Server) finish(j *job, res batch.Result) {
 			res.Err = fmt.Sprintf("poisoned after %d attempts: %s", attempts, res.Err)
 			transient = false
 			s.poisoned.Add(1)
-			s.logf("serve: job %s %s", shortID(j.id), res.Err)
+			s.logf("serve: job %s %s", store.ShortID(j.id), res.Err)
 		}
 	}
 	s.finalize(j, res, transient)
@@ -776,9 +751,9 @@ func (s *Server) retry(j *job, res batch.Result, attempt int) {
 	j.state = StateQueued
 	j.mu.Unlock()
 	s.queued.Add(1)
-	delay := s.backoff(attempt)
+	delay := s.cfg.Fault.Backoff(attempt, s.cfg.RetryBase, s.cfg.RetryMax)
 	s.logf("serve: job %s attempt %d failed transiently (%s); retry in %v",
-		shortID(j.id), attempt, res.Err, delay)
+		store.ShortID(j.id), attempt, res.Err, delay)
 	time.AfterFunc(delay, func() {
 		if err := s.enqueue(j); err != nil {
 			// The pool closed (or filled) under us: finalize with the failure
@@ -800,19 +775,12 @@ func (s *Server) finalize(j *job, res batch.Result, transient bool) {
 	j.mu.Lock()
 	remote := j.remote
 	j.mu.Unlock()
-	var payload []byte
-	if remote != nil {
-		// A shard worker already rendered this job's report through the
-		// same executor and report path; installing its bytes verbatim is
-		// what "byte-identical failover" means.
-		payload = remote
-	} else {
-		rep := &batch.Report{Results: []batch.Result{res}}
-		var err error
-		payload, err = rep.JSON(false)
-		if err != nil { // cannot happen for plain data; keep the job terminal anyway
-			payload = []byte(fmt.Sprintf(`{"schema":%q,"jobs":[{"error":%q}]}`, batch.Schema, err))
-		}
+	// A shard worker already rendered this job's report through the same
+	// executor and batch.JobPayload; installing its bytes verbatim is what
+	// "byte-identical failover" means.
+	payload := remote
+	if payload == nil {
+		payload = batch.JobPayload(res)
 	}
 	state := StateDone
 	if res.Err != "" {

@@ -604,7 +604,7 @@ func TestShardConcurrentDispatchSlots(t *testing.T) {
 			defer wg.Done()
 			res, err := cl.coord.Dispatch(ctx, spec.ID(), spec.Canonical(), nil)
 			if err == nil && res.Failed {
-				err = fmt.Errorf("job %s failed: %s", short(spec.ID()), res.Payload)
+				err = fmt.Errorf("job %s failed: %s", store.ShortID(spec.ID()), res.Payload)
 			}
 			errs <- err
 		}()

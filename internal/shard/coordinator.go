@@ -348,7 +348,7 @@ func (c *Coordinator) Dispatch(ctx context.Context, id string, spec []byte,
 		}
 		lastErr = err
 		c.reassigned.Add(1)
-		if !sleepCtx(ctx, c.backoff(attempt)) {
+		if !sleepCtx(ctx, c.cfg.Fault.Backoff(attempt, c.cfg.RetryBase, c.cfg.RetryMax)) {
 			return nil, ctx.Err()
 		}
 	}
@@ -397,20 +397,6 @@ func (c *Coordinator) dispatchTo(ctx context.Context, w *remoteWorker, id string
 			return nil, ctx.Err()
 		}
 	}
-}
-
-// backoff is exponential with half-width jitter, like the serve layer's,
-// and draws from the injector's seeded stream for reproducible schedules
-// under fault injection.
-func (c *Coordinator) backoff(attempt int) time.Duration {
-	d := c.cfg.RetryBase
-	for i := 1; i < attempt && d < c.cfg.RetryMax; i++ {
-		d *= 2
-	}
-	if d > c.cfg.RetryMax {
-		d = c.cfg.RetryMax
-	}
-	return d/2 + time.Duration(c.cfg.Fault.Rand63n(int64(d/2)+1))
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) bool {

@@ -210,10 +210,10 @@ func (w *Worker) accept(ctx context.Context, conn *rpc.Conn, m rpc.Submit, pool 
 			// same executor on a previous life of this store, so serving
 			// them is equivalent to re-running the job — minus the work.
 			w.adopted.Add(1)
-			w.cfg.Logf("shard: worker %s adopting stored result for job %s", w.cfg.Node, short(m.ID))
+			w.cfg.Logf("shard: worker %s adopting stored result for job %s", w.cfg.Node, store.ShortID(m.ID))
 			return conn.Send(rpc.Result{ID: m.ID, Payload: payload})
 		} else if !errors.Is(err, fs.ErrNotExist) {
-			w.cfg.Logf("shard: worker %s stored result for %s unreadable (%v); re-executing", w.cfg.Node, short(m.ID), err)
+			w.cfg.Logf("shard: worker %s stored result for %s unreadable (%v); re-executing", w.cfg.Node, store.ShortID(m.ID), err)
 		}
 	}
 	spec, err := serve.ParseSpec(bytes.NewReader(m.Spec))
@@ -221,7 +221,7 @@ func (w *Worker) accept(ctx context.Context, conn *rpc.Conn, m rpc.Submit, pool 
 		return conn.Send(rpc.JobError{ID: m.ID, Msg: fmt.Sprintf("spec does not parse: %v", err)})
 	}
 	if got := spec.ID(); got != m.ID {
-		return conn.Send(rpc.JobError{ID: m.ID, Msg: fmt.Sprintf("content address mismatch: spec hashes to %s", short(got))})
+		return conn.Send(rpc.JobError{ID: m.ID, Msg: fmt.Sprintf("content address mismatch: spec hashes to %s", store.ShortID(got))})
 	}
 
 	var trace []byte
@@ -254,13 +254,10 @@ func (w *Worker) accept(ctx context.Context, conn *rpc.Conn, m rpc.Submit, pool 
 			conn.Send(rpc.JobError{ID: m.ID, Msg: res.Err, Transient: true}) //nolint:errcheck // conn death is handled by the reader loop
 			return
 		}
-		payload, err := (&batch.Report{Results: []batch.Result{res}}).JSON(false)
-		if err != nil { // cannot happen for plain data; mirror serve's fallback
-			payload = []byte(fmt.Sprintf(`{"schema":%q,"jobs":[{"error":%q}]}`, batch.Schema, err))
-		}
+		payload := batch.JobPayload(res)
 		if w.cfg.Store != nil && res.Err == "" {
 			if werr := w.cfg.Store.WriteResult(m.ID, payload); werr != nil {
-				w.cfg.Logf("shard: worker %s could not store result for %s: %v", w.cfg.Node, short(m.ID), werr)
+				w.cfg.Logf("shard: worker %s could not store result for %s: %v", w.cfg.Node, store.ShortID(m.ID), werr)
 			}
 		}
 		conn.Send(rpc.Result{ //nolint:errcheck // conn death is handled by the reader loop
@@ -293,11 +290,4 @@ func (w *Worker) progressSender(conn *rpc.Conn, id string) func(cycles int64, in
 		}
 		conn.Send(rpc.Progress{ID: id, Cycles: cycles, Instret: instret}) //nolint:errcheck // advisory
 	}
-}
-
-func short(id string) string {
-	if len(id) > 12 {
-		return id[:12]
-	}
-	return id
 }

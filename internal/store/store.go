@@ -264,7 +264,7 @@ func (s *Store) ReadCheckpoint(id string) (instret uint64, cycles int64, payload
 	instret, cycles, payload, verr := parseCkptFile(data)
 	if verr != nil {
 		s.Quarantine(path, verr.Error())
-		return 0, 0, nil, fmt.Errorf("store: checkpoint %s quarantined (%v): %w", short(id), verr, fs.ErrNotExist)
+		return 0, 0, nil, fmt.Errorf("store: checkpoint %s quarantined (%v): %w", ShortID(id), verr, fs.ErrNotExist)
 	}
 	return instret, cycles, payload, nil
 }
@@ -394,7 +394,7 @@ func (s *Store) recover() ([]Job, error) {
 				case "drop":
 					delete(jobs, rec.ID)
 				default:
-					s.logf("store: journal: unknown op %q for %s (ignored)", rec.Op, short(rec.ID))
+					s.logf("store: journal: unknown op %q for %s (ignored)", rec.Op, ShortID(rec.ID))
 				}
 			}
 		}
@@ -421,10 +421,10 @@ func (s *Store) recover() ([]Job, error) {
 				fallthrough
 			default:
 				if len(j.Spec) == 0 {
-					s.logf("store: %s job %s has no result and no spec; dropping", j.State, short(j.ID))
+					s.logf("store: %s job %s has no result and no spec; dropping", j.State, ShortID(j.ID))
 					continue
 				}
-				s.logf("store: %s job %s lost its result; re-running", j.State, short(j.ID))
+				s.logf("store: %s job %s lost its result; re-running", j.State, ShortID(j.ID))
 				j.State, j.Diag, j.Result = StatePending, "", nil
 			}
 			// Terminal jobs keep no checkpoint.
@@ -433,7 +433,7 @@ func (s *Store) recover() ([]Job, error) {
 			}
 		}
 		if j.State == StatePending && len(j.Spec) == 0 {
-			s.logf("store: pending job %s has no spec; dropping", short(j.ID))
+			s.logf("store: pending job %s has no spec; dropping", ShortID(j.ID))
 			continue
 		}
 		live = append(live, j)
@@ -462,7 +462,7 @@ func (s *Store) recover() ([]Job, error) {
 			s.Quarantine(s.resultPath(id), "orphaned result is not valid JSON")
 			continue
 		}
-		s.logf("store: adopted orphaned result %s", short(id))
+		s.logf("store: adopted orphaned result %s", ShortID(id))
 		orphans = append(orphans, Job{ID: id, State: StateDone, Result: payload})
 	}
 	sort.Slice(orphans, func(i, k int) bool { return orphans[i].ID < orphans[k].ID })
@@ -600,8 +600,8 @@ func removeIfExists(path string) error {
 	return nil
 }
 
-// short abbreviates a content address for logs.
-func short(id string) string {
+// ShortID abbreviates a content address (its first 12 characters) for logs.
+func ShortID(id string) string {
 	if len(id) > 12 {
 		return id[:12]
 	}

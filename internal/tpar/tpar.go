@@ -103,11 +103,11 @@ const (
 	// DefaultMinSegment is the smallest segment worth a pipeline drain; the
 	// segment count is clamped so no segment is shorter.
 	DefaultMinSegment = 1024
-	// defaultRetries is how many times a crashed (panicked) segment worker
-	// is reassigned before the failure is reported.
-	defaultRetries = 2
-	// defaultMaxInstrs bounds the leader against runaway programs.
-	defaultMaxInstrs = 1 << 32
+	// retries is how many times a crashed (panicked) segment worker is
+	// reassigned before the failure is reported.
+	retries = 2
+	// maxInstrs bounds the leader against runaway programs.
+	maxInstrs = 1 << 32
 )
 
 // Options configure a time-parallel run.
@@ -129,8 +129,6 @@ type Options struct {
 	// cache geometry and predictor type or sampled segment restores will
 	// fail; nil (cold checkpoints) is always safe.
 	Warm func(c *iss.CPU)
-	// MaxInstrs bounds the leader run (default 1<<32).
-	MaxInstrs uint64
 	// PosBudget bounds each segment in its engine's position unit (cycles,
 	// or instructions for functional engines), counted from the segment's
 	// start; exact mode bounds the whole run by Segments times this. 0
@@ -144,9 +142,10 @@ type Options struct {
 	// Context cancels the run; nil means context.Background().
 	Context context.Context
 	// Progress receives cumulative (cycles, instret) across all segments.
-	// In sampled mode it is called concurrently from several workers, and
-	// the totals can exceed the stitched result (reassigned segments
-	// simulate twice; drain overshoot counts boundary instructions twice).
+	// Calls never overlap and the totals only rise, even with several
+	// sampled-mode workers. In sampled mode the totals can exceed the
+	// stitched result (reassigned segments simulate twice; drain overshoot
+	// counts boundary instructions twice).
 	Progress func(cycles int64, instret uint64)
 	// Profile enables per-stage stall attribution on every segment; the
 	// merged snapshot lands in Result.Stalls.
@@ -154,9 +153,6 @@ type Options struct {
 	// Fault arms deterministic fault injection at the tpar.segment site of
 	// sampled-mode segment workers. Nil is inert.
 	Fault *faultinj.Injector
-	// Retries caps reassignments of a crashed sampled-mode segment worker
-	// (0: default 2, negative: none).
-	Retries int
 	// Logf receives clamp warnings and crash notes (nil: silent).
 	Logf func(format string, args ...any)
 }
@@ -166,13 +162,6 @@ func (o *Options) context() context.Context {
 		return o.Context
 	}
 	return context.Background()
-}
-
-func (o *Options) maxInstrs() uint64 {
-	if o.MaxInstrs != 0 {
-		return o.MaxInstrs
-	}
-	return defaultMaxInstrs
 }
 
 func (o *Options) logf(format string, args ...any) {
@@ -199,7 +188,6 @@ type Plan struct {
 // opt.Segments segments, clamping so no segment is shorter than
 // MinSegment. The plan is engine-independent: any engine can run it.
 func NewPlan(p *arm.Program, opt Options) (*Plan, error) {
-	maxInstrs := opt.maxInstrs()
 	c := iss.New(p, 0)
 	c.MaxInstrs = maxInstrs
 	if err := c.Run(); err != nil {
@@ -284,6 +272,23 @@ type Result struct {
 	State *diffrun.State
 	// Workers is the clamped worker count the run used.
 	Workers int
+}
+
+// Extra returns the result's report extras: segment count, reruns and
+// adopted segments, and in sampled mode the error bound. All of them are
+// independent of the host and of injected faults, so served payloads stay
+// byte-identical; worker and reassignment counts are left out for that
+// reason.
+func (r *Result) Extra() map[string]float64 {
+	m := map[string]float64{
+		"segments": float64(r.Plan.Segments),
+		"reruns":   float64(r.Reruns),
+		"adopted":  float64(r.Adopted),
+	}
+	if r.Mode == Sampled {
+		m["err_bound_pct"] = r.ErrBoundPct
+	}
+	return m
 }
 
 // Run plans and executes a time-parallel run of the program.
@@ -376,7 +381,7 @@ type leader struct {
 func (l *leader) checkpoint(b uint64) (*ckpt.Checkpoint, error) {
 	if l.cpu == nil {
 		l.cpu = iss.New(l.p, 0)
-		l.cpu.MaxInstrs = l.opt.maxInstrs()
+		l.cpu.MaxInstrs = maxInstrs
 		if l.opt.Warm != nil {
 			l.opt.Warm(l.cpu)
 		}
@@ -459,17 +464,23 @@ type runner struct {
 	build      Build
 	ctx        context.Context
 	pool       *batch.Pool
-	progC      atomic.Int64
-	progI      atomic.Uint64
 	reassigned atomic.Int64
+
+	mu    sync.Mutex // serialises Options.Progress over the totals below
+	progC int64
+	progI uint64
 }
 
-// report accumulates progress deltas across all concurrent segments.
+// report adds one segment's progress deltas to the run's totals and passes
+// them to Options.Progress, one call at a time, so concurrent segments
+// never report a total below one already reported.
 func (r *runner) report(dc int64, di uint64) {
-	c := r.progC.Add(dc)
-	i := r.progI.Add(di)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.progC += dc
+	r.progI += di
 	if r.opt.Progress != nil {
-		r.opt.Progress(c, i)
+		r.opt.Progress(r.progC, r.progI)
 	}
 }
 
@@ -477,13 +488,7 @@ func (r *runner) posBudget() int64 {
 	if r.opt.PosBudget > 0 {
 		return r.opt.PosBudget
 	}
-	return hangGuard(r.plan)
-}
-
-// hangGuard is the default position budget, same shape as diffrun's: no
-// engine spends anywhere near 64 positions per retired instruction.
-func hangGuard(plan *Plan) int64 {
-	return int64(plan.Total)*64 + 1_000_000
+	return diffrun.HangGuard(r.plan.Total)
 }
 
 // warmWindow is the sampled-mode measurement window at the head of a
@@ -533,41 +538,17 @@ func (r *runner) runSegment(ctx context.Context, sj segJob) *segResult {
 	}
 	baseC, baseI := st.Progress()
 	lastC, lastI := baseC, baseI
-	report := func() {
-		c, i := st.Progress()
+	report := func(c int64, i uint64) {
 		r.report(c-lastC, i-lastI)
 		lastC, lastI = c, i
 	}
-	chunk := r.opt.Chunk
-	if chunk <= 0 {
-		chunk = batch.DefaultChunk
-	}
 	posLimit := st.Pos() + r.posBudget()
 	drive := func(target uint64) (bool, error) {
-		for {
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
-			limit := st.Pos() + chunk
-			if limit > posLimit {
-				limit = posLimit
-			}
-			exited, err := st.StepToRetired(target, limit)
-			report()
-			if err != nil {
-				return false, err
-			}
-			if exited {
-				return true, nil
-			}
-			if _, i := st.Progress(); i >= target {
-				return false, nil
-			}
-			if st.Pos() >= posLimit {
-				return false, fmt.Errorf("tpar: segment %d: position budget exhausted before %d retired (engine hang?)",
-					sj.index, target)
-			}
+		exited, err := batch.StepRetired(ctx, st, target, posLimit, r.opt.Chunk, report)
+		if err != nil {
+			return false, fmt.Errorf("tpar: segment %d: %w", sj.index, err)
 		}
+		return exited, nil
 	}
 	exited := false
 	if sj.input != nil {
@@ -592,7 +573,7 @@ func (r *runner) runSegment(ctx context.Context, sj segJob) *segResult {
 		if err := st.DrainBoundary(); err != nil {
 			return fail(fmt.Errorf("tpar: segment %d: drain: %w", sj.index, err))
 		}
-		report()
+		report(st.Progress())
 	} else if stateFn != nil {
 		s := stateFn()
 		res.state = &s
@@ -626,17 +607,11 @@ func (s *segResult) bound() {
 }
 
 // dispatch runs the jobs through the pool, reassigning any segment whose
-// worker crashed (panicked) up to the retry budget, and returns results in
+// worker crashed (panicked) up to retries times, and returns results in
 // job order. It never deadlocks: every submitted segment accounts exactly
 // one wg.Done, whether it ran, crashed out of retries, or was refused.
 func (r *runner) dispatch(jobs []segJob) []*segResult {
 	out := make([]*segResult, len(jobs))
-	retries := r.opt.Retries
-	if retries == 0 {
-		retries = defaultRetries
-	} else if retries < 0 {
-		retries = 0
-	}
 	var wg sync.WaitGroup
 	var submit func(i, attempt int)
 	submit = func(i, attempt int) {
@@ -779,7 +754,7 @@ func serial(plan *Plan, build Build, opt Options, lead *leader) (*Result, error)
 		}
 		prof = ins.EnableProfile()
 	}
-	budget := hangGuard(plan)
+	budget := diffrun.HangGuard(plan.Total)
 	if opt.PosBudget > 0 {
 		// PosBudget is per segment; the serial run covers them all.
 		budget = opt.PosBudget * int64(plan.Segments)

@@ -1,15 +1,12 @@
 package tpar
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
-	"rcpn/internal/batch"
 	"rcpn/internal/diffrun"
 	"rcpn/internal/faultinj"
 	"rcpn/internal/workload"
@@ -324,47 +321,60 @@ func TestExactIgnoresSegmentFaults(t *testing.T) {
 	}
 }
 
-// TestStepper drives a parallel run through the batch.Stepper adapter and
-// checks the final numbers match a direct run.
-func TestStepper(t *testing.T) {
+// TestProgressRises: in sampled mode with several workers, Options.Progress
+// is called one call at a time and its totals never fall; at the end they
+// cover the stitched result (reassigned work and drain overshoot can only
+// add to them). The callback keeps its last-seen totals unsynchronised, so
+// overlapping calls are a data race under -race.
+func TestProgressRises(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	w := workload.ByName("crc")
 	p, err := w.Program(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := engineByName(t, "pipe5")
-	opt := Options{Segments: 3, Mode: Exact, Warm: DefaultWarm(e.Name), MinSegment: 64}
-	plan, err := NewPlan(p, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := RunPlan(p, plan, EngineBuild(e, p), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	st := NewStepper(p, EngineBuild(e, p), opt)
-	var mu sync.Mutex
 	var lastC int64
 	var lastI uint64
-	err = batch.Drive(context.Background(), st, 0, 4096, func(c int64, i uint64) {
-		mu.Lock()
-		lastC, lastI = c, i
-		mu.Unlock()
-	})
+	calls, fell := 0, 0
+	opt := Options{Segments: 4, Workers: 4, Mode: Sampled, Warm: DefaultWarm(e.Name),
+		MinSegment: 64, Chunk: 512,
+		Progress: func(c int64, i uint64) {
+			if c < lastC || i < lastI {
+				fell++
+			}
+			lastC, lastI = c, i
+			calls++
+		}}
+	r, err := Run(p, EngineBuild(e, p), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.Result()
+	if r.Workers < 2 {
+		t.Fatalf("ran on %d workers; the test needs concurrent segments", r.Workers)
+	}
+	if fell != 0 {
+		t.Errorf("progress totals fell %d times in %d calls", fell, calls)
+	}
+	if lastC < r.Cycles || lastI < r.Instret {
+		t.Errorf("final progress (%d, %d) short of the stitched result (%d, %d)",
+			lastC, lastI, r.Cycles, r.Instret)
+	}
+}
+
+// TestSegmentBudget: a sampled segment that runs out of its position
+// budget fails with the shared chunk loop's cap error, labelled with the
+// segment index.
+func TestSegmentBudget(t *testing.T) {
+	w := workload.ByName("crc")
+	p, err := w.Program(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cycles != direct.Cycles || res.Instret != direct.Instret {
-		t.Errorf("stepper result (%d, %d) != direct (%d, %d)",
-			res.Cycles, res.Instret, direct.Cycles, direct.Instret)
-	}
-	if lastC != res.Cycles || lastI != res.Instret {
-		t.Errorf("final progress (%d, %d) did not snap to stitched (%d, %d)",
-			lastC, lastI, res.Cycles, res.Instret)
+	e := engineByName(t, "pipe5")
+	opt := Options{Segments: 2, Mode: Sampled, Warm: DefaultWarm(e.Name), MinSegment: 64, PosBudget: 1000}
+	_, err = Run(p, EngineBuild(e, p), opt)
+	if err == nil || !strings.Contains(err.Error(), "tpar: segment 0: batch: cap") {
+		t.Fatalf("want segment 0's cap error, got %v", err)
 	}
 }
