@@ -63,7 +63,7 @@ func assertIdentical(t *testing.T, got, want *tpar.Result) {
 	}
 }
 
-var updateTparGolden = flag.Bool("update-golden", false, "rewrite testdata/tpar_exact.json")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/tpar_exact.json and testdata/ckpt_sha256.json")
 
 // tparGoldenPath pins every exact-mode cell of the matrix. Regenerate with
 //
@@ -114,7 +114,7 @@ func stallDigest(t *testing.T, s *obsv.StallSnapshot) string {
 // loadTparGolden reads the golden table keyed by cell (nil when updating).
 func loadTparGolden(t *testing.T) map[string]tparRow {
 	t.Helper()
-	if *updateTparGolden {
+	if *updateGolden {
 		return nil
 	}
 	data, err := os.ReadFile(tparGoldenPath)
@@ -152,7 +152,7 @@ func TestTparConformance(t *testing.T) {
 	golden := loadTparGolden(t)
 	var rows []tparRow
 	defer func() {
-		if *updateTparGolden && !t.Failed() {
+		if *updateGolden && !t.Failed() {
 			writeTparGolden(t, rows)
 		}
 	}()
