@@ -154,8 +154,7 @@ func TestISSHandoff(t *testing.T) {
 	if err := golden.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ref := diffrun.StateOf(func(r arm.Reg) uint32 { return golden.R[r] },
-		golden.F, golden.Mem, golden.Instret, golden.Exit, golden.Output, golden.Text)
+	ref := diffrun.StateOf(golden)
 
 	for _, e := range cycleEngines() {
 		t.Run(e.Name, func(t *testing.T) {

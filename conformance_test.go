@@ -52,8 +52,7 @@ func goldenState(t *testing.T, p *arm.Program) diffrun.State {
 	if err := golden.Run(); err != nil {
 		t.Fatalf("iss: %v", err)
 	}
-	return diffrun.StateOf(func(r arm.Reg) uint32 { return golden.R[r] },
-		golden.F, golden.Mem, golden.Instret, golden.Exit, golden.Output, golden.Text)
+	return diffrun.StateOf(golden)
 }
 
 // matrixRun runs every engine — plain and checkpointed — against the golden

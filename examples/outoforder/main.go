@@ -68,7 +68,7 @@ func (m *memory) delay(addr uint32) int64 {
 }
 
 // pool recycles instruction tokens between program runs.
-var pool core.TokenPool
+var pool core.TokenArena
 
 func main() {
 	gpr := reg.NewFile("R", 8)

@@ -52,7 +52,7 @@ func main() {
 	// while L1 has capacity. Tokens come from a free-list pool refilled by
 	// the retire callback, so a long-running model allocates only as many
 	// tokens as are ever simultaneously in flight.
-	var pool core.TokenPool
+	var pool core.TokenArena
 	n.OnRetire(pool.Put)
 	program := []core.ClassID{classLong, classShort, classLong, classLong, classShort}
 	next := 0
@@ -81,7 +81,7 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("done: %d instructions retired in %d cycles (%d Token values allocated)\n",
-		n.RetiredCount, n.CycleCount(), pool.Len())
+		n.RetiredCount, n.CycleCount(), pool.Allocated())
 
 	fmt.Println("\nGraphviz rendering of the model (paste into dot):")
 	fmt.Println(n.Dot([]string{"long", "short"}))

@@ -65,7 +65,7 @@ type instr struct {
 func (in *instr) InState(s int) bool { return in.tok.InState(s) }
 
 // pool recycles instruction tokens between program runs.
-var pool core.TokenPool
+var pool core.TokenArena
 
 func main() {
 	gpr := reg.NewFile("R", 8)

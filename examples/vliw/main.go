@@ -48,7 +48,7 @@ type bundle struct {
 func (b *bundle) InState(s int) bool { return b.tok.InState(s) }
 
 // pool recycles instruction tokens between program runs.
-var pool core.TokenPool
+var pool core.TokenArena
 
 func main() {
 	gpr := reg.NewFile("R", 8)

@@ -7,6 +7,29 @@ type Flags struct {
 	N, Z, C, V bool
 }
 
+// Pack returns the flags as one NZCV word: bit 3 = N, 2 = Z, 1 = C, 0 = V.
+func (f Flags) Pack() uint32 {
+	var v uint32
+	if f.N {
+		v |= 8
+	}
+	if f.Z {
+		v |= 4
+	}
+	if f.C {
+		v |= 2
+	}
+	if f.V {
+		v |= 1
+	}
+	return v
+}
+
+// UnpackFlags is the inverse of Pack; bits above the low four are ignored.
+func UnpackFlags(v uint32) Flags {
+	return Flags{N: v&8 != 0, Z: v&4 != 0, C: v&2 != 0, V: v&1 != 0}
+}
+
 // Shifter applies a barrel-shifter operation and returns the result together
 // with the shifter carry-out, following the ARM ARM semantics for
 // immediate-amount shifts (byReg=false) and register-amount shifts

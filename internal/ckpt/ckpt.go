@@ -21,7 +21,9 @@
 // point where architected state alone determines all future behavior. Every
 // simulator in this repository can restore one, so any (producer, consumer)
 // handoff pair works: ISS -> RCPN-StrongARM, ISS -> baseline, StrongARM ->
-// StrongARM across processes, and so on.
+// StrongARM across processes, and so on. The architected fields are copied
+// in and out in one place, arch.State's CaptureArch and RestoreArch; each
+// engine adds only its warm units (Units).
 //
 // The binary codec (codec.go) is versioned, deterministic and
 // round-trippable: Encode of a Decode output is byte-identical, and two
@@ -31,7 +33,6 @@ package ckpt
 import (
 	"fmt"
 
-	"rcpn/internal/arm"
 	"rcpn/internal/bpred"
 	"rcpn/internal/mem"
 )
@@ -49,7 +50,8 @@ type Checkpoint struct {
 	// R holds r0..r14; R[15] is the address of the next instruction to
 	// fetch (the ISS convention).
 	R [16]uint32
-	// Flags is the packed NZCV (bit 3 = N, 2 = Z, 1 = C, 0 = V).
+	// Flags is the packed NZCV (arm.Flags.Pack: bit 3 = N, 2 = Z, 1 = C,
+	// 0 = V).
 	Flags uint32
 	// Instret counts architecturally retired instructions at the snapshot.
 	Instret uint64
@@ -76,29 +78,6 @@ type Checkpoint struct {
 
 // PC returns the next fetch address.
 func (ck *Checkpoint) PC() uint32 { return ck.R[15] }
-
-// ArchFlags returns the unpacked NZCV flags.
-func (ck *Checkpoint) ArchFlags() arm.Flags {
-	return arm.Flags{N: ck.Flags&8 != 0, Z: ck.Flags&4 != 0, C: ck.Flags&2 != 0, V: ck.Flags&1 != 0}
-}
-
-// SetArchFlags stores f in packed form.
-func (ck *Checkpoint) SetArchFlags(f arm.Flags) {
-	var v uint32
-	if f.N {
-		v |= 8
-	}
-	if f.Z {
-		v |= 4
-	}
-	if f.C {
-		v |= 2
-	}
-	if f.V {
-		v |= 1
-	}
-	ck.Flags = v
-}
 
 // CaptureMem copies m's contents as the canonical page set.
 func CaptureMem(m *mem.Memory) []Page {

@@ -93,6 +93,11 @@ func (a *TokenArena) Reset() {
 // tests).
 func (a *TokenArena) Live() int { return int(a.next) - len(a.free) }
 
+// Allocated returns the number of distinct slots handed out since the last
+// Reset: the Token values a model has needed, however often each was
+// recycled.
+func (a *TokenArena) Allocated() int { return int(a.next) }
+
 // Cap returns the number of slots the arena has ever backed with memory.
 func (a *TokenArena) Cap() int { return len(a.blocks) * arenaBlockSize }
 

@@ -495,8 +495,8 @@ func (p *Place) DrainReservations() {
 }
 
 // NewToken returns a fresh instruction token of the given class and payload,
-// heap-allocated outside any arena. Hot paths should prefer a TokenArena or
-// TokenPool; NewToken remains for one-off tokens and external callers.
+// heap-allocated outside any arena. Hot paths should prefer a TokenArena;
+// NewToken remains for one-off tokens and external callers.
 func NewToken(class ClassID, data any) *Token {
 	return &Token{Class: class, Data: data, movedAt: -1, readyAt: -1, extState: -1, idx: -1}
 }
@@ -515,59 +515,4 @@ func (t *Token) Recycle(class ClassID, data any) {
 	t.pooled = false
 	t.seq = 0
 	t.extState = -1
-}
-
-// TokenPool is a free list of instruction tokens backed by a TokenArena:
-// retire callbacks put tokens back, sources get recycled ones out, and a
-// free-list miss allocates from the arena's contiguous blocks — so
-// steady-state simulation performs no token allocation at all and the
-// in-flight set stays cache-dense. The zero value is ready to use. Models
-// that cache richer per-instruction state (like machine.Inst) keep their
-// own pools; TokenPool serves bare-token models — the engine benchmarks,
-// the examples and the CPN comparison harness.
-type TokenPool struct {
-	arena TokenArena
-	free  []*Token
-}
-
-// Get returns a token of the given class and payload, reusing a recycled
-// one when available and arena-allocating otherwise.
-func (tp *TokenPool) Get(class ClassID, data any) *Token {
-	if k := len(tp.free); k > 0 {
-		t := tp.free[k-1]
-		tp.free = tp.free[:k-1]
-		t.Recycle(class, data)
-		return t
-	}
-	return tp.arena.Get(class, data)
-}
-
-// Put recycles a token into the pool. The caller must no longer reference
-// it; the token's payload is cleared so pooled tokens do not pin data.
-// Putting the same token twice used to corrupt the free list silently (the
-// token would be handed out to two owners); now the duplicate is detected
-// through the pooled flag — race and rcpn_tokendebug builds panic at the
-// offending call site, release builds drop the duplicate and keep the free
-// list intact.
-func (tp *TokenPool) Put(t *Token) {
-	if t.pooled {
-		if poolDebug {
-			panic("core: TokenPool.Put called twice for the same token")
-		}
-		return
-	}
-	t.Data = nil
-	t.pooled = true
-	tp.free = append(tp.free, t)
-}
-
-// Len returns the number of pooled tokens (observability for tests).
-func (tp *TokenPool) Len() int { return len(tp.free) }
-
-// Reset bulk-frees the pool between jobs: the free list empties and the
-// arena reclaims every slot while keeping its blocks, so the next job
-// allocates nothing. Tokens obtained from this pool must no longer be live.
-func (tp *TokenPool) Reset() {
-	tp.free = tp.free[:0]
-	tp.arena.Reset()
 }

@@ -13,7 +13,7 @@ import "rcpn/internal/core"
 // allocates nothing. They carry no payload: boxing a counter into
 // Token.Data would allocate per token.
 func Fig2(limit *int) (*core.Net, *core.Place) {
-	var pool core.TokenPool
+	var pool core.TokenArena
 	n := core.NewNet(2)
 	l1 := n.Place("L1", n.Stage("L1", 1))
 	l2 := n.Place("L2", n.Stage("L2", 1))

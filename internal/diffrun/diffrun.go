@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 
+	"rcpn/internal/arch"
 	"rcpn/internal/arm"
 	"rcpn/internal/batch"
 	"rcpn/internal/bpred"
@@ -42,21 +43,31 @@ type State struct {
 	Text    string
 }
 
-// StateOf captures a State from a simulator's accessors.
-func StateOf(reg func(arm.Reg) uint32, flags arm.Flags, m *mem.Memory,
-	instret uint64, exit uint32, output []uint32, text []byte) State {
+// Architected is an engine that exposes its architected machine: registers
+// (r15 is the next fetch address), flags and the shared arch.State record.
+type Architected interface {
+	Arch() ([16]uint32, arm.Flags, *arch.State)
+}
+
+// StateOf captures the comparable State of a simulator's architected
+// machine.
+func StateOf(a Architected) State {
+	r, f, st := a.Arch()
 	s := State{
-		Flags:   flags,
-		MemHash: m.Digest(),
-		Instret: instret,
-		Exit:    exit,
-		Output:  output,
-		Text:    string(text),
+		Flags:   f,
+		MemHash: st.Mem.Digest(),
+		Instret: st.Instret,
+		Exit:    st.Exit,
+		Output:  st.Output,
+		Text:    string(st.Text),
 	}
-	for r := 0; r < 15; r++ {
-		s.Regs[r] = reg(arm.Reg(r))
-	}
+	copy(s.Regs[:], r[:15])
 	return s
+}
+
+// stateOf is the registry's one final-state extractor.
+func stateOf(a Architected) func() State {
+	return func() State { return StateOf(a) }
 }
 
 // Diff returns one line per field where s differs from the golden state,
@@ -179,12 +190,6 @@ func warmUnits(fill func(*machine.Config)) func() Config {
 	}
 }
 
-func machineState(m *machine.Machine) func() State {
-	return func() State {
-		return StateOf(m.Reg, m.Flags(), m.Mem, m.Instret, m.ExitCode, m.Output, m.Text)
-	}
-}
-
 // machineEngine is the row of an RCPN model built by lowering spec through
 // machine.Generate, with units filling the non-pipeline units a run leaves
 // unset.
@@ -197,7 +202,7 @@ func machineEngine(name string, spec machine.Spec, units func(*machine.Config)) 
 			if err != nil {
 				return nil, nil, err
 			}
-			return m, machineState(m), nil
+			return m, stateOf(m), nil
 		}}
 }
 
@@ -205,14 +210,11 @@ func builtinEngines() []Engine {
 	return []Engine{
 		{Name: "iss", Functional: true, New: func(p *arm.Program, _ Config) (batch.CheckpointStepper, func() State, error) {
 			c := iss.New(p, 0)
-			return c, func() State {
-				return StateOf(func(r arm.Reg) uint32 { return c.R[r] },
-					c.F, c.Mem, c.Instret, c.Exit, c.Output, c.Text)
-			}, nil
+			return c, stateOf(c), nil
 		}},
 		{Name: "func", Functional: true, New: func(p *arm.Program, _ Config) (batch.CheckpointStepper, func() State, error) {
 			m := machine.NewFunctional(p, machine.Config{})
-			return m, machineState(m), nil
+			return m, stateOf(m), nil
 		}},
 		machineEngine("strongarm", machine.StrongARMSpec(), machine.StrongARMUnits),
 		machineEngine("xscale", machine.XScaleSpec(), machine.XScaleUnits),
@@ -220,17 +222,12 @@ func builtinEngines() []Engine {
 		{Name: "pipe5", Warm: warmUnits(machine.StrongARMUnits),
 			New: func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
 				s := pipe5.New(p, pipe5.Config{Caches: cfg.Caches, Predictor: cfg.Predictor})
-				return s, func() State {
-					return StateOf(func(r arm.Reg) uint32 { return s.R[r] },
-						s.F, s.Mem, s.Instret, s.ExitCode, s.Output, s.Text)
-				}, nil
+				return s, stateOf(s), nil
 			}},
 		{Name: "ssim", Warm: warmUnits(machine.StrongARMUnits),
 			New: func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
 				s := ssim.New(p, ssim.Config{Caches: cfg.Caches, Predictor: cfg.Predictor})
-				return s, func() State {
-					return StateOf(s.Reg, s.Flags(), s.Mem(), s.Instret, s.ExitCode(), s.Output(), s.Text())
-				}, nil
+				return s, stateOf(s), nil
 			}},
 	}
 }
@@ -424,8 +421,7 @@ func Run(p *arm.Program, opt Options) (Result, error) {
 	if err := golden.Run(); err != nil {
 		return Result{}, fmt.Errorf("golden iss: %w", err)
 	}
-	res := Result{Golden: StateOf(func(r arm.Reg) uint32 { return golden.R[r] },
-		golden.F, golden.Mem, golden.Instret, golden.Exit, golden.Output, golden.Text)}
+	res := Result{Golden: StateOf(golden)}
 
 	posLimit := opt.PosLimit
 	if posLimit == 0 {

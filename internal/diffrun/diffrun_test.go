@@ -119,8 +119,7 @@ buf:
 	if err := golden.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := StateOf(func(r arm.Reg) uint32 { return golden.R[r] },
-		golden.F, golden.Mem, golden.Instret, golden.Exit, golden.Output, golden.Text)
+	want := StateOf(golden)
 	if len(want.Output) != 1 || want.Output[0] != 12 {
 		t.Fatalf("iss emitted %v, want [12]", want.Output)
 	}
@@ -137,6 +136,31 @@ buf:
 		}
 		if d := state().Diff(want); len(d) > 0 {
 			t.Errorf("%s diverges from the iss:\n%s", name, strings.Join(d, "\n"))
+		}
+	}
+}
+
+// TestUnknownSyscall runs a program whose third instruction is an
+// undefined system call on every registry engine. Each must fail with the
+// syscall number and address; the error prefix names the failing core and
+// differs between engines, so it is not pinned.
+func TestUnknownSyscall(t *testing.T) {
+	const src = `
+	mov r0, #5
+	swi #1
+	swi #7
+	mov r0, #0
+	swi #0
+`
+	p, err := arm.Assemble(src, 0x1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "unknown syscall 7 at 0x00001008"
+	for _, e := range Engines() {
+		_, err := RunPlain(e, p, 10_000)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one containing %q", e.Name, err, want)
 		}
 	}
 }

@@ -15,6 +15,6 @@ func init() {
 	Register(Engine{Name: "genpipe5", Warm: warmUnits(machine.StrongARMUnits),
 		New: func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
 			s := genpipe5.New(p, machine.Config{Caches: cfg.Caches, Predictor: cfg.Predictor})
-			return s, machineState(s.Runtime()), nil
+			return s, stateOf(s.Runtime()), nil
 		}})
 }

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"rcpn/internal/arm"
 	"rcpn/internal/bpred"
 	"rcpn/internal/gen"
 	"rcpn/internal/genpipe5"
@@ -150,9 +149,11 @@ func compareTwins(t *testing.T, gs *genpipe5.Sim, gprof *obsv.StallProfile, im *
 	if gm.Instret != im.Instret {
 		t.Errorf("instret: generated %d, interpreted %d", gm.Instret, im.Instret)
 	}
+	gr, _, _ := gm.Arch()
+	ir, _, _ := im.Arch()
 	for r := 0; r < 15; r++ {
-		if g, i := gm.Reg(arm.Reg(r)), im.Reg(arm.Reg(r)); g != i {
-			t.Errorf("r%d: generated %#x, interpreted %#x", r, g, i)
+		if gr[r] != ir[r] {
+			t.Errorf("r%d: generated %#x, interpreted %#x", r, gr[r], ir[r])
 		}
 	}
 	if gm.Flags() != im.Flags() {
@@ -161,8 +162,8 @@ func compareTwins(t *testing.T, gs *genpipe5.Sim, gprof *obsv.StallProfile, im *
 	if g, i := gm.Mem.Digest(), im.Mem.Digest(); g != i {
 		t.Errorf("memory digest: generated %#x, interpreted %#x", g, i)
 	}
-	if gm.ExitCode != im.ExitCode {
-		t.Errorf("exit: generated %d, interpreted %d", gm.ExitCode, im.ExitCode)
+	if gm.Exit != im.Exit {
+		t.Errorf("exit: generated %d, interpreted %d", gm.Exit, im.Exit)
 	}
 	if err := gprof.Validate(); err != nil {
 		t.Errorf("generated profile: %v", err)

@@ -3,6 +3,7 @@ package iss
 import (
 	"fmt"
 
+	"rcpn/internal/arch"
 	"rcpn/internal/arm"
 	"rcpn/internal/ckpt"
 	"rcpn/internal/mem"
@@ -29,21 +30,17 @@ func (c *CPU) RunN(n uint64) (uint64, error) {
 	return c.Instret - start, nil
 }
 
+// Arch returns the architected machine: registers (r15 is the next fetch
+// address), flags and the shared record.
+func (c *CPU) Arch() ([16]uint32, arm.Flags, *arch.State) { return c.R, c.F, &c.State }
+
 // Checkpoint captures the complete architected state, plus warm
 // microarchitectural state when warm units are attached. Every instruction
 // boundary is drained, so it never fails; the error result matches
 // batch.CheckpointStepper.
 func (c *CPU) Checkpoint() (*ckpt.Checkpoint, error) {
-	ck := &ckpt.Checkpoint{
-		R:       c.R,
-		Instret: c.Instret,
-		Exited:  c.Exited,
-		Exit:    c.Exit,
-		Output:  append([]uint32(nil), c.Output...),
-		Text:    append([]byte(nil), c.Text...),
-		Mem:     ckpt.CaptureMem(c.Mem),
-	}
-	ck.SetArchFlags(c.F)
+	r, f, st := c.Arch()
+	ck := st.CaptureArch(r, f)
 	ck.CaptureUnits(c.warm())
 	return ck, nil
 }
@@ -52,14 +49,7 @@ func (c *CPU) Checkpoint() (*ckpt.Checkpoint, error) {
 // decode cache is dropped (the restored image may differ) and any attached
 // warm units are reset, then warmed from the checkpoint if it carries state.
 func (c *CPU) Restore(ck *ckpt.Checkpoint) error {
-	c.R = ck.R
-	c.F = ck.ArchFlags()
-	c.Instret = ck.Instret
-	c.Exited = ck.Exited
-	c.Exit = ck.Exit
-	c.Output = append(c.Output[:0], ck.Output...)
-	c.Text = append(c.Text[:0], ck.Text...)
-	ckpt.RestoreMem(c.Mem, ck.Mem)
+	c.R, c.F = c.RestoreArch(ck)
 	c.decode.reset()
 	return ck.RestoreUnits(c.warm())
 }
@@ -72,7 +62,7 @@ func (c *CPU) warm() ckpt.Units {
 // NewFromCheckpoint builds a CPU directly from a checkpoint, with no program
 // image (the checkpointed memory is the image).
 func NewFromCheckpoint(ck *ckpt.Checkpoint) (*CPU, error) {
-	c := &CPU{Mem: mem.New()}
+	c := &CPU{State: arch.State{Mem: mem.New()}}
 	if err := c.Restore(ck); err != nil {
 		return nil, err
 	}

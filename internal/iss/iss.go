@@ -8,7 +8,9 @@ package iss
 
 import (
 	"fmt"
+	"math"
 
+	"rcpn/internal/arch"
 	"rcpn/internal/arm"
 	"rcpn/internal/bpred"
 	"rcpn/internal/mem"
@@ -17,15 +19,9 @@ import (
 
 // CPU is the architected state plus execution plumbing.
 type CPU struct {
-	R   [16]uint32 // R[15] is the address of the *next* instruction to fetch
-	F   arm.Flags
-	Mem *mem.Memory
-
-	Instret uint64   // retired instruction count
-	Output  []uint32 // words emitted via SysEmit
-	Text    []byte   // bytes emitted via SysPutc
-	Exited  bool
-	Exit    uint32
+	R [16]uint32 // R[15] is the address of the *next* instruction to fetch
+	F arm.Flags
+	arch.State
 
 	decode     decodeCache
 	lsmScratch []uint32 // block-transfer addresses, reused across LDM/STM
@@ -55,7 +51,7 @@ func New(p *arm.Program, stackTop uint32) *CPU {
 	if stackTop == 0 {
 		stackTop = 0x00400000
 	}
-	c := &CPU{Mem: mem.New(), decode: newDecodeCache(p.Base, len(p.Bytes))}
+	c := &CPU{State: arch.State{Mem: mem.New()}, decode: newDecodeCache(p.Base, len(p.Bytes))}
 	c.Mem.LoadImage(p.Base, p.Bytes)
 	c.R[arm.PC] = p.Entry
 	c.R[arm.SP] = stackTop
@@ -282,15 +278,7 @@ func (c *CPU) Step() error {
 		if ins.Undefined() {
 			return &ErrUndefined{Addr: addr, Raw: raw}
 		}
-		switch ins.SWINum {
-		case arm.SysExit:
-			c.Exited = true
-			c.Exit = c.R[0]
-		case arm.SysEmit:
-			c.Output = append(c.Output, c.R[0])
-		case arm.SysPutc:
-			c.Text = append(c.Text, byte(c.R[0]))
-		default:
+		if !c.Syscall(ins.SWINum, c.R[0]) {
 			return fmt.Errorf("iss: unknown syscall %d at %#08x", ins.SWINum, addr)
 		}
 	}
@@ -301,13 +289,6 @@ func (c *CPU) Step() error {
 
 // Run executes until the program exits (or MaxInstrs is exceeded).
 func (c *CPU) Run() error {
-	for !c.Exited {
-		if c.MaxInstrs != 0 && c.Instret >= c.MaxInstrs {
-			return fmt.Errorf("iss: instruction limit %d exceeded at pc=%#08x", c.MaxInstrs, c.R[arm.PC])
-		}
-		if err := c.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := c.RunN(math.MaxUint64)
+	return err
 }

@@ -3,6 +3,8 @@ package machine
 import (
 	"fmt"
 
+	"rcpn/internal/arch"
+	"rcpn/internal/arm"
 	"rcpn/internal/ckpt"
 	"rcpn/internal/core"
 )
@@ -36,6 +38,16 @@ func (m *Machine) Drained() bool {
 	return m.fetchHold == nil
 }
 
+// Arch returns the architected machine: r0..r14 from the register file,
+// the fetch PC as r15, the flags and the shared record.
+func (m *Machine) Arch() (r [16]uint32, f arm.Flags, st *arch.State) {
+	for i := 0; i < 15; i++ {
+		r[i] = m.regs[i].Value()
+	}
+	r[15] = m.pc
+	return r, m.Flags(), &m.State
+}
+
 // Checkpoint captures the architected state plus the machine's warm
 // microarchitectural state (cache residency, branch-predictor history). It
 // fails unless the pipeline is drained.
@@ -46,20 +58,9 @@ func (m *Machine) Checkpoint() (*ckpt.Checkpoint, error) {
 	if !m.Drained() {
 		return nil, fmt.Errorf("%s: checkpoint requires a drained pipeline (use Drain)", m.Name)
 	}
-	ck := &ckpt.Checkpoint{
-		Instret: m.Instret,
-		Exited:  m.Exited,
-		Exit:    m.ExitCode,
-		Output:  append([]uint32(nil), m.Output...),
-		Text:    append([]byte(nil), m.Text...),
-		Mem:     ckpt.CaptureMem(m.Mem),
-	}
+	r, f, st := m.Arch()
+	ck := st.CaptureArch(r, f)
 	ck.CaptureUnits(m.units())
-	for i := 0; i < 15; i++ {
-		ck.R[i] = m.regs[i].Value()
-	}
-	ck.R[15] = m.pc
-	ck.Flags = m.psrReg.Value() & 0xf
 	return ck, nil
 }
 
@@ -72,21 +73,16 @@ func (m *Machine) Restore(ck *ckpt.Checkpoint) error {
 	if !m.Drained() {
 		return fmt.Errorf("%s: restore requires a drained pipeline", m.Name)
 	}
-	ckpt.RestoreMem(m.Mem, ck.Mem)
+	r, f := m.RestoreArch(ck)
 	vals := make([]uint32, m.GPR.Size())
-	copy(vals, ck.R[:15])
+	copy(vals, r[:15])
 	if err := m.GPR.SetValues(vals); err != nil {
 		return err
 	}
-	if err := m.PSRF.SetValues([]uint32{ck.Flags & 0xf}); err != nil {
+	if err := m.PSRF.SetValues([]uint32{f.Pack()}); err != nil {
 		return err
 	}
-	m.pc = ck.PC()
-	m.Instret = ck.Instret
-	m.Output = append(m.Output[:0], ck.Output...)
-	m.Text = append(m.Text[:0], ck.Text...)
-	m.Exited = ck.Exited
-	m.ExitCode = ck.Exit
+	m.pc = r[15]
 	m.Err = nil
 	m.fetchHold = nil
 	if err := ck.RestoreUnits(m.units()); err != nil {

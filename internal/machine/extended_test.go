@@ -41,31 +41,32 @@ func crossCheckAll(t *testing.T, src string) {
 	if err := sa.Run(0); err != nil {
 		t.Fatalf("strongarm: %v", err)
 	}
-	check("strongarm", sa.Output, sa.ExitCode, sa.Instret)
+	check("strongarm", sa.Output, sa.Exit, sa.Instret)
 
 	xs := xScale.build(t, p, Config{})
 	if err := xs.Run(0); err != nil {
 		t.Fatalf("xscale: %v", err)
 	}
-	check("xscale", xs.Output, xs.ExitCode, xs.Instret)
+	check("xscale", xs.Output, xs.Exit, xs.Instret)
 
 	fn := NewFunctional(p, Config{})
 	if err := fn.RunFunctional(0); err != nil {
 		t.Fatalf("functional: %v", err)
 	}
-	check("functional", fn.Output, fn.ExitCode, fn.Instret)
+	check("functional", fn.Output, fn.Exit, fn.Instret)
 
 	bs := ssim.New(p, ssim.Config{})
 	if err := bs.Run(0); err != nil {
 		t.Fatalf("ssim: %v", err)
 	}
-	check("ssim", bs.Output(), bs.ExitCode(), bs.Instret)
+	_, _, bst := bs.Arch()
+	check("ssim", bst.Output, bst.Exit, bs.Instret)
 
 	hp := pipe5.New(p, pipe5.Config{})
 	if err := hp.Run(0); err != nil {
 		t.Fatalf("pipe5: %v", err)
 	}
-	check("pipe5", hp.Output, hp.ExitCode, hp.Instret)
+	check("pipe5", hp.Output, hp.Exit, hp.Instret)
 }
 
 func TestHalfwordTransfersAllSimulators(t *testing.T) {

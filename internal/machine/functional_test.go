@@ -24,8 +24,8 @@ func runFunctional(t *testing.T, src string) *Machine {
 	if err := m.RunFunctional(5_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if m.ExitCode != golden.Exit || m.Instret != golden.Instret {
-		t.Fatalf("exit/instret: %d/%d vs iss %d/%d", m.ExitCode, m.Instret, golden.Exit, golden.Instret)
+	if m.Exit != golden.Exit || m.Instret != golden.Instret {
+		t.Fatalf("exit/instret: %d/%d vs iss %d/%d", m.Exit, m.Instret, golden.Exit, golden.Instret)
 	}
 	if len(m.Output) != len(golden.Output) {
 		t.Fatalf("output %v vs %v", m.Output, golden.Output)
@@ -38,9 +38,10 @@ func runFunctional(t *testing.T, src string) *Machine {
 	if string(m.Text) != string(golden.Text) {
 		t.Errorf("text %q vs %q", m.Text, golden.Text)
 	}
-	for r := arm.Reg(0); r < 15; r++ {
-		if m.Reg(r) != golden.R[r] {
-			t.Errorf("r%d = %#x, iss %#x", r, m.Reg(r), golden.R[r])
+	regs, _, _ := m.Arch()
+	for r := 0; r < 15; r++ {
+		if regs[r] != golden.R[r] {
+			t.Errorf("r%d = %#x, iss %#x", r, regs[r], golden.R[r])
 		}
 	}
 	return m

@@ -242,7 +242,7 @@ func (m *Machine) newInst(addr uint32) *Inst {
 
 // flags returns the architected NZCV as seen by this instruction's psr ref
 // (valid only after psr.Read()).
-func (in *Inst) flags() arm.Flags { return unpackFlags(in.psr.Value()) }
+func (in *Inst) flags() arm.Flags { return arm.UnpackFlags(in.psr.Value()) }
 
 // readFrom loads a register source from the file or the first bypass state
 // holding it (guards must have established readability) and attributes the

@@ -13,6 +13,7 @@ package machine
 import (
 	"fmt"
 
+	"rcpn/internal/arch"
 	"rcpn/internal/arm"
 	"rcpn/internal/batch"
 	"rcpn/internal/bpred"
@@ -73,9 +74,12 @@ type Machine struct {
 	// and the batch.CheckpointStepper methods) over the machine's cycles.
 	batch.Driver
 
+	// State is the architected record shared with every engine; the
+	// registers and flags live in GPR and PSRF, the paper's register model.
+	arch.State
+
 	Name string
 	Net  *core.Net
-	Mem  *mem.Memory
 
 	GPR    *reg.File // r0..r14 (+ a scratch cell for r15)
 	PSRF   *reg.File // one cell: packed NZCV
@@ -92,13 +96,7 @@ type Machine struct {
 	fetchHold *Inst // serializing instruction (SWI) holding fetch
 	holdFetch bool  // front end paused while draining to a checkpoint boundary
 
-	// Program results (must match the ISS golden model).
-	Output   []uint32
-	Text     []byte
-	Exited   bool
-	ExitCode uint32
-	Instret  uint64 // architecturally retired instructions
-	Err      error
+	Err error // first fatal simulation failure (fail)
 
 	// Flushes counts pipeline flushes (mispredictions + PC writes).
 	Flushes uint64
@@ -131,28 +129,6 @@ type Machine struct {
 	classNames []string
 }
 
-// packFlags packs NZCV into the PSR cell representation.
-func packFlags(f arm.Flags) uint32 {
-	var v uint32
-	if f.N {
-		v |= 8
-	}
-	if f.Z {
-		v |= 4
-	}
-	if f.C {
-		v |= 2
-	}
-	if f.V {
-		v |= 1
-	}
-	return v
-}
-
-func unpackFlags(v uint32) arm.Flags {
-	return arm.Flags{N: v&8 != 0, Z: v&4 != 0, C: v&2 != 0, V: v&1 != 0}
-}
-
 // newMachine builds the model-independent parts.
 func newMachine(name string, p *arm.Program, cfg Config, defaults func(*Config)) *Machine {
 	defaults(&cfg)
@@ -160,8 +136,8 @@ func newMachine(name string, p *arm.Program, cfg Config, defaults func(*Config))
 		cfg.StackTop = 0x00400000
 	}
 	m := &Machine{
+		State:     arch.State{Mem: mem.New()},
 		Name:      name,
-		Mem:       mem.New(),
 		GPR:       reg.NewFile("gpr", 16),
 		PSRF:      reg.NewFile("psr", 1),
 		ICache:    cfg.Caches.I,
@@ -188,15 +164,7 @@ func newMachine(name string, p *arm.Program, cfg Config, defaults func(*Config))
 }
 
 // Flags returns the current architected NZCV flags.
-func (m *Machine) Flags() arm.Flags { return unpackFlags(m.psrReg.Value()) }
-
-// Reg returns the architected value of register r (r15 returns the fetch PC).
-func (m *Machine) Reg(r arm.Reg) uint32 {
-	if r == arm.PC {
-		return m.pc
-	}
-	return m.regs[r].Value()
-}
+func (m *Machine) Flags() arm.Flags { return arm.UnpackFlags(m.psrReg.Value()) }
 
 // PC returns the current (speculative) fetch program counter.
 func (m *Machine) PC() uint32 { return m.pc }
@@ -390,15 +358,7 @@ func (m *Machine) flushAfter(seq uint64, newPC uint32) {
 
 // syscall performs the architected effect of a SWI at its commit point.
 func (m *Machine) syscall(in *Inst) {
-	switch in.I.SWINum {
-	case arm.SysExit:
-		m.Exited = true
-		m.ExitCode = in.src1.Value()
-	case arm.SysEmit:
-		m.Output = append(m.Output, in.src1.Value())
-	case arm.SysPutc:
-		m.Text = append(m.Text, byte(in.src1.Value()))
-	default:
+	if !m.Syscall(in.I.SWINum, in.src1.Value()) {
 		m.fail("unknown syscall %d at %#08x", in.I.SWINum, in.I.Addr)
 	}
 }

@@ -31,8 +31,8 @@ func crossCheck(t *testing.T, src string) map[string]*Machine {
 		if err := m.Run(20_000_000); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if m.ExitCode != golden.Exit {
-			t.Errorf("%s: exit %d, iss %d", name, m.ExitCode, golden.Exit)
+		if m.Exit != golden.Exit {
+			t.Errorf("%s: exit %d, iss %d", name, m.Exit, golden.Exit)
 		}
 		if len(m.Output) != len(golden.Output) {
 			t.Fatalf("%s: output %v, iss %v", name, m.Output, golden.Output)
@@ -50,9 +50,10 @@ func crossCheck(t *testing.T, src string) map[string]*Machine {
 		}
 		// Architected registers must match too (r15 excluded: ISS holds the
 		// post-exit pc, the machine the speculative fetch pc).
-		for r := arm.Reg(0); r < 15; r++ {
-			if m.Reg(r) != golden.R[r] {
-				t.Errorf("%s: r%d = %#x, iss %#x", name, r, m.Reg(r), golden.R[r])
+		regs, _, _ := m.Arch()
+		for r := 0; r < 15; r++ {
+			if regs[r] != golden.R[r] {
+				t.Errorf("%s: r%d = %#x, iss %#x", name, r, regs[r], golden.R[r])
 			}
 		}
 		out[name] = m

@@ -27,7 +27,7 @@ func (in *Inst) peekCond(bypass []int) (pass, ready bool) {
 	if !ok {
 		return false, false
 	}
-	f := unpackFlags(v)
+	f := arm.UnpackFlags(v)
 	return in.I.Cond.Passes(f.N, f.Z, f.C, f.V), true
 }
 
@@ -152,7 +152,7 @@ func (in *Inst) Execute() {
 			in.dst.SetValue(res)
 		}
 		if in.writesFlags {
-			in.psr.SetValue(packFlags(nf))
+			in.psr.SetValue(nf.Pack())
 		}
 		if in.writesPC {
 			in.resolveControl(res &^ 3)
@@ -179,7 +179,7 @@ func (in *Inst) Execute() {
 			in.dst.SetValue(res)
 		}
 		if in.writesFlags {
-			in.psr.SetValue(packFlags(nf))
+			in.psr.SetValue(nf.Pack())
 		}
 
 	case arm.ClassLoadStore:

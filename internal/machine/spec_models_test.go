@@ -162,7 +162,7 @@ func runSpecCell(t *testing.T, c specCell) specRow {
 	h.Write(mc.Text)
 	io.WriteString(h, prof.Table())
 	return specRow{Cell: c.name, Cycles: mc.Net.CycleCount(), Instret: mc.Instret,
-		Flushes: mc.Flushes, Retired: mc.Net.RetiredCount, Exit: mc.ExitCode,
+		Flushes: mc.Flushes, Retired: mc.Net.RetiredCount, Exit: mc.Exit,
 		Output: mc.Output, Trace: hex.EncodeToString(h.Sum(nil))}
 }
 

@@ -3,6 +3,8 @@ package pipe5
 import (
 	"fmt"
 
+	"rcpn/internal/arch"
+	"rcpn/internal/arm"
 	"rcpn/internal/ckpt"
 )
 
@@ -16,6 +18,14 @@ func (s *Sim) Drained() bool {
 	return s.fq == nil && s.dx == nil && s.mx == nil && s.wx == nil
 }
 
+// Arch returns the architected machine: registers with the fetch PC as
+// r15, flags and the shared record.
+func (s *Sim) Arch() ([16]uint32, arm.Flags, *arch.State) {
+	r := s.R
+	r[15] = s.pc
+	return r, s.F, &s.State
+}
+
 // Checkpoint captures the architected state plus warm cache and predictor
 // state. It fails unless the pipeline is drained.
 func (s *Sim) Checkpoint() (*ckpt.Checkpoint, error) {
@@ -25,18 +35,9 @@ func (s *Sim) Checkpoint() (*ckpt.Checkpoint, error) {
 	if !s.Drained() {
 		return nil, fmt.Errorf("pipe5: checkpoint requires a drained pipeline (use Drain)")
 	}
-	ck := &ckpt.Checkpoint{
-		R:       s.R,
-		Instret: s.Instret,
-		Exited:  s.Exited,
-		Exit:    s.ExitCode,
-		Output:  append([]uint32(nil), s.Output...),
-		Text:    append([]byte(nil), s.Text...),
-		Mem:     ckpt.CaptureMem(s.Mem),
-	}
+	r, f, st := s.Arch()
+	ck := st.CaptureArch(r, f)
 	ck.CaptureUnits(s.units())
-	ck.R[15] = s.pc
-	ck.SetArchFlags(s.F)
 	return ck, nil
 }
 
@@ -47,16 +48,9 @@ func (s *Sim) Restore(ck *ckpt.Checkpoint) error {
 	if !s.Drained() {
 		return fmt.Errorf("pipe5: restore requires a drained pipeline")
 	}
-	ckpt.RestoreMem(s.Mem, ck.Mem)
-	s.R = ck.R
+	s.R, s.F = s.RestoreArch(ck)
+	s.pc = s.R[15]
 	s.R[15] = 0 // r15 storage is never architected; the fetch PC carries it
-	s.F = ck.ArchFlags()
-	s.pc = ck.PC()
-	s.Instret = ck.Instret
-	s.Output = append(s.Output[:0], ck.Output...)
-	s.Text = append(s.Text[:0], ck.Text...)
-	s.Exited = ck.Exited
-	s.ExitCode = ck.Exit
 	s.Err = nil
 	s.fetchHold = 0
 	s.pending = [16]int{}

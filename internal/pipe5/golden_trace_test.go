@@ -57,7 +57,7 @@ func TestGoldenTracePipe5(t *testing.T) {
 	for r, v := range s.R {
 		fmt.Fprintf(&b, "r%d=%#x\n", r, v)
 	}
-	fmt.Fprintf(&b, "output=%v exit=%d\n", s.Output, s.ExitCode)
+	fmt.Fprintf(&b, "output=%v exit=%d\n", s.Output, s.Exit)
 
 	path := filepath.Join("testdata", "golden_trace_pipe5_crc.txt")
 	got := b.String()

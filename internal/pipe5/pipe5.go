@@ -15,6 +15,7 @@ package pipe5
 import (
 	"fmt"
 
+	"rcpn/internal/arch"
 	"rcpn/internal/arm"
 	"rcpn/internal/batch"
 	"rcpn/internal/bpred"
@@ -64,7 +65,9 @@ type Sim struct {
 	// and the batch.CheckpointStepper methods) over the simulator's cycles.
 	batch.Driver
 
-	Mem    *mem.Memory
+	// State is the architected record shared with every engine; R and F
+	// are the registers (r15 storage unused: pc is the fetch PC) and flags.
+	arch.State
 	R      [16]uint32
 	F      arm.Flags
 	ICache *mem.Cache
@@ -90,14 +93,9 @@ type Sim struct {
 	idSrcs    []srcRef
 	idDests   []arm.Reg
 
-	Cycles   int64
-	Instret  uint64
-	Flushes  uint64
-	Output   []uint32
-	Text     []byte
-	Exited   bool
-	ExitCode uint32
-	Err      error
+	Cycles  int64
+	Flushes uint64
+	Err     error
 
 	// Observability attachments (obsv.go); nil unless enabled. rdFile and
 	// rdByp tally the ID stage's operand reads during the hazard scan so
@@ -120,7 +118,7 @@ func New(p *arm.Program, cfg Config) *Sim {
 		cfg.StackTop = 0x00400000
 	}
 	s := &Sim{
-		Mem:    mem.New(),
+		State:  arch.State{Mem: mem.New()},
 		ICache: cfg.Caches.I,
 		DCache: cfg.Caches.D,
 		Pred:   cfg.Predictor,
@@ -247,15 +245,7 @@ func (s *Sim) trap(ins *arm.Instr, w *slot) {
 		s.fail("undefined instruction %#08x at %#08x", ins.Raw, ins.Addr)
 		return
 	}
-	switch ins.SWINum {
-	case arm.SysExit:
-		s.Exited = true
-		s.ExitCode = w.srcVals[0]
-	case arm.SysEmit:
-		s.Output = append(s.Output, w.srcVals[0])
-	case arm.SysPutc:
-		s.Text = append(s.Text, byte(w.srcVals[0]))
-	default:
+	if !s.Syscall(ins.SWINum, w.srcVals[0]) {
 		s.fail("unknown syscall %d at %#08x", ins.SWINum, ins.Addr)
 	}
 }

@@ -22,8 +22,8 @@ func crossCheck(t *testing.T, src string) *Sim {
 	if err := s.Run(20_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if s.ExitCode != golden.Exit {
-		t.Errorf("exit %d, iss %d", s.ExitCode, golden.Exit)
+	if s.Exit != golden.Exit {
+		t.Errorf("exit %d, iss %d", s.Exit, golden.Exit)
 	}
 	if len(s.Output) != len(golden.Output) {
 		t.Fatalf("output %v, iss %v", s.Output, golden.Output)

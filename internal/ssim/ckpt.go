@@ -45,10 +45,8 @@ func (s *Sim) Checkpoint() (*ckpt.Checkpoint, error) {
 		return nil, fmt.Errorf("ssim: committed %d but oracle executed %d — window not architectural",
 			s.Instret, s.oracle.Instret)
 	}
-	ck, err := s.oracle.Checkpoint()
-	if err != nil {
-		return nil, err
-	}
+	r, f, st := s.Arch()
+	ck := st.CaptureArch(r, f)
 	ck.CaptureUnits(s.units())
 	return ck, nil
 }

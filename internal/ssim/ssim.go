@@ -29,6 +29,7 @@
 package ssim
 
 import (
+	"rcpn/internal/arch"
 	"rcpn/internal/arm"
 	"rcpn/internal/batch"
 	"rcpn/internal/bpred"
@@ -249,24 +250,11 @@ func New(p *arm.Program, cfg Config) *Sim {
 	return s
 }
 
-// Output returns the emitted word stream.
-func (s *Sim) Output() []uint32 { return s.oracle.Output }
-
-// Text returns the emitted byte stream.
-func (s *Sim) Text() []byte { return s.oracle.Text }
-
-// ExitCode returns the program's exit code.
-func (s *Sim) ExitCode() uint32 { return s.oracle.Exit }
-
-// Reg returns the architected value of register r.
-func (s *Sim) Reg(r arm.Reg) uint32 { return s.oracle.R[r] }
-
-// Mem returns the architected memory (the oracle core's, which is the
-// committed state — wrong-path stores live only in the spec overlay).
-func (s *Sim) Mem() *mem.Memory { return s.oracle.Mem }
-
-// Flags returns the architected NZCV flags.
-func (s *Sim) Flags() arm.Flags { return s.oracle.F }
+// Arch returns the architected machine: the oracle core's registers,
+// flags and record, which are the committed state (wrong-path stores live
+// only in the spec overlay). Its retirement count is the oracle's, which
+// equals Instret once the window is drained or the run finished.
+func (s *Sim) Arch() ([16]uint32, arm.Flags, *arch.State) { return s.oracle.Arch() }
 
 // CPI returns cycles per committed instruction.
 func (s *Sim) CPI() float64 {

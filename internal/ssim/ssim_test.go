@@ -22,26 +22,27 @@ func crossCheck(t *testing.T, src string) *Sim {
 	if err := s.Run(50_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if s.ExitCode() != golden.Exit {
-		t.Errorf("exit %d, iss %d", s.ExitCode(), golden.Exit)
+	regs, _, st := s.Arch()
+	if st.Exit != golden.Exit {
+		t.Errorf("exit %d, iss %d", st.Exit, golden.Exit)
 	}
-	if len(s.Output()) != len(golden.Output) {
-		t.Fatalf("output %v, iss %v", s.Output(), golden.Output)
+	if len(st.Output) != len(golden.Output) {
+		t.Fatalf("output %v, iss %v", st.Output, golden.Output)
 	}
-	for i := range s.Output() {
-		if s.Output()[i] != golden.Output[i] {
-			t.Errorf("output[%d] = %#x, iss %#x", i, s.Output()[i], golden.Output[i])
+	for i := range st.Output {
+		if st.Output[i] != golden.Output[i] {
+			t.Errorf("output[%d] = %#x, iss %#x", i, st.Output[i], golden.Output[i])
 		}
 	}
-	if string(s.Text()) != string(golden.Text) {
-		t.Errorf("text %q, iss %q", s.Text(), golden.Text)
+	if string(st.Text) != string(golden.Text) {
+		t.Errorf("text %q, iss %q", st.Text, golden.Text)
 	}
-	if s.Instret != golden.Instret {
-		t.Errorf("instret %d, iss %d", s.Instret, golden.Instret)
+	if s.Instret != golden.Instret || st.Instret != golden.Instret {
+		t.Errorf("instret %d (oracle %d), iss %d", s.Instret, st.Instret, golden.Instret)
 	}
-	for r := arm.Reg(0); r < 15; r++ {
-		if s.Reg(r) != golden.R[r] {
-			t.Errorf("r%d = %#x, iss %#x", r, s.Reg(r), golden.R[r])
+	for r := 0; r < 15; r++ {
+		if regs[r] != golden.R[r] {
+			t.Errorf("r%d = %#x, iss %#x", r, regs[r], golden.R[r])
 		}
 	}
 	return s
@@ -202,7 +203,9 @@ loop:
 	if err := big.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if small.Output()[0] != big.Output()[0] {
+	_, _, a := small.Arch()
+	_, _, b := big.Arch()
+	if a.Output[0] != b.Output[0] {
 		t.Fatal("window size changed results")
 	}
 	if small.Cycles <= big.Cycles {

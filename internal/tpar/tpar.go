@@ -186,14 +186,15 @@ type Plan struct {
 
 // NewPlan measures the program with a plain ISS pass and splits it into
 // opt.Segments segments, clamping so no segment is shorter than
-// MinSegment. The plan is engine-independent: any engine can run it.
+// MinSegment. The plan is engine-independent: any engine can run it. The
+// pass stops early when opt.Context is cancelled.
 func NewPlan(p *arm.Program, opt Options) (*Plan, error) {
 	c := iss.New(p, 0)
-	c.MaxInstrs = maxInstrs
-	if err := c.Run(); err != nil {
+	exited, err := batch.StepRetired(opt.context(), c, maxInstrs, 0, opt.Chunk, nil)
+	if err != nil {
 		return nil, fmt.Errorf("tpar: leader: %w", err)
 	}
-	if !c.Exited {
+	if !exited {
 		return nil, fmt.Errorf("tpar: leader: program did not exit within %d instructions", maxInstrs)
 	}
 	total := c.Instret
@@ -387,7 +388,7 @@ func (l *leader) checkpoint(b uint64) (*ckpt.Checkpoint, error) {
 		}
 	}
 	c := l.cpu
-	if _, err := c.RunN(b - c.Instret); err != nil {
+	if _, err := batch.StepRetired(l.opt.context(), c, b, 0, l.opt.Chunk, nil); err != nil {
 		return nil, fmt.Errorf("tpar: leader warmup: %w", err)
 	}
 	if c.Exited || c.Instret != b {

@@ -1,6 +1,8 @@
 package tpar
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -376,5 +378,31 @@ func TestSegmentBudget(t *testing.T) {
 	_, err = Run(p, EngineBuild(e, p), opt)
 	if err == nil || !strings.Contains(err.Error(), "tpar: segment 0: batch: cap") {
 		t.Fatalf("want segment 0's cap error, got %v", err)
+	}
+}
+
+// TestCancelledLeader: with Options.Context already cancelled, the ISS
+// planning pass and the leader's checkpoint pass stop at once with
+// context.Canceled instead of running the program through first.
+func TestCancelledLeader(t *testing.T) {
+	p, err := workload.ByName("crc").Program(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := Options{Segments: 4, MinSegment: 256, Context: ctx}
+	if _, err := NewPlan(p, opt); !errors.Is(err, context.Canceled) {
+		t.Errorf("NewPlan: err = %v, want context.Canceled", err)
+	}
+	if _, err := Run(p, EngineBuild(engineByName(t, "pipe5"), p), opt); !errors.Is(err, context.Canceled) {
+		t.Errorf("Run: err = %v, want context.Canceled", err)
+	}
+	plan, err := NewPlan(p, Options{Segments: 4, MinSegment: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := leaderCheckpoints(p, plan, opt); !errors.Is(err, context.Canceled) {
+		t.Errorf("leaderCheckpoints: err = %v, want context.Canceled", err)
 	}
 }

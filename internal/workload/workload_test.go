@@ -108,28 +108,29 @@ func TestCrossSimulatorAgreement(t *testing.T) {
 			}
 
 			sa := runModel(t, p, machine.StrongARMSpec(), machine.StrongARMUnits)
-			check("strongarm", sa.Output, sa.Text, sa.ExitCode, sa.Instret)
+			check("strongarm", sa.Output, sa.Text, sa.Exit, sa.Instret)
 
 			xs := runModel(t, p, machine.XScaleSpec(), machine.XScaleUnits)
-			check("xscale", xs.Output, xs.Text, xs.ExitCode, xs.Instret)
+			check("xscale", xs.Output, xs.Text, xs.Exit, xs.Instret)
 
 			hp := pipe5.New(p, pipe5.Config{})
 			if err := hp.Run(0); err != nil {
 				t.Fatalf("pipe5: %v", err)
 			}
-			check("pipe5", hp.Output, hp.Text, hp.ExitCode, hp.Instret)
+			check("pipe5", hp.Output, hp.Text, hp.Exit, hp.Instret)
 
 			bs := ssim.New(p, ssim.Config{})
 			if err := bs.Run(0); err != nil {
 				t.Fatalf("ssim: %v", err)
 			}
-			check("ssim", bs.Output(), bs.Text(), bs.ExitCode(), bs.Instret)
+			_, _, bst := bs.Arch()
+			check("ssim", bst.Output, bst.Text, bst.Exit, bs.Instret)
 
 			fn := machine.NewFunctional(p, machine.Config{})
 			if err := fn.RunFunctional(0); err != nil {
 				t.Fatalf("functional: %v", err)
 			}
-			check("functional", fn.Output, fn.Text, fn.ExitCode, fn.Instret)
+			check("functional", fn.Output, fn.Text, fn.Exit, fn.Instret)
 
 			// Figure 11 sanity: the CPI-comparable simulators (all modeling
 			// a StrongARM-class machine) are in the same regime — the paper
@@ -172,11 +173,12 @@ func TestExtraKernels(t *testing.T) {
 			if err := bs.Run(0); err != nil {
 				t.Fatalf("ssim: %v", err)
 			}
+			_, _, bst := bs.Arch()
 			for i := range golden.Output {
 				if sa.Output[i] != golden.Output[i] || xs.Output[i] != golden.Output[i] ||
-					bs.Output()[i] != golden.Output[i] {
+					bst.Output[i] != golden.Output[i] {
 					t.Fatalf("output[%d] mismatch: iss %#x sa %#x xs %#x ssim %#x",
-						i, golden.Output[i], sa.Output[i], xs.Output[i], bs.Output()[i])
+						i, golden.Output[i], sa.Output[i], xs.Output[i], bst.Output[i])
 				}
 			}
 			if sa.Instret != golden.Instret || xs.Instret != golden.Instret || bs.Instret != golden.Instret {
