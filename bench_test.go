@@ -233,7 +233,7 @@ func TestBenchmarkHarnessSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden, err := diffrun.GoldenInstret(p)
+	golden, err := diffrun.GoldenInstret(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -274,3 +274,76 @@ func TestCheckpointRequiresDrained(t *testing.T) {
 		t.Error("geometry-mismatched warm state restored without error")
 	}
 }
+
+// emitAcross emits a word (SWI 1) and a character (SWI 2) before and after
+// a loop long enough to hold a checkpoint boundary.
+const emitAcross = `
+	mov r0, #7
+	swi #1
+	mov r0, #65
+	swi #2
+	mov r4, #0
+	ldr r5, =2000
+loop:
+	add r4, r4, r5
+	subs r5, r5, #1
+	bne loop
+	mov r0, r4
+	swi #1
+	mov r0, #66
+	swi #2
+	mov r0, #0
+	swi #0
+`
+
+// TestResumeAfterEmit: a checkpoint taken after a program has emitted
+// carries its output streams. On every registry engine the run checkpoints
+// at a drained boundary inside the loop, past the first SWI 1 and SWI 2,
+// and a fresh instance restored from the encoded checkpoint finishes with
+// the ISS's output, text and final state. So does the donor.
+func TestResumeAfterEmit(t *testing.T) {
+	p, err := arm.Assemble(emitAcross, 0x8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := goldenState(t, p)
+	if len(ref.Output) != 2 || ref.Text != "AB" {
+		t.Fatalf("golden output %v, text %q; want two words and \"AB\"", ref.Output, ref.Text)
+	}
+	for _, e := range diffrun.Engines() {
+		t.Run(e.Name, func(t *testing.T) {
+			donor := buildSim(t, e, p)
+			if err := donor.runN(1000); err != nil {
+				t.Fatal(err)
+			}
+			ck, err := donor.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.Exited || len(ck.Output) != 1 || string(ck.Text) != "A" {
+				t.Fatalf("checkpoint at %d retired: exited %v, output %v, text %q; want one word and \"A\" mid-run",
+					ck.Instret, ck.Exited, ck.Output, ck.Text)
+			}
+			data, err := ck.Bytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := ckpt.FromBytes(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed := buildSim(t, e, p)
+			if err := resumed.Restore(decoded); err != nil {
+				t.Fatal(err)
+			}
+			if err := resumed.run(); err != nil {
+				t.Fatal(err)
+			}
+			diffState(t, e.Name+"(resumed)", resumed.state(), ref)
+			if err := donor.run(); err != nil {
+				t.Fatal(err)
+			}
+			diffState(t, e.Name+"(donor)", donor.state(), ref)
+		})
+	}
+}

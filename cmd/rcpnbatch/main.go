@@ -189,7 +189,7 @@ func runSample(sims []diffrun.Bar, works []*workload.Workload, scale int, k int,
 		// One functional pass gives the instruction count that places the
 		// intervals and checks the reference job; it is the same
 		// fast-forward engine the interval jobs use.
-		total, err := diffrun.GoldenInstret(p)
+		total, err := diffrun.GoldenInstret(context.Background(), p)
 		if err != nil {
 			die(fmt.Errorf("%s: iss: %w", w.Name, err))
 		}
@@ -209,7 +209,7 @@ func runSample(sims []diffrun.Bar, works []*workload.Workload, scale int, k int,
 				jobsList = append(jobsList, batch.Job{
 					Simulator: s.Label, Workload: w.Name, Interval: fmt.Sprintf("k%d", i),
 					Run: func(ctx context.Context) (batch.Metrics, error) {
-						return sampleInterval(e, p, start, ilen)
+						return sampleInterval(ctx, e, p, start, ilen)
 					},
 				})
 			}
@@ -257,15 +257,15 @@ func runSample(sims []diffrun.Bar, works []*workload.Workload, scale int, k int,
 
 // sampleInterval is the body of one interval job: functional fast-forward
 // with warming, checkpoint through the binary codec (exercising the
-// serialization path end to end), detailed handoff, measure. Intervals are
-// short (tens of thousands of instructions), so they run without
-// cancellation checks; the per-job deadline still bounds them through the
-// pool's grace fallback.
-func sampleInterval(e diffrun.Engine, p *arm.Program, start, ilen uint64) (batch.Metrics, error) {
+// serialization path end to end), detailed handoff, measure. The
+// fast-forward, which runs up to the whole program, steps in batch chunks
+// and stops when ctx (the job's deadline) is done; the measured interval is
+// short (tens of thousands of instructions).
+func sampleInterval(ctx context.Context, e diffrun.Engine, p *arm.Program, start, ilen uint64) (batch.Metrics, error) {
 	c := iss.New(p, 0)
 	w := e.Warm()
 	c.WarmI, c.WarmD, c.WarmPred = w.Caches.I, w.Caches.D, w.Predictor
-	if _, err := c.RunN(start); err != nil {
+	if _, err := batch.StepRetired(ctx, c, start, 0, 0, nil); err != nil {
 		return batch.Metrics{}, fmt.Errorf("fast-forward: %w", err)
 	}
 	snap, err := c.Checkpoint()

@@ -1,6 +1,9 @@
 package diffrun
 
 import (
+	"context"
+	"errors"
+	"runtime"
 	"testing"
 
 	"rcpn/internal/arm"
@@ -57,7 +60,7 @@ func TestSteadyStateStepAllocsZero(t *testing.T) {
 	names = append(names, "call-loop")
 	for _, name := range names {
 		p := progs[name]
-		golden, err := GoldenInstret(p)
+		golden, err := GoldenInstret(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,5 +88,62 @@ func TestSteadyStateStepAllocsZero(t *testing.T) {
 					name, e.Name, allocs, chunk)
 			}
 		}
+	}
+}
+
+// buildBytesBound is the footprint gate's bound on the heap bytes one
+// registry engine allocates in Build: 192 KiB. Each engine allocates
+// 67–123 KB for adpcm, two 64 KiB memory pages (text and stack) included.
+// A memory that allocates a fixed 64 Ki-entry page directory (512 KiB)
+// fails it on every engine.
+const buildBytesBound = 192 << 10
+
+// TestBuildFootprint is the footprint gate: the mean bytes allocated by
+// one Build of each registry engine, over buildRuns builds of adpcm.
+// Allocated bytes depend on the program and the toolchain, not the host;
+// runtime bookkeeping moves them by at most a few hundred bytes between
+// runs, far inside the bound. The race detector allocates on its own
+// behalf, so race builds skip it.
+func TestBuildFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const buildRuns = 10
+	p, err := workload.ByName("adpcm").Program(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range Engines() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < buildRuns; i++ {
+			if _, _, err := e.Build(p); err != nil {
+				t.Fatalf("%s: %v", e.Name, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		mean := (after.TotalAlloc - before.TotalAlloc) / buildRuns
+		t.Logf("%s: %d bytes per Build", e.Name, mean)
+		if mean > buildBytesBound {
+			t.Errorf("%s: Build allocates %d bytes, bound %d", e.Name, mean, buildBytesBound)
+		}
+	}
+}
+
+// TestGoldenInstretCancelled: the golden pass reads its context, so a
+// cancelled one stops it before the program runs to exit.
+func TestGoldenInstretCancelled(t *testing.T) {
+	p, err := workload.ByName("crc").Program(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if n, err := GoldenInstret(ctx, p); !errors.Is(err, context.Canceled) {
+		t.Fatalf("GoldenInstret on a cancelled context: %d instructions, err %v; want context.Canceled", n, err)
+	}
+	n, err := GoldenInstret(context.Background(), p)
+	if err != nil || n == 0 {
+		t.Fatalf("GoldenInstret: %d instructions, err %v", n, err)
 	}
 }

@@ -3,6 +3,7 @@ package diffrun
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"rcpn/internal/arm"
 	"rcpn/internal/batch"
@@ -48,11 +49,14 @@ func RunCell(ctx context.Context, e Engine, p *arm.Program) (batch.Metrics, erro
 }
 
 // GoldenInstret runs p on the ISS golden model and returns the number of
-// instructions it retires.
-func GoldenInstret(p *arm.Program) (uint64, error) {
+// instructions it retires. It steps in batch chunks, so a canceled ctx
+// stops it at the next chunk boundary; a program still running after two
+// billion instructions fails with the ISS's instruction-limit error.
+func GoldenInstret(ctx context.Context, p *arm.Program) (uint64, error) {
 	c := iss.New(p, 0)
 	c.MaxInstrs = 2_000_000_000
-	err := c.Run()
+	// The target is never reached: the run ends at exit, the limit or ctx.
+	_, err := batch.StepRetired(ctx, c, math.MaxInt64, 0, 0, nil)
 	return c.Instret, err
 }
 
@@ -80,7 +84,7 @@ func MatrixJobs(bars []Bar, works []*workload.Workload, scale int) ([]batch.Job,
 		if err != nil {
 			return nil, err
 		}
-		golden, err := GoldenInstret(p)
+		golden, err := GoldenInstret(context.TODO(), p)
 		if err != nil {
 			return nil, fmt.Errorf("%s: iss: %w", w.Name, err)
 		}

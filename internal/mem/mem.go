@@ -20,35 +20,53 @@ const PageBytes = pageSize
 // value is ready to use. Word accesses are aligned by the implementation
 // (low address bits ignored, as the ARM7 data path does).
 type Memory struct {
-	pages [numPages]*[pageSize]byte
+	// pages is the page directory, indexed by addr>>pageBits. It grows on
+	// the first write to a page and ends one entry past the highest page
+	// written, so a kernel touching its text (page 0) and its stack (page
+	// 63) carries 64 entries, not the 64 Ki a full directory holds.
+	pages []*[pageSize]byte
 }
 
 // New returns an empty memory.
 func New() *Memory { return &Memory{} }
 
+// page returns the page holding addr, allocating it on first use. A write
+// past the end of the directory lengthens it to end at addr's page; the new
+// directory is exactly that long, so it never exceeds numPages entries.
 func (m *Memory) page(addr uint32) *[pageSize]byte {
-	p := m.pages[addr>>pageBits]
+	i := int(addr >> pageBits)
+	if i >= len(m.pages) {
+		m.pages = append(make([]*[pageSize]byte, 0, i+1), m.pages...)[:i+1]
+	}
+	p := m.pages[i]
 	if p == nil {
 		p = new([pageSize]byte)
-		m.pages[addr>>pageBits] = p
+		m.pages[i] = p
 	}
 	return p
 }
 
-// LoadImage copies b into memory starting at base.
+// LoadImage copies b into memory starting at base, one page-sized run at a
+// time. Like byte writes, addresses wrap at the top of the address space.
 func (m *Memory) LoadImage(base uint32, b []byte) {
-	for i, v := range b {
-		m.Write8(base+uint32(i), v)
+	for len(b) > 0 {
+		n := copy(m.page(base)[base&(pageSize-1):], b)
+		b = b[n:]
+		base += uint32(n)
 	}
 }
 
+// The reads below check the directory's length and never grow it: an
+// address past its end, like one in an unwritten page, reads as zero.
+
 // Read8 reads one byte.
 func (m *Memory) Read8(addr uint32) byte {
-	p := m.pages[addr>>pageBits]
-	if p == nil {
-		return 0
+	if i := int(addr >> pageBits); i < len(m.pages) {
+		if p := m.pages[i]; p != nil {
+			return p[addr&(pageSize-1)]
+		}
 	}
-	return p[addr&(pageSize-1)]
+	return 0
 }
 
 // Write8 writes one byte.
@@ -58,34 +76,33 @@ func (m *Memory) Write8(addr uint32, v byte) {
 
 // Read16 reads an aligned little-endian halfword (low address bit ignored).
 func (m *Memory) Read16(addr uint32) uint16 {
-	addr &^= 1
-	return uint16(m.Read8(addr)) | uint16(m.Read8(addr+1))<<8
+	if i := int(addr >> pageBits); i < len(m.pages) {
+		if p := m.pages[i]; p != nil {
+			return binary.LittleEndian.Uint16(p[addr&(pageSize-2):])
+		}
+	}
+	return 0
 }
 
 // Write16 writes an aligned little-endian halfword (low address bit
 // ignored).
 func (m *Memory) Write16(addr uint32, v uint16) {
-	addr &^= 1
-	m.Write8(addr, byte(v))
-	m.Write8(addr+1, byte(v>>8))
+	binary.LittleEndian.PutUint16(m.page(addr)[addr&(pageSize-2):], v)
 }
 
 // Read32 reads an aligned little-endian word (low address bits ignored).
 func (m *Memory) Read32(addr uint32) uint32 {
-	addr &^= 3
-	off := addr & (pageSize - 1)
-	p := m.pages[addr>>pageBits]
-	if p == nil {
-		return 0
+	if i := int(addr >> pageBits); i < len(m.pages) {
+		if p := m.pages[i]; p != nil {
+			return binary.LittleEndian.Uint32(p[addr&(pageSize-4):])
+		}
 	}
-	return binary.LittleEndian.Uint32(p[off : off+4])
+	return 0
 }
 
 // Write32 writes an aligned little-endian word (low address bits ignored).
 func (m *Memory) Write32(addr uint32, v uint32) {
-	addr &^= 3
-	off := addr & (pageSize - 1)
-	binary.LittleEndian.PutUint32(m.page(addr)[off:off+4], v)
+	binary.LittleEndian.PutUint32(m.page(addr)[addr&(pageSize-4):], v)
 }
 
 // ForEachPage calls f for every populated, non-zero page in ascending page
@@ -116,27 +133,19 @@ func (m *Memory) ForEachPage(f func(base uint32, data []byte)) {
 }
 
 // SetPage copies data (at most PageBytes) into the page containing base,
-// which must be page-aligned. Checkpoint restore uses it to install captured
-// pages wholesale instead of byte-at-a-time writes.
+// which must be page-aligned, and zeroes the rest of the page. Checkpoint
+// restore uses it to install captured pages wholesale instead of
+// byte-at-a-time writes.
 func (m *Memory) SetPage(base uint32, data []byte) {
-	if len(data) > pageSize {
-		data = data[:pageSize]
-	}
 	p := m.page(base)
-	copy(p[:], data)
-	for i := len(data); i < pageSize; i++ {
-		p[i] = 0
-	}
+	clear(p[copy(p[:], data):])
 }
 
 // Reset drops every page, returning the memory to its zero state. A restored
 // simulation must start from here so no stale data survives from a previous
-// run (the warm-state symmetry the batch runner depends on).
-func (m *Memory) Reset() {
-	for i := range m.pages {
-		m.pages[i] = nil
-	}
-}
+// run (the warm-state symmetry the batch runner depends on). The directory
+// goes with the pages, so none stays referenced.
+func (m *Memory) Reset() { m.pages = nil }
 
 // CopyFrom makes m an exact copy of src's contents (Reset + page copies).
 func (m *Memory) CopyFrom(src *Memory) {
@@ -147,36 +156,23 @@ func (m *Memory) CopyFrom(src *Memory) {
 }
 
 // Digest returns an FNV-1a hash over the populated address space, walking
-// pages in ascending address order. Unallocated pages hash identically to
-// all-zero pages, so two memories with the same byte contents always digest
-// equal regardless of which pages were ever touched — the property the
-// cross-simulator differential tests rely on.
+// ForEachPage's pages in ascending address order. Unallocated pages hash
+// identically to all-zero pages, so two memories with the same byte
+// contents always digest equal regardless of which pages were ever touched
+// — the property the cross-simulator differential tests rely on.
 func (m *Memory) Digest() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for i, p := range m.pages {
-		if p == nil {
-			continue
-		}
-		zero := true
-		for _, b := range p {
-			if b != 0 {
-				zero = false
-				break
-			}
-		}
-		if zero {
-			continue // indistinguishable from an untouched page
-		}
-		h ^= uint64(i)
+	m.ForEachPage(func(base uint32, data []byte) {
+		h ^= uint64(base >> pageBits)
 		h *= prime64
-		for _, b := range p {
+		for _, b := range data {
 			h ^= uint64(b)
 			h *= prime64
 		}
-	}
+	})
 	return h
 }

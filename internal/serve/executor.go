@@ -43,7 +43,7 @@ type execEnv struct {
 
 	// Checkpoint hooks. loadCkpt yields the latest checkpoint to resume
 	// from (nil: always start from scratch); saveCkpt persists one
-	// (nil: checkpoints are produced and discarded — the deterministic
+	// (nil: checkpoints are captured but never encoded — the deterministic
 	// boundary drains still happen, so cycle counts never depend on
 	// whether anyone is saving). discardCkpt abandons an unusable
 	// checkpoint; onResume observes a successful restore.
@@ -180,10 +180,15 @@ func (env *execEnv) load() (raw []byte, instret uint64, cycles int64, ok bool) {
 // sink encodes each periodic checkpoint and hands it to the host. The
 // worker.panic fault site fires first — before the checkpoint is saved —
 // so an injected crash loses the current boundary exactly like a real one.
+// A host that keeps no checkpoints (a shard worker) gets no encoding: the
+// boundary still drains and the fault site still fires.
 func (env *execEnv) sink(prof *obsv.StallProfile) batch.CheckpointSink {
 	return func(instret uint64, cycles int64, ck *ckpt.Checkpoint) error {
 		if err := env.fault.Hit(faultinj.SiteWorkerPanic, instret); err != nil {
 			return err
+		}
+		if env.saveCkpt == nil {
+			return nil
 		}
 		raw, err := ck.Bytes()
 		if err != nil {
@@ -197,9 +202,7 @@ func (env *execEnv) sink(prof *obsv.StallProfile) batch.CheckpointSink {
 			// is what keeps resumed profiled results byte-identical.
 			raw = obsv.WrapStalls(prof.Snapshot(), raw)
 		}
-		if env.saveCkpt != nil {
-			env.saveCkpt(instret, cycles, raw)
-		}
+		env.saveCkpt(instret, cycles, raw)
 		return nil
 	}
 }
