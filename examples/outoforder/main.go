@@ -51,7 +51,7 @@ type instr struct {
 	offset reg.Operand
 }
 
-func (in *instr) InState(s int) bool { return in.tok.InState(s) }
+func (in *instr) State() int { return in.tok.State() }
 
 // memory is the non-pipeline unit the M transition references: word storage
 // plus a data-dependent delay model (§3.2: "The component mem, referenced in

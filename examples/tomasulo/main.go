@@ -62,7 +62,7 @@ type instr struct {
 	delay  int64 // execution latency (multiply, memory)
 }
 
-func (in *instr) InState(s int) bool { return in.tok.InState(s) }
+func (in *instr) State() int { return in.tok.State() }
 
 // pool recycles instruction tokens between program runs.
 var pool core.TokenArena

@@ -37,7 +37,7 @@ type op struct {
 	fn   func(a, b uint32) uint32
 }
 
-func (o *op) InState(s int) bool { return o.tok.InState(s) }
+func (o *op) State() int { return o.tok.State() }
 
 type bundle struct {
 	name string
@@ -45,7 +45,7 @@ type bundle struct {
 	ops  [2]*op
 }
 
-func (b *bundle) InState(s int) bool { return b.tok.InState(s) }
+func (b *bundle) State() int { return b.tok.State() }
 
 // pool recycles instruction tokens between program runs.
 var pool core.TokenArena

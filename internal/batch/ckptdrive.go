@@ -31,11 +31,22 @@ type CheckpointStepper interface {
 	Restore(ck *ckpt.Checkpoint) error
 }
 
-// CheckpointSink receives each periodic checkpoint with the cumulative
-// progress at its boundary. Returning an error aborts the run; a sink that
-// wants persistence failures to degrade rather than kill the job must
-// swallow them.
-type CheckpointSink func(instret uint64, cycles int64, ck *ckpt.Checkpoint) error
+// BoundaryChecker is implemented by CheckpointSteppers that can check a
+// drained boundary without capturing it: CheckBoundary returns the error
+// Checkpoint would return there, and copies no state. DriveCkpt runs the
+// check at every boundary; a stepper without one has each boundary
+// captured instead, and the capture dropped.
+type BoundaryChecker interface {
+	CheckBoundary() error
+}
+
+// CheckpointSink receives each periodic boundary with the cumulative
+// progress there, once the boundary has passed the stepper's checks.
+// capture copies the boundary's checkpoint only when called, so a sink
+// that keeps nothing pays for no capture. Returning an error aborts the
+// run; a sink that wants persistence failures to degrade rather than kill
+// the job must swallow them.
+type CheckpointSink func(instret uint64, cycles int64, capture func() (*ckpt.Checkpoint, error)) error
 
 // DriveCkpt runs s to completion like Drive — chunk-sized bursts, context
 // checks, progress reports — and additionally drains and checkpoints the
@@ -67,13 +78,12 @@ func DriveCkpt(ctx context.Context, s CheckpointStepper, cap, chunk int64, inter
 		if err := s.DrainBoundary(); err != nil {
 			return err
 		}
-		ck, err := s.Checkpoint()
-		if err != nil {
+		if err := checkBoundary(s); err != nil {
 			return err
 		}
 		c, i := s.Progress()
 		if sink != nil {
-			if err := sink(i, c, ck); err != nil {
+			if err := sink(i, c, s.Checkpoint); err != nil {
 				return err
 			}
 		}
@@ -81,6 +91,15 @@ func DriveCkpt(ctx context.Context, s CheckpointStepper, cap, chunk int64, inter
 			progress(c, i)
 		}
 	}
+}
+
+// checkBoundary runs s's checks at the drained boundary it stopped at.
+func checkBoundary(s CheckpointStepper) error {
+	if b, ok := s.(BoundaryChecker); ok {
+		return b.CheckBoundary()
+	}
+	_, err := s.Checkpoint()
+	return err
 }
 
 // Resumed wraps a stepper that was just restored from a checkpoint so its
@@ -119,6 +138,8 @@ func (r *resumed) StepToRetired(target uint64, posLimit int64) (bool, error) {
 }
 
 func (r *resumed) DrainBoundary() error { return r.inner.DrainBoundary() }
+
+func (r *resumed) CheckBoundary() error { return checkBoundary(r.inner) }
 
 func (r *resumed) Checkpoint() (*ckpt.Checkpoint, error) { return r.inner.Checkpoint() }
 

@@ -81,7 +81,11 @@ func TestDriveCkptChunkIndependent(t *testing.T) {
 		f := &fakeCkptStepper{total: 1000}
 		var bs []boundary
 		err := DriveCkpt(context.Background(), f, 0, chunk, 100,
-			func(i uint64, c int64, ck *ckpt.Checkpoint) error {
+			func(i uint64, c int64, capture func() (*ckpt.Checkpoint, error)) error {
+				ck, err := capture()
+				if err != nil {
+					return err
+				}
 				if ck.Instret != i {
 					t.Fatalf("checkpoint instret %d != reported %d", ck.Instret, i)
 				}
@@ -125,9 +129,10 @@ func TestDriveCkptResumeRetraces(t *testing.T) {
 	}
 	var all []saved
 	if err := DriveCkpt(context.Background(), donor, 0, 64, 100,
-		func(i uint64, c int64, ck *ckpt.Checkpoint) error {
+		func(i uint64, c int64, capture func() (*ckpt.Checkpoint, error)) error {
+			ck, err := capture()
 			all = append(all, saved{boundary{i, c}, ck})
-			return nil
+			return err
 		}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +145,7 @@ func TestDriveCkptResumeRetraces(t *testing.T) {
 		st := Resumed(fresh, sv.b.cycles)
 		var rest []boundary
 		if err := DriveCkpt(context.Background(), st, 0, 64, 100,
-			func(i uint64, c int64, _ *ckpt.Checkpoint) error {
+			func(i uint64, c int64, _ func() (*ckpt.Checkpoint, error)) error {
 				rest = append(rest, boundary{i, c})
 				return nil
 			}, nil); err != nil {
@@ -168,7 +173,7 @@ func TestDriveCkptZeroInterval(t *testing.T) {
 	f := &fakeCkptStepper{total: 500}
 	called := false
 	err := DriveCkpt(context.Background(), f, 0, 64, 0,
-		func(uint64, int64, *ckpt.Checkpoint) error { called = true; return nil }, nil)
+		func(uint64, int64, func() (*ckpt.Checkpoint, error)) error { called = true; return nil }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +190,7 @@ func TestDriveCkptSinkError(t *testing.T) {
 	f := &fakeCkptStepper{total: 1000}
 	boom := errors.New("sink failed")
 	err := DriveCkpt(context.Background(), f, 0, 64, 100,
-		func(uint64, int64, *ckpt.Checkpoint) error { return boom }, nil)
+		func(uint64, int64, func() (*ckpt.Checkpoint, error)) error { return boom }, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want sink error", err)
 	}
@@ -209,4 +214,89 @@ func TestDriveCkptCap(t *testing.T) {
 	if err == nil {
 		t.Fatal("cap 500 did not stop the run")
 	}
+}
+
+// checkedStepper is a fakeCkptStepper with a boundary check, counting
+// checks and captures; checkErr, when set, fails every check.
+type checkedStepper struct {
+	fakeCkptStepper
+	checks, captures int
+	checkErr         error
+}
+
+func (c *checkedStepper) CheckBoundary() error {
+	c.checks++
+	return c.checkErr
+}
+
+func (c *checkedStepper) Checkpoint() (*ckpt.Checkpoint, error) {
+	c.captures++
+	return c.fakeCkptStepper.Checkpoint()
+}
+
+// TestDriveCkptCapturesOnDemand: every boundary is checked, but only a
+// sink that calls its capture pays for one; a failing check aborts the run
+// before the sink sees the boundary; a stepper without a check has each
+// boundary captured once for the check instead.
+func TestDriveCkptCapturesOnDemand(t *testing.T) {
+	for _, keep := range []bool{false, true} {
+		f := &checkedStepper{fakeCkptStepper: fakeCkptStepper{total: 1000}}
+		boundaries := 0
+		err := DriveCkpt(context.Background(), f, 0, 64, 100,
+			func(i uint64, _ int64, capture func() (*ckpt.Checkpoint, error)) error {
+				boundaries++
+				if !keep {
+					return nil
+				}
+				ck, err := capture()
+				if err == nil && ck.Instret != i {
+					t.Fatalf("captured instret %d at boundary %d", ck.Instret, i)
+				}
+				return err
+			}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCaptures := 0
+		if keep {
+			wantCaptures = boundaries
+		}
+		if boundaries == 0 || f.checks != boundaries || f.captures != wantCaptures {
+			t.Fatalf("keep=%v: %d boundaries, %d checks, %d captures; want %d checks, %d captures",
+				keep, boundaries, f.checks, f.captures, boundaries, wantCaptures)
+		}
+	}
+
+	boom := errors.New("not drained")
+	f := &checkedStepper{fakeCkptStepper: fakeCkptStepper{total: 1000}, checkErr: boom}
+	err := DriveCkpt(context.Background(), f, 0, 64, 100,
+		func(uint64, int64, func() (*ckpt.Checkpoint, error)) error {
+			t.Fatal("sink called at a boundary that failed its check")
+			return nil
+		}, nil)
+	if !errors.Is(err, boom) || f.checks != 1 || f.captures != 0 {
+		t.Fatalf("err = %v after %d checks, %d captures; want the check's error after 1 check", err, f.checks, f.captures)
+	}
+
+	// Without a BoundaryChecker the boundary is captured for the check.
+	plain := &countingCkptStepper{fakeCkptStepper: fakeCkptStepper{total: 1000}}
+	boundaries := 0
+	if err := DriveCkpt(context.Background(), Resumed(plain, 7), 0, 64, 100,
+		func(uint64, int64, func() (*ckpt.Checkpoint, error)) error { boundaries++; return nil }, nil); err != nil {
+		t.Fatal(err)
+	}
+	if boundaries == 0 || plain.captures != boundaries {
+		t.Fatalf("%d boundaries checked by %d captures", boundaries, plain.captures)
+	}
+}
+
+// countingCkptStepper counts Checkpoint calls and has no boundary check.
+type countingCkptStepper struct {
+	fakeCkptStepper
+	captures int
+}
+
+func (c *countingCkptStepper) Checkpoint() (*ckpt.Checkpoint, error) {
+	c.captures++
+	return c.fakeCkptStepper.Checkpoint()
 }

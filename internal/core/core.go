@@ -235,7 +235,7 @@ type Token struct {
 	seq     uint64 // trace identity, assigned at birth when tracing
 	// extState is the residency state of a token driven by a generated
 	// simulator, which keeps no Place structures at run time (internal/gen).
-	// -1 means unset; InState falls back to it only when place is nil, so
+	// -1 means unset; State falls back to it only when place is nil, so
 	// the interpreted fast path is unchanged.
 	extState int
 }
@@ -244,17 +244,20 @@ type Token struct {
 // injection).
 func (t *Token) Place() *Place { return t.place }
 
-// InState reports whether the token currently resides, visibly, in the place
-// with the given ID. Tokens staged in a two-list place are not yet visible —
+// State returns the ID of the place the token currently resides in,
+// visibly, or -1. Tokens staged in a two-list place are not yet visible —
 // this is exactly the beginning-of-cycle semantics feedback queries need.
 // It implements reg.StateQuerier. Tokens outside any net (generated
-// simulators keep no places at run time) answer from the state set with
-// SetExternalState.
-func (t *Token) InState(state int) bool {
-	if t.place != nil {
-		return t.place.id == state && !t.staged
+// simulators keep no places at run time) answer with the state set by
+// SetExternalState, where any negative value means none.
+func (t *Token) State() int {
+	if t.place == nil {
+		return t.extState
 	}
-	return state >= 0 && t.extState == state
+	if t.staged {
+		return -1
+	}
+	return t.place.id
 }
 
 // SetExternalState records the residency state a generated simulator's
@@ -308,6 +311,8 @@ type Net struct {
 	stalls []uint64
 
 	// Observability attachments (see obsv.go); nil unless enabled.
+	// observed is set once either is attached, so a firing checks one flag.
+	observed   bool
 	tracer     *obsv.Tracer
 	prof       *obsv.StallProfile
 	profStages []*Stage   // finite stages in the profile, in id order

@@ -320,7 +320,7 @@ func TestTwoListAutoDetection(t *testing.T) {
 
 func TestTwoListVisibilitySemantics(t *testing.T) {
 	// A token arriving into a two-list place this cycle must not be visible
-	// to InState queries until the next cycle.
+	// to State queries until the next cycle.
 	n := NewNet(1)
 	l1 := n.Place("L1", n.Stage("L1", 2))
 	l2 := n.Place("L2", n.Stage("L2", 1))
@@ -339,11 +339,11 @@ func TestTwoListVisibilitySemantics(t *testing.T) {
 	}})
 	n.MustBuild()
 	n.Step() // c0: token into L1
-	if !tok.InState(l1.ID()) {
+	if tok.State() != l1.ID() {
 		t.Fatal("token should be visible in L1")
 	}
 	n.Step() // c1: T moved token into L2's staging buffer
-	if tok.InState(l2.ID()) {
+	if tok.State() == l2.ID() {
 		t.Fatal("staged token must not be visible in L2 yet")
 	}
 	if tok.Place() != l2 {

@@ -296,20 +296,18 @@ func (t *Transition) resBlock() obsv.StallKind {
 // fire executes the transition for tok, currently at index idx of t.From:
 // remove the token from its input place, consume reservation inputs, run the
 // action, emit reservation outputs, and deliver the token to the output
-// place (or retire it at an end place).
+// place (or retire it at an end place). The token's place is written once,
+// on arrival: during the action it still names t.From.
 func (n *Net) fire(t *Transition, tok *Token, idx int) {
 	from := t.From
-	if last := len(from.tokens) - 1; idx < last {
+	last := len(from.tokens) - 1
+	if idx < last {
 		copy(from.tokens[idx:], from.tokens[idx+1:])
 		copy(from.meta[idx:], from.meta[idx+1:])
-		from.tokens = from.tokens[:last]
-		from.meta = from.meta[:last]
-	} else { // common case: only/last token, no copy
-		from.tokens = from.tokens[:last]
-		from.meta = from.meta[:last]
 	}
+	from.tokens = from.tokens[:last]
+	from.meta = from.meta[:last]
 	from.Stage.occupancy--
-	tok.place = nil
 
 	if t.hasRes {
 		for _, r := range t.ResIn {
@@ -331,33 +329,52 @@ func (n *Net) fire(t *Transition, tok *Token, idx int) {
 	}
 
 	tok.movedAt = n.cycle
-	if n.prof != nil {
-		n.profFired[from.Stage.id] = n.cycle
+	if n.observed {
+		n.observeFire(t, tok, from)
 	}
-	if n.tracer != nil {
-		n.tracer.Fire(n.cycle, tok.seq, int32(from.id), int32(t.id))
-	}
-	if t.To.End {
+	to := t.To
+	switch {
+	case to.End:
+		tok.place = nil
 		n.RetiredCount++
-		if n.tracer != nil {
-			n.tracer.Retire(n.cycle, tok.seq, int32(from.id))
-		}
 		if n.retire != nil {
 			n.retire(tok)
 		}
-		return
-	}
-	n.deliver(tok, t.To, t.Delay)
-	if n.tracer != nil {
-		n.tracer.Move(n.cycle, tok.seq, int32(t.To.id), int32(from.id))
+	case to.TwoList:
+		n.deliver(tok, to, t.Delay)
+	default:
+		// deliver's one-list case, inline on the hot path.
+		tok.readyAt = n.cycle + to.residency(tok, t.Delay)
+		tok.place = to
+		to.Stage.occupancy++
+		to.tokens = append(to.tokens, tok)
+		to.meta = append(to.meta, tokMeta{tok.readyAt, tok.Class})
+		if !n.sweep {
+			n.wake(to, tok.readyAt)
+		}
 	}
 }
 
-// deliver places tok into p, computing its residency delay: the token delay
-// (if set) overrides the place delay; the transition delay adds. In
-// event-driven mode it also schedules the wakeup that will process the token
-// when the delay elapses, and queues two-list promotion for next cycle.
-func (n *Net) deliver(tok *Token, p *Place, transDelay int64) {
+// observeFire feeds one firing to the stall profile and the tracer: the
+// firing itself, then the token's retirement or its move into t.To.
+func (n *Net) observeFire(t *Transition, tok *Token, from *Place) {
+	if n.prof != nil {
+		n.profFired[from.Stage.id] = n.cycle
+	}
+	if tr := n.tracer; tr != nil {
+		tr.Fire(n.cycle, tok.seq, int32(from.id), int32(t.id))
+		if t.To.End {
+			tr.Retire(n.cycle, tok.seq, int32(from.id))
+		} else {
+			tr.Move(n.cycle, tok.seq, int32(t.To.id), int32(from.id))
+		}
+	}
+}
+
+// residency is the delay of tok's stay in p: the token delay (if set, and
+// then consumed) overrides the place delay, the transition delay adds, and
+// every stay lasts at least one cycle.
+func (p *Place) residency(tok *Token, transDelay int64) int64 {
 	d := p.Delay
 	if tok.Delay > 0 {
 		d = tok.Delay
@@ -367,7 +384,27 @@ func (n *Net) deliver(tok *Token, p *Place, transDelay int64) {
 	if d < 1 {
 		d = 1
 	}
-	tok.readyAt = n.cycle + d
+	return d
+}
+
+// wake arranges for p to be processed at cycle at, when the token just
+// delivered into it becomes ready (event-driven mode only).
+func (n *Net) wake(p *Place, at int64) {
+	if at == n.cycle+1 {
+		// The one-stage-per-cycle fast path: arm the place directly for the
+		// next cycle, skipping the wheel.
+		n.nextMask[p.pos>>6] |= 1 << (uint(p.pos) & 63)
+	} else {
+		n.scheduleWake(int32(p.pos), at)
+	}
+}
+
+// deliver places tok into p, computing its residency delay. In
+// event-driven mode it also schedules the wakeup that will process the
+// token when the delay elapses, and queues two-list promotion for next
+// cycle.
+func (n *Net) deliver(tok *Token, p *Place, transDelay int64) {
+	tok.readyAt = n.cycle + p.residency(tok, transDelay)
 	tok.place = p
 	p.Stage.occupancy++
 	if p.TwoList {
@@ -383,13 +420,7 @@ func (n *Net) deliver(tok *Token, p *Place, transDelay int64) {
 		p.meta = append(p.meta, tokMeta{tok.readyAt, tok.Class})
 	}
 	if !n.sweep && !p.End {
-		if tok.readyAt == n.cycle+1 {
-			// The one-stage-per-cycle fast path: arm the place directly for
-			// the next cycle, skipping the wheel.
-			n.nextMask[p.pos>>6] |= 1 << (uint(p.pos) & 63)
-		} else {
-			n.scheduleWake(int32(p.pos), tok.readyAt)
-		}
+		n.wake(p, tok.readyAt)
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The metadata accessors exist for the code generator (internal/gen), which
 // walks a built net instead of simulating it: sorted_transitions cells —
@@ -140,24 +143,21 @@ func TestMetadataAccessors(t *testing.T) {
 }
 
 // TestTokenExternalState covers the state fallback generated simulators use
-// for feedback (bypass) queries: a token outside any net answers InState
-// from SetExternalState, never matches the -1 sentinel, and a recycle
-// clears the state.
+// for feedback (bypass) queries: a token outside any net answers State
+// from SetExternalState, reports no state (-1) until one is set, and a
+// recycle clears the state.
 func TestTokenExternalState(t *testing.T) {
 	tok := NewToken(0, nil)
-	if tok.InState(0) || tok.InState(-1) {
-		t.Fatal("fresh token reports a residency state")
+	if s := tok.State(); s >= 0 {
+		t.Fatalf("fresh token reports residency state %d", s)
 	}
 	tok.SetExternalState(2)
-	if !tok.InState(2) {
-		t.Fatal("InState(2) false after SetExternalState(2)")
-	}
-	if tok.InState(1) || tok.InState(-1) {
-		t.Fatal("InState matches a state that was not set")
+	if s := tok.State(); s != 2 {
+		t.Fatalf("State() = %d after SetExternalState(2)", s)
 	}
 	tok.Recycle(0, nil)
-	if tok.InState(2) {
-		t.Fatal("external state survived Recycle")
+	if s := tok.State(); s >= 0 {
+		t.Fatalf("external state %d survived Recycle", s)
 	}
 
 	// Inside a net the place pointer wins regardless of external state.
@@ -170,10 +170,76 @@ func TestTokenExternalState(t *testing.T) {
 	if !n.Inject(tok2, p) {
 		t.Fatal("inject failed")
 	}
-	if !tok2.InState(p.ID()) {
-		t.Fatal("injected token not in its place's state")
+	if s := tok2.State(); s != p.ID() {
+		t.Fatalf("injected token in state %d, want its place's %d", s, p.ID())
 	}
-	if tok2.InState(1) {
-		t.Fatal("external state visible while the token lives in a net")
+}
+
+// inState is the per-state residency query State replaced: a token in a
+// net is in its place's state unless it is staged in a two-list place; a
+// token outside any net is in its external state, and never in a negative
+// one.
+func inState(t *Token, state int) bool {
+	if t.place != nil {
+		return t.place.id == state && !t.staged
 	}
+	return state >= 0 && t.extState == state
+}
+
+// TestTokenStateAgreesWithInState: for every state a feedback query can
+// name, "State() == s" with s >= 0 (the test reg.Ref makes) answers
+// exactly what the per-state query did — for tokens visible in a place,
+// staged in a two-list place, outside any net with or without an external
+// state, and recycled.
+func TestTokenStateAgreesWithInState(t *testing.T) {
+	n := NewNet(1)
+	l1 := n.Place("L1", n.Stage("L1", 4))
+	l2 := n.Place("L2", n.Stage("L2", 4))
+	l2.TwoList = true
+	end := n.EndPlace("end")
+	n.AddTransition(&Transition{Name: "T", Class: 0, From: l1, To: l2})
+	n.AddTransition(&Transition{Name: "W", Class: 0, From: l2, To: end})
+	n.MustBuild()
+
+	var toks []*Token
+	check := func(when string) {
+		t.Helper()
+		for i, tok := range toks {
+			for s := -3; s <= len(n.Places()); s++ {
+				if got, want := s >= 0 && tok.State() == s, inState(tok, s); got != want {
+					t.Fatalf("%s: token %d (State %d): state %d matches %v, per-state query says %v",
+						when, i, tok.State(), s, got, want)
+				}
+			}
+		}
+	}
+	for _, ext := range []int{-1, -2, 0, 1, 3} {
+		tok := NewToken(0, nil)
+		tok.SetExternalState(ext)
+		toks = append(toks, tok)
+	}
+	check("outside the net")
+	staged := false
+	for c := 0; c < 6; c++ {
+		if c < 3 {
+			tok := NewToken(0, nil)
+			tok.SetExternalState(c)
+			if !n.Inject(tok, l1) {
+				t.Fatal("inject failed")
+			}
+			toks = append(toks, tok)
+		}
+		check(fmt.Sprintf("cycle %d", c))
+		for _, tok := range toks {
+			staged = staged || tok.staged
+		}
+		n.Step()
+	}
+	if !staged {
+		t.Fatal("no token was ever staged in the two-list place")
+	}
+	for _, tok := range toks {
+		tok.Recycle(0, nil)
+	}
+	check("recycled")
 }

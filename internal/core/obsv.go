@@ -4,9 +4,10 @@ import "rcpn/internal/obsv"
 
 // Observability: the engine hosts two optional, independent attachments —
 // an event tracer and a stall profile — both nil by default. Every hook
-// on the simulation fast path is a single pointer nil check; with nothing
-// attached the engine runs the exact pre-observability instruction
-// sequence plus those branches, which the bench guard pins to <3%.
+// on the simulation fast path is a single flag or pointer nil check (a
+// firing checks one flag for both); with nothing attached the engine runs
+// the exact pre-observability instruction sequence plus those branches,
+// which the bench guard pins to <3%.
 //
 // Stall attribution implements the taxonomy of DESIGN.md §10 directly on
 // the RCPN enabling rule: a (stage, cycle) slot is Occupied when some
@@ -32,6 +33,7 @@ func (n *Net) AttachTrace(tr *obsv.Tracer) {
 	}
 	tr.Locs, tr.Ops = locs, ops
 	n.tracer = tr
+	n.observed = true
 }
 
 // Tracer returns the attached tracer, or nil.
@@ -72,6 +74,7 @@ func (n *Net) EnableProfile() *obsv.StallProfile {
 		n.profFired[i] = -1
 	}
 	n.prof = obsv.NewStallProfile(names...)
+	n.observed = true
 	return n.prof
 }
 

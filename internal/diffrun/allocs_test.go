@@ -147,3 +147,25 @@ func TestGoldenInstretCancelled(t *testing.T) {
 		t.Fatalf("GoldenInstret: %d instructions, err %v", n, err)
 	}
 }
+
+// TestRunCancelled: Run's golden pass reads Options.Context, so a
+// cancelled one stops the differential run before any engine runs.
+func TestRunCancelled(t *testing.T) {
+	p, err := workload.ByName("crc").Program(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Run(p, Options{Context: ctx, Engines: Engines()[:1]})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run on a cancelled context: err %v; want context.Canceled", err)
+	}
+	if res.Golden.Instret != 0 || len(res.Divergences) != 0 {
+		t.Fatalf("cancelled Run returned a result: %+v", res)
+	}
+	res, err = Run(p, Options{Engines: Engines()[:1]})
+	if err != nil || !res.Clean() || res.Golden.Instret == 0 {
+		t.Fatalf("Run: %d golden instructions, err %v, clean %v", res.Golden.Instret, err, res.Clean())
+	}
+}

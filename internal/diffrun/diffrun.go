@@ -14,7 +14,9 @@
 package diffrun
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -346,6 +348,9 @@ type Options struct {
 	// CkptBoundary is where the checkpointed variants snapshot; 0 places it
 	// at half the golden retirement count.
 	CkptBoundary uint64
+	// Context cancels the golden ISS run at its next chunk boundary (nil:
+	// never cancelled).
+	Context context.Context
 }
 
 // Divergence is one engine variant that failed to reproduce the golden
@@ -406,7 +411,7 @@ func (r Result) Report() string {
 // Run executes p on the golden model and every engine variant and returns
 // the comparison. An error means the golden run itself failed (undefined
 // instruction, runaway program) — a property of the input, not an engine
-// divergence.
+// divergence — or was cancelled through opt.Context.
 func Run(p *arm.Program, opt Options) (Result, error) {
 	engines := opt.Engines
 	if engines == nil {
@@ -416,9 +421,14 @@ func Run(p *arm.Program, opt Options) (Result, error) {
 	if maxInstrs == 0 {
 		maxInstrs = 5_000_000
 	}
+	ctx := opt.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	golden := iss.New(p, 0)
 	golden.MaxInstrs = maxInstrs
-	if err := golden.Run(); err != nil {
+	// The target is never reached: the run ends at exit, the limit or ctx.
+	if _, err := batch.StepRetired(ctx, golden, math.MaxInt64, 0, 0, nil); err != nil {
 		return Result{}, fmt.Errorf("golden iss: %w", err)
 	}
 	res := Result{Golden: StateOf(golden)}

@@ -130,7 +130,11 @@ func TestResumeIdenticalProgress(t *testing.T) {
 			var cks []saved
 			ref, refState := build(t, e, p)
 			if err := batch.DriveCkpt(context.Background(), ref, 0, 4096, interval,
-				func(i uint64, c int64, ck *ckpt.Checkpoint) error {
+				func(i uint64, c int64, capture func() (*ckpt.Checkpoint, error)) error {
+					ck, err := capture()
+					if err != nil {
+						return err
+					}
 					raw, err := ck.Bytes()
 					if err != nil {
 						return err
@@ -184,7 +188,7 @@ func TestResumeChunkIndependent(t *testing.T) {
 			run := func(chunk int64) (bounds []uint64, cycles []int64) {
 				st, _ := build(t, e, p)
 				if err := batch.DriveCkpt(context.Background(), st, 0, chunk, 2000,
-					func(i uint64, c int64, _ *ckpt.Checkpoint) error {
+					func(i uint64, c int64, _ func() (*ckpt.Checkpoint, error)) error {
 						bounds = append(bounds, i)
 						cycles = append(cycles, c)
 						return nil

@@ -459,10 +459,15 @@ func emit(m *model, opts Options) []byte {
 	e.f("// Where names the model and its fetch PC for limit errors.\n")
 	e.f("func (s *Sim) Where() (string, uint32) { return modelName, s.m.PC() }\n\n")
 
+	e.f("// CheckBoundary returns the error Checkpoint would return now, without\n")
+	e.f("// capturing anything.\n")
+	e.f("func (s *Sim) CheckBoundary() error {\n")
+	e.f("if !s.Drained() {\nreturn fmt.Errorf(\"%%s: checkpoint requires a drained pipeline\", modelName)\n}\n")
+	e.f("return s.m.CheckBoundary()\n}\n\n")
 	e.f("// Checkpoint captures architected plus warm microarchitectural state;\n")
 	e.f("// the pipeline must be drained.\n")
 	e.f("func (s *Sim) Checkpoint() (*ckpt.Checkpoint, error) {\n")
-	e.f("if !s.Drained() {\nreturn nil, fmt.Errorf(\"%%s: checkpoint requires a drained pipeline\", modelName)\n}\n")
+	e.f("if err := s.CheckBoundary(); err != nil {\nreturn nil, err\n}\n")
 	e.f("return s.m.Checkpoint()\n}\n\n")
 
 	e.f("// Restore overwrites the simulator's state with the checkpoint; the\n")

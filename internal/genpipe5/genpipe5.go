@@ -485,11 +485,20 @@ func (s *Sim) Counters() (int64, int64, uint64) { return s.Cycles, s.Cycles, s.m
 // Where names the model and its fetch PC for limit errors.
 func (s *Sim) Where() (string, uint32) { return modelName, s.m.PC() }
 
+// CheckBoundary returns the error Checkpoint would return now, without
+// capturing anything.
+func (s *Sim) CheckBoundary() error {
+	if !s.Drained() {
+		return fmt.Errorf("%s: checkpoint requires a drained pipeline", modelName)
+	}
+	return s.m.CheckBoundary()
+}
+
 // Checkpoint captures architected plus warm microarchitectural state;
 // the pipeline must be drained.
 func (s *Sim) Checkpoint() (*ckpt.Checkpoint, error) {
-	if !s.Drained() {
-		return nil, fmt.Errorf("%s: checkpoint requires a drained pipeline", modelName)
+	if err := s.CheckBoundary(); err != nil {
+		return nil, err
 	}
 	return s.m.Checkpoint()
 }

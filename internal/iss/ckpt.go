@@ -34,6 +34,9 @@ func (c *CPU) RunN(n uint64) (uint64, error) {
 // address), flags and the shared record.
 func (c *CPU) Arch() ([16]uint32, arm.Flags, *arch.State) { return c.R, c.F, &c.State }
 
+// CheckBoundary reports no error: every instruction boundary is drained.
+func (c *CPU) CheckBoundary() error { return nil }
+
 // Checkpoint captures the complete architected state, plus warm
 // microarchitectural state when warm units are attached. Every instruction
 // boundary is drained, so it never fails; the error result matches

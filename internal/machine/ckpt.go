@@ -48,15 +48,24 @@ func (m *Machine) Arch() (r [16]uint32, f arm.Flags, st *arch.State) {
 	return r, m.Flags(), &m.State
 }
 
+// CheckBoundary returns the error Checkpoint would return now — a recorded
+// failure, or a pipeline that is not drained — without capturing anything.
+func (m *Machine) CheckBoundary() error {
+	if m.Err != nil {
+		return m.Err
+	}
+	if !m.Drained() {
+		return fmt.Errorf("%s: checkpoint requires a drained pipeline (use Drain)", m.Name)
+	}
+	return nil
+}
+
 // Checkpoint captures the architected state plus the machine's warm
 // microarchitectural state (cache residency, branch-predictor history). It
 // fails unless the pipeline is drained.
 func (m *Machine) Checkpoint() (*ckpt.Checkpoint, error) {
-	if m.Err != nil {
-		return nil, m.Err
-	}
-	if !m.Drained() {
-		return nil, fmt.Errorf("%s: checkpoint requires a drained pipeline (use Drain)", m.Name)
+	if err := m.CheckBoundary(); err != nil {
+		return nil, err
 	}
 	r, f, st := m.Arch()
 	ck := st.CaptureArch(r, f)

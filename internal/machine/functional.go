@@ -67,8 +67,9 @@ func (m *Machine) stepFunctional() {
 	m.pc = addr + 4 // control transfers overwrite via resolveControl
 
 	// In program order every guard of the class sub-nets holds trivially
-	// (no instruction is in flight, so no reference is reserved); the
-	// actions run unconditionally.
+	// (no instruction is in flight, so no reference is reserved); the issue
+	// guard still runs, since it records the sources Issue reads.
+	in.IssueReady(nil)
 	in.Issue(nil)
 	in.Execute()
 	switch in.I.Class {

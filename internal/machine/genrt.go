@@ -64,7 +64,7 @@ func (m *Machine) SetGenFlush(f func(youngerThan uint64) []*Inst) { m.genFlush =
 func (m *Machine) FetchHeld() bool { return m.fetchHold != nil }
 
 // InstallProfile points the machine's operand counters (bypass-served and
-// register-file reads, counted in Inst.readFrom) at a profile owned by the
+// register-file reads, counted in Inst.Issue) at a profile owned by the
 // generated simulator, which accounts stage slots itself.
 func (m *Machine) InstallProfile(p *obsv.StallProfile) { m.prof = p }
 
@@ -74,6 +74,6 @@ func (m *Machine) InstallProfile(p *obsv.StallProfile) { m.prof = p }
 func (in *Inst) Annulled() bool { return in.annulled }
 
 // SetState records the generated-pipeline state the instruction currently
-// occupies (-1 = none), feeding the same Token.InState feedback queries the
+// occupies (-1 = none), feeding the same Token.State feedback queries the
 // net's place residency feeds on interpreted models.
 func (in *Inst) SetState(state int) { in.Tok.SetExternalState(state) }

@@ -41,12 +41,22 @@ type Inst struct {
 	nconst int        // constant sources; each counts as one register-file read
 	accum  bool       // long multiply-accumulate: dst and dst2 are read too
 
+	// The issue record: where a passing IssueReady found the flags and each
+	// register source — nil for the register file, else the bypassed
+	// writer. Issue reads through it instead of looking each operand up
+	// again; it is valid only while sourced is set, from a passing guard
+	// to the action that consumes it.
+	psrSrc  *reg.Ref
+	srcs    []*reg.Ref // parallel to reads
+	sourced bool
+
 	// The instance's operands and plan live inside it rather than in one
 	// heap object each; block transfers, whose register lists outgrow
 	// these, take one slice for the rest.
 	refs    [5]reg.Ref
 	consts  [3]reg.Const
 	readBuf [3]*reg.Ref
+	srcBuf  [3]*reg.Ref
 	dstBuf  [2]*reg.Ref
 
 	needPSR     bool // reads flags (condition or carry-in)
@@ -64,10 +74,6 @@ type Inst struct {
 	lsmAddrs []uint32
 }
 
-// InState forwards pipeline-state queries to the token, so Refs owned by
-// this instruction can answer CanReadIn (bypass) questions.
-func (in *Inst) InState(s int) bool { return in.Tok.InState(s) }
-
 // decode returns a ready instruction instance for addr, reusing a pooled one
 // when available (the token cache / partial-evaluation optimization).
 func (m *Machine) decode(addr uint32) *Inst {
@@ -80,6 +86,7 @@ func (m *Machine) decode(addr uint32) *Inst {
 
 func (in *Inst) resetDynamic() {
 	in.inUse = true
+	in.sourced = false
 	in.annulled = false
 	in.resolved = false
 	in.predNext = 0
@@ -105,11 +112,12 @@ func (m *Machine) newInst(addr uint32) *Inst {
 		// src1, every listed register and the flags.
 		refs = make([]reg.Ref, 0, bits.OnesCount16(i.RegList)+2)
 	}
-	// ref returns a fresh operand reference to r.
+	// ref returns a fresh operand reference to r, owned by the token, whose
+	// residency answers the bypass (CanReadIn) questions about it.
 	ref := func(r *reg.Register) *reg.Ref {
 		refs = refs[:len(refs)+1]
 		x := &refs[len(refs)-1]
-		x.Retarget(r, in)
+		x.Retarget(r, in.Tok)
 		return x
 	}
 	wr := func(r arm.Reg) *reg.Ref { return ref(m.regs[r]) }
@@ -237,29 +245,17 @@ func (m *Machine) newInst(addr uint32) *Inst {
 	if in.needPSR || in.writesFlags {
 		in.psr = ref(m.psrReg)
 	}
+	if len(in.reads) <= len(in.srcBuf) {
+		in.srcs = in.srcBuf[:len(in.reads)]
+	} else {
+		in.srcs = make([]*reg.Ref, len(in.reads))
+	}
 	return in
 }
 
 // flags returns the architected NZCV as seen by this instruction's psr ref
 // (valid only after psr.Read()).
 func (in *Inst) flags() arm.Flags { return arm.UnpackFlags(in.psr.Value()) }
-
-// readFrom loads a register source from the file or the first bypass state
-// holding it (guards must have established readability) and attributes the
-// read to the register file or the bypass network in the machine's stall
-// profile, so hazards *hidden* by forwarding are visible next to the ones
-// that stalled ("bypass-served" in the DESIGN.md §10 taxonomy).
-func (in *Inst) readFrom(r *reg.Ref, bypass []int) {
-	via := r.ReadVia(bypass)
-	if p := in.m.prof; p != nil {
-		switch via {
-		case reg.ViaFile:
-			p.FileReads++
-		case reg.ViaBypass:
-			p.BypassServed++
-		}
-	}
-}
 
 // releaseLocks drops every reservation this (squashed) instance may hold.
 func (in *Inst) releaseLocks() {

@@ -7,7 +7,7 @@ import "rcpn/internal/obsv"
 // model layer only adds what the net cannot know — the register-hazard
 // sub-classification (Transition.Explain on the issue transitions, wired
 // in the model files) and the bypass-served/file-read operand counters
-// (Inst.readFrom). Machine implements obsv.Instrumentable.
+// (Inst.Issue). Machine implements obsv.Instrumentable.
 
 // AttachTrace routes the model's token game into tr. Must be called
 // before the first cycle.

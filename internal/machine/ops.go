@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+
 	"rcpn/internal/arm"
 	"rcpn/internal/obsv"
 	"rcpn/internal/reg"
@@ -14,96 +16,107 @@ import (
 //
 // The canonical pairing discipline of §3.1 is kept throughout: every Read /
 // ReadIn / ReserveWrite in an action is covered by the matching CanRead /
-// CanReadIn / CanWrite (via Peek/Readable, one-lookup forms of the first
-// two) in the guard of the same transition.
+// CanReadIn / CanWrite in the guard of the same transition. The issue stage
+// uses Source, the one-lookup form of the first two, and hands its answer
+// from the guard to the action (ReadSource).
 
-// peekCond purely evaluates the instruction's condition. ready is false
-// while the flags are not yet readable (not even over the bypass states).
-func (in *Inst) peekCond(bypass []int) (pass, ready bool) {
-	if in.psr == nil {
-		return true, true
+// issueBlock evaluates the issue-stage guard clause by clause, in order:
+// flags readable, and — unless the condition already fails — source
+// operands readable (register file or bypass) and destinations reservable.
+// The class-dependent part, which operands are sources and which are
+// destinations, is the instance's decode-time plan. It records where the
+// flags and each source come from for Issue, and names the first failing
+// clause: a source — including the flags — unavailable in the file and on
+// every bypass is a RAW wait, a destination that cannot be reserved a
+// writeback-order wait. StallEmpty means the guard holds.
+func (in *Inst) issueBlock(bypass []int) obsv.StallKind {
+	in.sourced = false
+	if p := in.psr; p != nil {
+		w, ok := p.Source(bypass)
+		if !ok {
+			return obsv.StallRAW // flags not yet forwardable
+		}
+		in.psrSrc = w
+		v := p.Register().Value()
+		if w != nil {
+			v = w.Value()
+		}
+		if f := arm.UnpackFlags(v); !in.I.Cond.Passes(f.N, f.Z, f.C, f.V) {
+			in.sourced = true
+			return obsv.StallEmpty // will be annulled; needs nothing else
+		}
 	}
-	v, ok := in.psr.Peek(bypass...)
-	if !ok {
-		return false, false
-	}
-	f := arm.UnpackFlags(v)
-	return in.I.Cond.Passes(f.N, f.Z, f.C, f.V), true
-}
-
-// IssueReady is the issue-stage guard: flags readable, and — unless the
-// condition already fails — source operands readable (register file or
-// bypass) and destinations reservable. The class-dependent part, which
-// operands are sources and which are destinations, is the instance's
-// decode-time plan.
-func (in *Inst) IssueReady(bypass []int) bool {
-	pass, ready := in.peekCond(bypass)
-	if !ready {
-		return false
-	}
-	if !pass {
-		return true // will be annulled; needs nothing else
-	}
-	if !in.sourcesReadable(bypass) {
-		return false
+	for i, r := range in.reads {
+		w, ok := r.Source(bypass)
+		if !ok {
+			return obsv.StallRAW
+		}
+		in.srcs[i] = w
 	}
 	for _, r := range in.dsts {
 		if !r.CanWrite() {
-			return false
+			return obsv.StallWriteback
 		}
 	}
-	return true
+	in.sourced = true
+	return obsv.StallEmpty
 }
 
-// sourcesReadable reports whether every register source of the plan can be
-// read now, from the file or over one of the bypass states.
-func (in *Inst) sourcesReadable(bypass []int) bool {
-	for _, r := range in.reads {
-		if !r.Readable(bypass) {
-			return false
-		}
-	}
-	return true
+// IssueReady is the issue-stage guard (see issueBlock). A passing guard
+// leaves the issue record for the Issue action of the same firing.
+func (in *Inst) IssueReady(bypass []int) bool {
+	return in.issueBlock(bypass) == obsv.StallEmpty
 }
 
 // IssueStallKind sub-classifies a false IssueReady for stall attribution
 // (core consults it through Transition.Explain, profiling slow path only):
-// a source operand — including the flags — unavailable in the file and on
-// every bypass is a RAW wait; otherwise the blocking clause must be a
-// destination that cannot be reserved, a writeback-order wait. The clause
-// order mirrors IssueReady exactly.
+// the kind of the guard's first failing clause, or StallGuard when the
+// guard holds.
 func (in *Inst) IssueStallKind(bypass []int) obsv.StallKind {
-	pass, ready := in.peekCond(bypass)
-	if !ready {
-		return obsv.StallRAW // flags not yet forwardable
+	if k := in.issueBlock(bypass); k != obsv.StallEmpty {
+		return k
 	}
-	if !pass {
-		return obsv.StallGuard // annulled instructions need nothing; not a hazard
-	}
-	if !in.sourcesReadable(bypass) {
-		return obsv.StallRAW
-	}
-	return obsv.StallWriteback
+	return obsv.StallGuard
 }
 
 // Issue is the issue-stage action: read the flags, evaluate the condition
-// (annulling the instruction if it fails), read source operands over the
-// register file or bypass network, and reserve the destinations.
+// (annulling the instruction if it fails), read source operands from where
+// the passing IssueReady found them, and reserve the destinations. Reads
+// are attributed to the register file or the bypass network in the
+// machine's stall profile, so hazards *hidden* by forwarding are visible
+// next to the ones that stalled ("bypass-served" in the DESIGN.md §10
+// taxonomy). Issue without a passing IssueReady since the instance was
+// fetched or last issued is a guard/action mismatch and panics.
 func (in *Inst) Issue(bypass []int) {
+	if !in.sourced {
+		panic(fmt.Sprintf("machine: Issue of %#08x without a passing IssueReady (guard/action mismatch)", in.I.Addr))
+	}
+	in.sourced = false
+	var files, bypassed uint64
 	if in.psr != nil {
-		in.readFrom(in.psr, bypass)
+		in.psr.ReadSource(in.psrSrc)
+		if in.psrSrc == nil {
+			files++
+		} else {
+			bypassed++
+		}
 		f := in.flags()
 		if !in.I.Cond.Passes(f.N, f.Z, f.C, f.V) {
 			in.annulled = true
+			in.countReads(files, bypassed)
 			return
 		}
 	}
-	for _, r := range in.reads {
-		in.readFrom(r, bypass)
+	for i, r := range in.reads {
+		w := in.srcs[i]
+		r.ReadSource(w)
+		if w == nil {
+			files++
+		} else {
+			bypassed++
+		}
 	}
-	if p := in.m.prof; p != nil {
-		p.FileReads += uint64(in.nconst) // a constant reads like the file
-	}
+	in.countReads(files+uint64(in.nconst), bypassed) // a constant reads like the file
 	if in.accum {
 		// UMLAL/SMLAL read their destinations as the 64-bit accumulator;
 		// the guard established CanWrite, which implies self-readability.
@@ -115,6 +128,14 @@ func (in *Inst) Issue(bypass []int) {
 	}
 	if in.writesFlags {
 		in.psr.ReserveWrite() // flag writes stack in order (see reg doc)
+	}
+}
+
+// countReads adds an issue's operand reads to the stall profile, if any.
+func (in *Inst) countReads(files, bypassed uint64) {
+	if p := in.m.prof; p != nil {
+		p.FileReads += files
+		p.BypassServed += bypassed
 	}
 }
 

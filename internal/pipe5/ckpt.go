@@ -26,14 +26,23 @@ func (s *Sim) Arch() ([16]uint32, arm.Flags, *arch.State) {
 	return r, s.F, &s.State
 }
 
+// CheckBoundary returns the error Checkpoint would return now — a recorded
+// failure, or a pipeline that is not drained — without capturing anything.
+func (s *Sim) CheckBoundary() error {
+	if s.Err != nil {
+		return s.Err
+	}
+	if !s.Drained() {
+		return fmt.Errorf("pipe5: checkpoint requires a drained pipeline (use Drain)")
+	}
+	return nil
+}
+
 // Checkpoint captures the architected state plus warm cache and predictor
 // state. It fails unless the pipeline is drained.
 func (s *Sim) Checkpoint() (*ckpt.Checkpoint, error) {
-	if s.Err != nil {
-		return nil, s.Err
-	}
-	if !s.Drained() {
-		return nil, fmt.Errorf("pipe5: checkpoint requires a drained pipeline (use Drain)")
+	if err := s.CheckBoundary(); err != nil {
+		return nil, err
 	}
 	r, f, st := s.Arch()
 	ck := st.CaptureArch(r, f)

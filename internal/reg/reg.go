@@ -2,8 +2,8 @@
 // (Figure 3) — the explicit lock/unlock (semaphore) mechanism RCPN uses for
 // data hazards instead of tokens:
 //
-//   - File: the actual storage for data plus, per storage cell, the pointers
-//     to the instructions (RegRefs) that will write it.
+//   - File: the actual storage for data plus, per storage cell, the chain of
+//     instructions (RegRefs) that will write it.
 //   - Register: an index into a File's storage; multiple Registers may point
 //     at the same cell to model overlapping registers (register banks,
 //     windows).
@@ -20,12 +20,15 @@ package reg
 
 import "fmt"
 
-// StateQuerier answers "is the instruction holding this RegRef currently in
-// pipeline state s?" — the hook the CanReadIn/ReadIn bypass interface needs.
-// In the RCPN simulators the querier is the instruction token; states are
-// place IDs. The package deliberately depends only on this tiny interface.
+// StateQuerier answers "which pipeline state is the instruction holding
+// this RegRef visibly in?" — the hook the CanReadIn/ReadIn bypass interface
+// needs. State returns a negative number when the instruction is in no
+// visible state. In the RCPN simulators the querier is the instruction
+// token; states are place IDs. One call answers a bypass check over any
+// number of states. The package deliberately depends only on this tiny
+// interface.
 type StateQuerier interface {
-	InState(state int) bool
+	State() int
 }
 
 // Operand is the fixed interface of the paper's RegRef, shared by Ref and
@@ -65,93 +68,100 @@ type Operand interface {
 }
 
 // File is the actual storage: data values and writer bookkeeping per cell.
-// Each cell tracks the ordered list of pending writers (oldest first); the
-// newest defines the value later readers must see.
+// Each cell tracks its pending writers as a chain through the Refs, oldest
+// to newest; the newest defines the value later readers must see.
 type File struct {
-	name    string
-	vals    []uint32
-	writers [][]*Ref
-	regs    []*Register
+	name  string
+	cells []cell // fixed at NewFile: Registers and Refs point into it
+	regs  []*Register
+}
+
+// cell is one storage cell: its architected value and writer bookkeeping.
+// Every hazard query reads newest and n; reservation and release relink in
+// O(1).
+type cell struct {
+	newest *Ref   // newest pending writer; Ref.prev leads to older ones
+	n      int32  // pending writers on the chain
+	val    uint32 // architected value
 
 	// Reservation-order generation stamps: a Writeback only lands if no
 	// later-reserved writer already committed the cell, which keeps the
 	// architected value correct under out-of-order completion (XScale).
-	genCtr []uint64
-	wbGen  []uint64
+	gen   uint64 // stamp of the latest reservation
+	wbGen uint64 // stamp of the latest writeback that landed
 }
 
 // NewFile creates a register file with n storage cells.
 func NewFile(name string, n int) *File {
-	return &File{
-		name:    name,
-		vals:    make([]uint32, n),
-		writers: make([][]*Ref, n),
-		genCtr:  make([]uint64, n),
-		wbGen:   make([]uint64, n),
-	}
+	return &File{name: name, cells: make([]cell, n)}
 }
 
 // Name returns the file name.
 func (f *File) Name() string { return f.name }
 
 // Size returns the number of storage cells.
-func (f *File) Size() int { return len(f.vals) }
+func (f *File) Size() int { return len(f.cells) }
 
 // Raw returns the architected value of cell i, bypassing hazard bookkeeping
 // (for result checking and debugging, not for modeled instructions).
-func (f *File) Raw(i int) uint32 { return f.vals[i] }
+func (f *File) Raw(i int) uint32 { return f.cells[i].val }
 
 // SetRaw sets the architected value of cell i directly (initialization).
-func (f *File) SetRaw(i int, v uint32) { f.vals[i] = v }
+func (f *File) SetRaw(i int, v uint32) { f.cells[i].val = v }
 
 // PendingWriter returns the newest Ref reserved to write cell i, or nil.
-func (f *File) PendingWriter(i int) *Ref {
-	w := f.writers[i]
-	if len(w) == 0 {
-		return nil
-	}
-	return w[len(w)-1]
-}
+func (f *File) PendingWriter(i int) *Ref { return f.cells[i].newest }
 
 // PendingWriters returns how many writers are outstanding on cell i.
-func (f *File) PendingWriters(i int) int { return len(f.writers[i]) }
+func (f *File) PendingWriters(i int) int { return int(f.cells[i].n) }
 
 // Values returns a copy of every cell's architected value (checkpoint
 // capture). Pending-writer bookkeeping is deliberately not captured: the
 // paper's drained-pipeline boundary is exactly the point where no writer
 // reservations exist, so architected values are the whole state.
-func (f *File) Values() []uint32 { return append([]uint32(nil), f.vals...) }
+func (f *File) Values() []uint32 {
+	vals := make([]uint32, len(f.cells))
+	for i := range f.cells {
+		vals[i] = f.cells[i].val
+	}
+	return vals
+}
 
 // SetValues overwrites every cell's architected value and drops all hazard
 // bookkeeping, including the out-of-order writeback generation stamps
 // (checkpoint restore at a drained boundary).
 func (f *File) SetValues(vals []uint32) error {
-	if len(vals) != len(f.vals) {
-		return fmt.Errorf("reg: %s: restoring %d values into %d cells", f.name, len(vals), len(f.vals))
+	if len(vals) != len(f.cells) {
+		return fmt.Errorf("reg: %s: restoring %d values into %d cells", f.name, len(vals), len(f.cells))
 	}
-	copy(f.vals, vals)
 	f.ClearHazards()
-	for i := range f.genCtr {
-		f.genCtr[i] = 0
-		f.wbGen[i] = 0
+	for i, v := range vals {
+		f.cells[i] = cell{val: v}
 	}
 	return nil
 }
 
 // ClearHazards drops all writer reservations (whole-pipeline reset support).
+// Each dropped Ref is unlinked, so it can reserve again.
 func (f *File) ClearHazards() {
-	for i := range f.writers {
-		f.writers[i] = f.writers[i][:0]
+	for i := range f.cells {
+		c := &f.cells[i]
+		for w := c.newest; w != nil; {
+			older := w.prev
+			w.prev, w.next, w.reserved = nil, nil, false
+			w = older
+		}
+		c.newest, c.n = nil, 0
 	}
 }
 
 // Register registers (and returns) a named architectural register backed by
 // cell. Multiple registers may share a cell to model overlap.
 func (f *File) Register(name string, cell int) *Register {
-	if cell < 0 || cell >= len(f.vals) {
-		panic(fmt.Sprintf("reg: %s.%s: cell %d out of range [0,%d)", f.name, name, cell, len(f.vals)))
+	if cell < 0 || cell >= len(f.cells) {
+		panic(fmt.Sprintf("reg: %s.%s: cell %d out of range [0,%d)", f.name, name, cell, len(f.cells)))
 	}
-	r := &Register{file: f, cell: cell, name: name}
+	r := &Register{file: f, c: &f.cells[cell], cell: cell, name: name}
 	f.regs = append(f.regs, r)
 	return r
 }
@@ -160,6 +170,7 @@ func (f *File) Register(name string, cell int) *Register {
 // storage.
 type Register struct {
 	file *File
+	c    *cell // &file.cells[cell]
 	cell int
 	name string
 }
@@ -174,41 +185,45 @@ func (r *Register) Cell() int { return r.cell }
 func (r *Register) File() *File { return r.file }
 
 // Value returns the current architected value.
-func (r *Register) Value() uint32 { return r.file.vals[r.cell] }
+func (r *Register) Value() uint32 { return r.c.val }
 
 // Set sets the architected value directly (initialization/debug).
-func (r *Register) Set(v uint32) { r.file.vals[r.cell] = v }
+func (r *Register) Set(v uint32) { r.c.val = v }
 
 // Ref is the paper's RegRef: a per-instruction handle on a Register with
 // internal temporary storage. The zero Ref is not usable; obtain Refs with
 // NewRef or Ref.Retarget.
 type Ref struct {
 	reg *Register
-	// file and cell cache reg's storage location, so every hazard query
-	// reaches the writer list in one step instead of through the Register.
-	file  *File
-	cell  int
-	val   uint32
-	ready bool   // val holds a computed result (bypassable)
-	gen   uint64 // reservation-order stamp (see File.genCtr)
-	owner StateQuerier
+	// c caches reg's storage cell, so every hazard query reaches the
+	// writer chain and the architected value in one step.
+	c        *cell
+	val      uint32
+	ready    bool   // val holds a computed result (bypassable)
+	reserved bool   // on its cell's writer chain
+	gen      uint64 // reservation-order stamp (see cell.gen)
+	// prev and next link the cell's writer chain: the next older and the
+	// next younger pending writer (nil at either end).
+	prev, next *Ref
+	owner      StateQuerier
 }
 
 // NewRef creates a reference to r owned by the instruction represented by
 // owner (may be nil when bypass queries are not used).
 func NewRef(r *Register, owner StateQuerier) *Ref {
-	return &Ref{reg: r, file: r.file, cell: r.cell, owner: owner}
+	return &Ref{reg: r, c: r.c, owner: owner}
 }
 
 // Retarget repoints a pooled Ref at a (possibly different) register and
 // owner, clearing the internal value. This supports the simulator's token
 // cache: decoded instructions and their Refs are recycled between dynamic
 // instances (§5 "the tokens are cached for later reuse"). Retargeting a
-// zero Ref initialises it, so Refs may be embedded in larger structures.
+// zero Ref initialises it, so Refs may be embedded in larger structures; a
+// reserved Ref releases its reservation first.
 func (r *Ref) Retarget(reg *Register, owner StateQuerier) {
+	r.removeReservation()
 	r.reg = reg
-	r.file = reg.file
-	r.cell = reg.cell
+	r.c = reg.c
 	r.owner = owner
 	r.val = 0
 	r.ready = false
@@ -217,96 +232,59 @@ func (r *Ref) Retarget(reg *Register, owner StateQuerier) {
 // Register returns the referenced architectural register.
 func (r *Ref) Register() *Register { return r.reg }
 
-// lastWriter returns the newest pending writer of the cell, or nil.
-func (r *Ref) lastWriter() *Ref {
-	w := r.file.writers[r.cell]
-	if len(w) == 0 {
-		return nil
-	}
-	return w[len(w)-1]
-}
-
-// source looks up the cell's newest pending writer once and says where a
+// Source looks up the cell's newest pending writer once and says where a
 // read over the given bypass states would take its value from: the register
 // file (nil, true), the bypassed writer (w, true), or nowhere yet (nil,
 // false). By construction ok == CanRead() || CanReadIn(s) for some s in
-// bypass, and a bypassed value is exactly what ReadIn would deliver.
-func (r *Ref) source(bypass []int) (w *Ref, ok bool) {
-	ws := r.file.writers[r.cell]
-	n := len(ws)
-	if n == 0 {
+// bypass, and a bypassed value is exactly what ReadIn would deliver. A
+// guard calls Source and hands w to the matching action's ReadSource.
+func (r *Ref) Source(bypass []int) (w *Ref, ok bool) {
+	c := r.c
+	last := c.newest
+	switch {
+	case last == nil:
 		return nil, true
-	}
-	last := ws[n-1]
-	if last == r {
-		return nil, n == 1
-	}
-	if last.ready && last.owner != nil {
-		for _, s := range bypass {
-			if last.owner.InState(s) {
-				return last, true
+	case last == r:
+		return nil, c.n == 1
+	case last.ready && last.owner != nil:
+		if s := last.owner.State(); s >= 0 {
+			for _, b := range bypass {
+				if b == s {
+					return last, true
+				}
 			}
 		}
 	}
 	return nil, false
 }
 
-// Readable reports whether the register can be sourced right now, from the
-// file or from a writer resident in one of the bypass states: CanRead, or
-// CanReadIn for some state, answered with one writer lookup.
-func (r *Ref) Readable(bypass []int) bool {
-	_, ok := r.source(bypass)
-	return ok
-}
-
-// Via says where ReadVia took a register's value from.
-type Via uint8
-
-const (
-	// ViaNone: no source was readable (a guard/action mismatch); the read
-	// fell back to ReadIn(-1), which takes a pending writer's value or
-	// panics when there is none.
-	ViaNone Via = iota
-	// ViaFile: the architected register file.
-	ViaFile
-	// ViaBypass: the newest pending writer, resident in a bypass state.
-	ViaBypass
-)
-
-// ReadVia is Read when the file is readable and ReadIn of the first bypass
-// state holding the value otherwise, and reports which one served the read.
-// The matching guard must have established Readable.
-func (r *Ref) ReadVia(bypass []int) Via {
-	w, ok := r.source(bypass)
-	switch {
-	case !ok:
-		r.ReadIn(-1)
-		return ViaNone
-	case w == nil:
-		r.Read()
-		return ViaFile
+// ReadSource loads the value from the source Source returned: the register
+// file when w is nil (Read), else the bypassed writer's result (ReadIn).
+func (r *Ref) ReadSource(w *Ref) {
+	if w == nil {
+		r.val = r.c.val
+	} else {
+		r.val = w.val
 	}
-	r.val = w.val
 	r.ready = true
-	return ViaBypass
 }
 
 // CanRead implements Operand: readable when no writer is pending, or the
 // only pending writer is this reference itself.
 func (r *Ref) CanRead() bool {
-	w := r.file.writers[r.cell]
-	return len(w) == 0 || (len(w) == 1 && w[0] == r)
+	c := r.c
+	return c.newest == nil || c.newest == r && c.n == 1
 }
 
-// CanReadIn implements Operand.
+// CanReadIn implements Operand. No writer is ever in a negative state.
 func (r *Ref) CanReadIn(state int) bool {
-	w := r.lastWriter()
-	return w != nil && w != r && w.ready && w.owner != nil && w.owner.InState(state)
+	w := r.c.newest
+	return w != nil && w != r && w.ready && w.owner != nil && state >= 0 && w.owner.State() == state
 }
 
 // Read implements Operand.
 func (r *Ref) Read() {
-	r.val = r.file.vals[r.cell]
+	r.val = r.c.val
 	r.ready = true
 }
 
@@ -314,10 +292,10 @@ func (r *Ref) Read() {
 // held in the matching guard; calling it without a pending writer panics,
 // surfacing the model bug (mismatched guard/action pair).
 func (r *Ref) ReadIn(state int) {
-	w := r.lastWriter()
+	w := r.c.newest
 	if w == nil || w == r {
 		panic(fmt.Sprintf("reg: ReadIn(%d) on %s.%s with no pending writer (guard/action mismatch)",
-			state, r.file.name, r.reg.name))
+			state, r.reg.file.name, r.reg.name))
 	}
 	r.val = w.val
 	r.ready = true
@@ -325,12 +303,12 @@ func (r *Ref) ReadIn(state int) {
 
 // Peek implements Operand.
 func (r *Ref) Peek(bypass ...int) (uint32, bool) {
-	w, ok := r.source(bypass)
+	w, ok := r.Source(bypass)
 	switch {
 	case !ok:
 		return 0, false
 	case w == nil:
-		return r.file.vals[r.cell], true
+		return r.c.val, true
 	}
 	return w.val, true
 }
@@ -338,23 +316,24 @@ func (r *Ref) Peek(bypass ...int) (uint32, bool) {
 // CanWrite implements Operand: strict WAW — at most this reference itself
 // may already be reserved. In-order flag pipelines may skip this check and
 // stack reservations; see ReserveWrite.
-func (r *Ref) CanWrite() bool {
-	w := r.file.writers[r.cell]
-	return len(w) == 0 || (len(w) == 1 && w[0] == r)
-}
+func (r *Ref) CanWrite() bool { return r.CanRead() }
 
-// ReserveWrite implements Operand: push this reference as the newest pending
-// writer (idempotent per reference).
+// ReserveWrite implements Operand: link this reference in as the newest
+// pending writer (idempotent per reference).
 func (r *Ref) ReserveWrite() {
-	f, c := r.file, r.cell
-	for _, w := range f.writers[c] {
-		if w == r {
-			return
-		}
+	if r.reserved {
+		return
 	}
-	f.writers[c] = append(f.writers[c], r)
-	f.genCtr[c]++
-	r.gen = f.genCtr[c]
+	c := r.c
+	if c.newest != nil {
+		c.newest.next = r
+	}
+	r.prev, r.next = c.newest, nil
+	c.newest = r
+	c.n++
+	c.gen++
+	r.gen = c.gen
+	r.reserved = true
 	r.ready = false
 }
 
@@ -363,10 +342,10 @@ func (r *Ref) ReserveWrite() {
 // a younger one (out-of-order completion) must not clobber the younger's
 // architected result.
 func (r *Ref) Writeback() {
-	f, c := r.file, r.cell
-	if r.gen >= f.wbGen[c] {
-		f.vals[c] = r.val
-		f.wbGen[c] = r.gen
+	c := r.c
+	if r.gen >= c.wbGen {
+		c.val = r.val
+		c.wbGen = r.gen
 	}
 	r.removeReservation()
 }
@@ -375,16 +354,22 @@ func (r *Ref) Writeback() {
 // value (squashed/flushed instructions).
 func (r *Ref) Release() { r.removeReservation() }
 
+// removeReservation unlinks r from its cell's writer chain, if it is on it.
 func (r *Ref) removeReservation() {
-	f, c := r.file, r.cell
-	w := f.writers[c]
-	for i, x := range w {
-		if x == r {
-			copy(w[i:], w[i+1:])
-			f.writers[c] = w[:len(w)-1]
-			return
-		}
+	if !r.reserved {
+		return
 	}
+	c := r.c
+	if r.prev != nil {
+		r.prev.next = r.next
+	}
+	if r.next != nil {
+		r.next.prev = r.prev
+	} else {
+		c.newest = r.prev
+	}
+	r.prev, r.next, r.reserved = nil, nil, false
+	c.n--
 }
 
 // Value implements Operand.

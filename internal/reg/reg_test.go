@@ -1,6 +1,7 @@
 package reg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,7 +10,7 @@ import (
 // fakeOwner is a StateQuerier pinned to one state.
 type fakeOwner struct{ state int }
 
-func (f *fakeOwner) InState(s int) bool { return f.state == s }
+func (f *fakeOwner) State() int { return f.state }
 
 func TestReadWriteRoundTrip(t *testing.T) {
 	f := NewFile("gpr", 4)
@@ -401,36 +402,39 @@ func TestFileBasics(t *testing.T) {
 }
 
 // TestSourceAgreesWithOperandInterface is the property behind the
-// one-lookup readiness path: over random writer stacks — including the
-// reader itself, writers whose value is not computed yet and writers with
-// no owner — random owner states and random bypass lists, Readable equals
+// one-lookup readiness path: over random writer chains — including the
+// reader itself, writers whose value is not computed yet, writers with no
+// owner and owners in no state — random bypass lists, Source agrees with
 // CanRead() || CanReadIn(s) for some s, Peek delivers the value Read or
-// ReadIn would, and ReadVia reports and loads the same source.
+// ReadIn would, and ReadSource loads it. ReserveWrite is idempotent, so
+// the reader is on the chain at most once.
 func TestSourceAgreesWithOperandInterface(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 20000; iter++ {
 		f := NewFile("gpr", 2)
 		reg := f.Register("r0", 1)
 		f.SetRaw(1, rng.Uint32())
-		reader := NewRef(reg, &fakeOwner{state: rng.Intn(4)})
-		reader.SetValue(rng.Uint32())
+		reader := NewRef(reg, &fakeOwner{state: rng.Intn(5) - 1})
 		for k := rng.Intn(4); k > 0; k-- {
 			w := reader
 			if rng.Intn(4) > 0 {
 				var owner StateQuerier
 				if rng.Intn(4) > 0 {
-					owner = &fakeOwner{state: rng.Intn(4)}
+					owner = &fakeOwner{state: rng.Intn(5) - 1}
 				}
 				w = NewRef(reg, owner)
-				if rng.Intn(3) > 0 {
-					w.SetValue(rng.Uint32())
-				}
 			}
-			f.writers[1] = append(f.writers[1], w)
+			w.ReserveWrite()
+			if rng.Intn(3) > 0 {
+				w.SetValue(rng.Uint32())
+			}
 		}
 		var bypass []int
 		for k := rng.Intn(4); k > 0; k-- {
-			bypass = append(bypass, rng.Intn(5))
+			bypass = append(bypass, rng.Intn(6)-1)
+		}
+		if reader.CanReadIn(-1) {
+			t.Fatalf("iter %d: CanReadIn(-1) holds", iter)
 		}
 
 		viaBypass := -1
@@ -441,41 +445,218 @@ func TestSourceAgreesWithOperandInterface(t *testing.T) {
 			}
 		}
 		want := reader.CanRead() || viaBypass >= 0
-		if got := reader.Readable(bypass); got != want {
-			t.Fatalf("iter %d: Readable(%v) = %v, CanRead/CanReadIn say %v", iter, bypass, got, want)
+		w, ok := reader.Source(bypass)
+		if ok != want {
+			t.Fatalf("iter %d: Source(%v) ok = %v, CanRead/CanReadIn say %v", iter, bypass, ok, want)
+		}
+		if w != nil && (!ok || reader.CanRead() || w != f.PendingWriter(1)) {
+			t.Fatalf("iter %d: Source(%v) = %p, want the newest writer %p only when bypassing",
+				iter, bypass, w, f.PendingWriter(1))
 		}
 
 		// The value Read or ReadIn delivers, on a twin reference.
 		twin := *reader
-		wantVia := ViaNone
 		switch {
 		case reader.CanRead():
 			twin.Read()
-			wantVia = ViaFile
 		case viaBypass >= 0:
 			twin.ReadIn(viaBypass)
-			wantVia = ViaBypass
 		}
-		v, ok := reader.Peek(bypass...)
-		if ok != want || (ok && v != twin.Value()) {
-			t.Fatalf("iter %d: Peek = (%#x, %v), want (%#x, %v)", iter, v, ok, twin.Value(), want)
+		v, pok := reader.Peek(bypass...)
+		if pok != want || (pok && v != twin.Value()) {
+			t.Fatalf("iter %d: Peek = (%#x, %v), want (%#x, %v)", iter, v, pok, twin.Value(), want)
 		}
 		if !want {
-			// The guard/action-mismatch fallback is ReadIn(-1): a pending
-			// writer's value, or a panic when there is none to take.
-			if w := reader.lastWriter(); w != nil && w != reader {
-				if via := reader.ReadVia(bypass); via != ViaNone || reader.Value() != w.Value() {
-					t.Fatalf("iter %d: fallback ReadVia = %v loading %#x, want ViaNone loading %#x",
-						iter, via, reader.Value(), w.Value())
-				}
-			} else if !panics(func() { reader.ReadVia(bypass) }) {
-				t.Fatalf("iter %d: ReadVia with no source and no other writer did not panic", iter)
-			}
 			continue
 		}
-		if via := reader.ReadVia(bypass); via != wantVia || reader.Value() != twin.Value() || !reader.Ready() {
-			t.Fatalf("iter %d: ReadVia = %v loading %#x, want %v loading %#x",
-				iter, via, reader.Value(), wantVia, twin.Value())
+		reader.ReadSource(w)
+		if reader.Value() != twin.Value() || !reader.Ready() {
+			t.Fatalf("iter %d: ReadSource loaded %#x, want %#x", iter, reader.Value(), twin.Value())
+		}
+	}
+}
+
+// sliceModel is the writer bookkeeping the chain replaced, kept as the
+// reference: per cell an oldest-first slice of pending writers and the
+// reservation/writeback generation stamps, per Ref its stamp and whether
+// its value is computed.
+type sliceModel struct {
+	vals    []uint32
+	writers [][]*Ref
+	genCtr  []uint64
+	wbGen   []uint64
+	gen     map[*Ref]uint64
+	ready   map[*Ref]bool
+}
+
+func (m *sliceModel) last(c int) *Ref {
+	if w := m.writers[c]; len(w) > 0 {
+		return w[len(w)-1]
+	}
+	return nil
+}
+
+func (m *sliceModel) reserve(r *Ref) {
+	for _, w := range m.writers[r.reg.cell] {
+		if w == r {
+			return
+		}
+	}
+	m.writers[r.reg.cell] = append(m.writers[r.reg.cell], r)
+	m.genCtr[r.reg.cell]++
+	m.gen[r] = m.genCtr[r.reg.cell]
+	m.ready[r] = false
+}
+
+func (m *sliceModel) remove(r *Ref) {
+	w := m.writers[r.reg.cell]
+	for i, x := range w {
+		if x == r {
+			m.writers[r.reg.cell] = append(w[:i:i], w[i+1:]...)
+			return
+		}
+	}
+}
+
+func (m *sliceModel) writeback(r *Ref) {
+	if m.gen[r] >= m.wbGen[r.reg.cell] {
+		m.vals[r.reg.cell] = r.Value()
+		m.wbGen[r.reg.cell] = m.gen[r]
+	}
+	m.remove(r)
+}
+
+func (m *sliceModel) clear() {
+	for c := range m.writers {
+		m.writers[c] = nil
+	}
+}
+
+// canRead is CanRead and CanWrite of the slice model.
+func (m *sliceModel) canRead(r *Ref) bool {
+	w := m.writers[r.reg.cell]
+	return len(w) == 0 || len(w) == 1 && w[0] == r
+}
+
+func (m *sliceModel) canReadIn(r *Ref, s int) bool {
+	w := m.last(r.reg.cell)
+	return w != nil && w != r && m.ready[w] && w.owner != nil && s >= 0 && w.owner.State() == s
+}
+
+// source is Source of the slice model.
+func (m *sliceModel) source(r *Ref, bypass []int) (*Ref, bool) {
+	if m.canRead(r) {
+		return nil, true
+	}
+	for _, s := range bypass {
+		if m.canReadIn(r, s) {
+			return m.last(r.reg.cell), true
+		}
+	}
+	return nil, false
+}
+
+// TestWriterChainMatchesSliceModel runs random interleavings of
+// ReserveWrite, SetValue, Writeback, Release, ClearHazards and SetValues
+// over refs on overlapping and distinct cells, and checks after every step
+// that the writer chain answers every query exactly as the slice model:
+// PendingWriter, PendingWriters, CanRead, CanWrite, CanReadIn, Source and
+// the architected values the gen-stamped writebacks leave.
+func TestWriterChainMatchesSliceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for run := 0; run < 300; run++ {
+		f := NewFile("gpr", 2)
+		regs := []*Register{f.Register("a", 0), f.Register("a'", 0), f.Register("b", 1)}
+		m := &sliceModel{
+			vals:    make([]uint32, 2),
+			writers: make([][]*Ref, 2),
+			genCtr:  make([]uint64, 2),
+			wbGen:   make([]uint64, 2),
+			gen:     map[*Ref]uint64{},
+			ready:   map[*Ref]bool{},
+		}
+		var refs []*Ref
+		for i := 0; i < 6; i++ {
+			var owner StateQuerier
+			if i%3 != 0 {
+				owner = &fakeOwner{state: rng.Intn(4) - 1}
+			}
+			refs = append(refs, NewRef(regs[rng.Intn(len(regs))], owner))
+		}
+		for step := 0; step < 200; step++ {
+			r := refs[rng.Intn(len(refs))]
+			var op string
+			switch k := rng.Intn(20); {
+			case k < 6:
+				op = "ReserveWrite"
+				r.ReserveWrite()
+				m.reserve(r)
+			case k < 10:
+				op = "SetValue"
+				v := rng.Uint32()
+				r.SetValue(v)
+				m.ready[r] = true
+			case k < 14:
+				op = "Writeback"
+				r.Writeback()
+				m.writeback(r)
+			case k < 17:
+				op = "Release"
+				r.Release()
+				m.remove(r)
+			case k < 18:
+				op = "ClearHazards"
+				f.ClearHazards()
+				m.clear()
+			case k < 19:
+				op = "SetValues"
+				vals := []uint32{rng.Uint32(), rng.Uint32()}
+				if err := f.SetValues(vals); err != nil {
+					t.Fatal(err)
+				}
+				copy(m.vals, vals)
+				m.clear()
+				for c := range m.genCtr {
+					m.genCtr[c], m.wbGen[c] = 0, 0
+				}
+			default:
+				op = "owner moves"
+				if o, ok := r.owner.(*fakeOwner); ok {
+					o.state = rng.Intn(4) - 1
+				}
+			}
+			where := func() string { return fmt.Sprintf("run %d step %d (%s)", run, step, op) }
+			for c := 0; c < 2; c++ {
+				if got, want := f.PendingWriter(c), m.last(c); got != want {
+					t.Fatalf("%s: PendingWriter(%d) = %p, model %p", where(), c, got, want)
+				}
+				if got, want := f.PendingWriters(c), len(m.writers[c]); got != want {
+					t.Fatalf("%s: PendingWriters(%d) = %d, model %d", where(), c, got, want)
+				}
+				if got, want := f.Raw(c), m.vals[c]; got != want {
+					t.Fatalf("%s: cell %d = %#x, model %#x", where(), c, got, want)
+				}
+			}
+			bypass := []int{rng.Intn(4) - 1, rng.Intn(4) - 1}
+			for i, x := range refs {
+				if got, want := x.CanRead(), m.canRead(x); got != want {
+					t.Fatalf("%s: ref %d CanRead = %v, model %v", where(), i, got, want)
+				}
+				if got, want := x.CanWrite(), m.canRead(x); got != want {
+					t.Fatalf("%s: ref %d CanWrite = %v, model %v", where(), i, got, want)
+				}
+				for s := -1; s < 3; s++ {
+					if got, want := x.CanReadIn(s), m.canReadIn(x, s); got != want {
+						t.Fatalf("%s: ref %d CanReadIn(%d) = %v, model %v", where(), i, s, got, want)
+					}
+				}
+				gw, gok := x.Source(bypass)
+				ww, wok := m.source(x, bypass)
+				if gw != ww || gok != wok {
+					t.Fatalf("%s: ref %d Source(%v) = (%p, %v), model (%p, %v)",
+						where(), i, bypass, gw, gok, ww, wok)
+				}
+			}
 		}
 	}
 }

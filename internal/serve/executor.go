@@ -43,7 +43,7 @@ type execEnv struct {
 
 	// Checkpoint hooks. loadCkpt yields the latest checkpoint to resume
 	// from (nil: always start from scratch); saveCkpt persists one
-	// (nil: checkpoints are captured but never encoded — the deterministic
+	// (nil: checkpoints are neither captured nor encoded — the deterministic
 	// boundary drains still happen, so cycle counts never depend on
 	// whether anyone is saving). discardCkpt abandons an unusable
 	// checkpoint; onResume observes a successful restore.
@@ -177,18 +177,23 @@ func (env *execEnv) load() (raw []byte, instret uint64, cycles int64, ok bool) {
 	return env.loadCkpt()
 }
 
-// sink encodes each periodic checkpoint and hands it to the host. The
-// worker.panic fault site fires first — before the checkpoint is saved —
-// so an injected crash loses the current boundary exactly like a real one.
-// A host that keeps no checkpoints (a shard worker) gets no encoding: the
-// boundary still drains and the fault site still fires.
+// sink captures and encodes each periodic checkpoint and hands it to the
+// host. The worker.panic fault site fires first — before the checkpoint is
+// saved — so an injected crash loses the current boundary exactly like a
+// real one. A host that keeps no checkpoints (a shard worker) gets no
+// capture and no encoding: the boundary still drains and is still checked,
+// and the fault site still fires.
 func (env *execEnv) sink(prof *obsv.StallProfile) batch.CheckpointSink {
-	return func(instret uint64, cycles int64, ck *ckpt.Checkpoint) error {
+	return func(instret uint64, cycles int64, capture func() (*ckpt.Checkpoint, error)) error {
 		if err := env.fault.Hit(faultinj.SiteWorkerPanic, instret); err != nil {
 			return err
 		}
 		if env.saveCkpt == nil {
 			return nil
+		}
+		ck, err := capture()
+		if err != nil {
+			return err
 		}
 		raw, err := ck.Bytes()
 		if err != nil {

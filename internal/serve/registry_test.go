@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"rcpn/internal/batch"
+	"rcpn/internal/ckpt"
 	"rcpn/internal/diffrun"
 	"rcpn/internal/workload"
 )
@@ -64,6 +66,70 @@ func TestEveryEngineServable(t *testing.T) {
 			}
 			if c, i := ref.Progress(); m.Cycles != c || m.Instret != i {
 				t.Errorf("ExecuteSpec (%d cycles, %d instr), registry (%d, %d)", m.Cycles, m.Instret, c, i)
+			}
+		})
+	}
+}
+
+// countingStepper forwards to an engine, counting boundary checks and
+// checkpoint captures.
+type countingStepper struct {
+	batch.CheckpointStepper
+	checks, captures int
+}
+
+func (c *countingStepper) CheckBoundary() error {
+	c.checks++
+	return c.CheckpointStepper.(batch.BoundaryChecker).CheckBoundary()
+}
+
+func (c *countingStepper) Checkpoint() (*ckpt.Checkpoint, error) {
+	c.captures++
+	return c.CheckpointStepper.Checkpoint()
+}
+
+// TestWorkerPathCapturesNothing: a checkpointed job executed where no
+// checkpoint is kept — ExecuteSpec, the shard worker's path — drains and
+// checks every boundary but captures no checkpoint, and still lands on the
+// position of the same job run without the counting wrapper.
+func TestWorkerPathCapturesNothing(t *testing.T) {
+	for _, e := range diffrun.Engines() {
+		t.Run(e.Name, func(t *testing.T) {
+			spec := &JobSpec{Simulator: e.Name, Kernel: "crc", CheckpointInterval: 2000}
+			if err := spec.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			var counted *countingStepper
+			build := func(sp *JobSpec) (batch.Stepper, error) {
+				st, err := sp.Build()
+				if err != nil {
+					return nil, err
+				}
+				cs, ok := st.(batch.CheckpointStepper)
+				if !ok {
+					return nil, fmt.Errorf("%s is not checkpointable", sp.Simulator)
+				}
+				if _, ok := st.(batch.BoundaryChecker); !ok {
+					return nil, fmt.Errorf("%s has no boundary check", sp.Simulator)
+				}
+				counted = &countingStepper{CheckpointStepper: cs}
+				return counted, nil
+			}
+			got, _, err := ExecuteSpec(context.Background(), spec, ExecOptions{Build: build})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if counted.checks == 0 || counted.captures != 0 {
+				t.Fatalf("%d boundaries checked, %d captured; want some checked and none captured",
+					counted.checks, counted.captures)
+			}
+			want, _, err := ExecuteSpec(context.Background(), spec, ExecOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cycles != want.Cycles || got.Instret != want.Instret {
+				t.Fatalf("counted run (%d cycles, %d instr), plain (%d, %d)",
+					got.Cycles, got.Instret, want.Cycles, want.Instret)
 			}
 		})
 	}

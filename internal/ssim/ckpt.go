@@ -30,20 +30,30 @@ func (s *Sim) Drained() bool {
 // drain stops here too.
 func (s *Sim) Finished() bool { return s.Exited && len(s.ruu) == 0 }
 
+// CheckBoundary returns the error Checkpoint would return now — a recorded
+// failure, a window that is neither drained nor finished, or an oracle that
+// disagrees with the committed count — without capturing anything.
+func (s *Sim) CheckBoundary() error {
+	if s.Err != nil {
+		return s.Err
+	}
+	if !s.Drained() && !s.Finished() {
+		return fmt.Errorf("ssim: checkpoint requires a drained window (use Drain)")
+	}
+	if s.Instret != s.oracle.Instret {
+		return fmt.Errorf("ssim: committed %d but oracle executed %d — window not architectural",
+			s.Instret, s.oracle.Instret)
+	}
+	return nil
+}
+
 // Checkpoint captures the architected state (the oracle core's, which is the
 // committed state) plus warm cache, TLB and predictor state. It fails unless
 // the simulator is drained or finished: a drain that ends in the exit stops
 // at Finished, and a finished run has no future timing to reproduce.
 func (s *Sim) Checkpoint() (*ckpt.Checkpoint, error) {
-	if s.Err != nil {
-		return nil, s.Err
-	}
-	if !s.Drained() && !s.Finished() {
-		return nil, fmt.Errorf("ssim: checkpoint requires a drained window (use Drain)")
-	}
-	if s.Instret != s.oracle.Instret {
-		return nil, fmt.Errorf("ssim: committed %d but oracle executed %d — window not architectural",
-			s.Instret, s.oracle.Instret)
+	if err := s.CheckBoundary(); err != nil {
+		return nil, err
 	}
 	r, f, st := s.Arch()
 	ck := st.CaptureArch(r, f)

@@ -402,10 +402,10 @@ func (l *leader) checkpoint(b uint64) (*ckpt.Checkpoint, error) {
 	return ck, nil
 }
 
-// matches reports whether ck, drained at retirement count at, is
-// byte-identical to the leader's checkpoint there — false when at is not
-// a plan boundary.
-func (l *leader) matches(plan *Plan, at uint64, ck *ckpt.Checkpoint) (bool, error) {
+// matches reports whether the checkpoint capture takes, drained at
+// retirement count at, is byte-identical to the leader's checkpoint there
+// — false, without capturing, when at is not a plan boundary.
+func (l *leader) matches(plan *Plan, at uint64, capture func() (*ckpt.Checkpoint, error)) (bool, error) {
 	if at%plan.Interval != 0 || at/plan.Interval >= uint64(plan.Segments) {
 		return false, nil
 	}
@@ -416,6 +416,10 @@ func (l *leader) matches(plan *Plan, at uint64, ck *ckpt.Checkpoint) (bool, erro
 	wantRaw, err := want.Bytes()
 	if err != nil {
 		return false, fmt.Errorf("tpar: leader checkpoint at %d: %w", at, err)
+	}
+	ck, err := capture()
+	if err != nil {
+		return false, err
 	}
 	raw, err := ck.Bytes()
 	if err != nil {
@@ -774,10 +778,10 @@ func serial(plan *Plan, build Build, opt Options, lead *leader) (*Result, error)
 		}
 		lastC, lastI = c, i
 	}
-	sink := func(i uint64, c int64, ck *ckpt.Checkpoint) (err error) {
+	sink := func(i uint64, c int64, capture func() (*ckpt.Checkpoint, error)) (err error) {
 		cut(c, i, false)
 		if lead != nil {
-			adopt, err = lead.matches(plan, i, ck)
+			adopt, err = lead.matches(plan, i, capture)
 		}
 		return err
 	}
