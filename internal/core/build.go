@@ -21,7 +21,11 @@ import (
 //     (a Reads arc) by a transition evaluated after it — exactly the places
 //     for which reverse-topological evaluation cannot guarantee
 //     read-before-write (§4, Fig. 8),
-//  4. extracts sorted_transitions[place, class] (Fig. 6).
+//  4. extracts sorted_transitions[place, class] (Fig. 6) and compiles it
+//     into the candidate records the cycle loop scans,
+//  5. fixes residency delays: each transition's default stay in its
+//     destination, max(To.Delay+Delay, 1), is computed here, so delays set
+//     after Build are ignored, as capacities are.
 func (n *Net) Build() error {
 	if n.built {
 		return fmt.Errorf("core: net already built")
@@ -49,7 +53,11 @@ func (n *Net) Build() error {
 			}
 			t.gate = &t.resGate
 		}
+		t.inline = !t.hasRes && !t.To.TwoList
+		t.delay = t.Delay
+		t.stay = max(t.To.Delay+t.Delay, 1)
 	}
+	n.compileCandidates()
 	// Event-driven scheduling structures: each place learns its slot in the
 	// evaluation order (the active masks are indexed by it), and the wakeup
 	// wheel gets one bucket per cycle in its horizon.
@@ -62,6 +70,12 @@ func (n *Net) Build() error {
 	}
 	n.activeMask = make([]uint64, words)
 	n.nextMask = make([]uint64, words)
+	n.sweepMask = make([]uint64, words)
+	for i, p := range n.order {
+		if !p.End {
+			n.sweepMask[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
 	n.wheel = make([][]int32, wheelSpan)
 	n.built = true
 	return nil
@@ -223,7 +237,30 @@ func (n *Net) calculateSortedTransitions() {
 				return list[i].Priority < list[j].Priority
 			})
 		}
-		n.places[pid].out = n.sorted[pid]
+	}
+}
+
+// compileCandidates turns each sorted_transitions list into the dense
+// candidate records the cycle loop scans, all sharing one backing array.
+// It runs once every transition's gate and capacity facts are set.
+func (n *Net) compileCandidates() {
+	total := 0
+	for _, lists := range n.sorted {
+		for _, list := range lists {
+			total += len(list)
+		}
+	}
+	recs := make([]candidate, 0, total)
+	for pid, p := range n.places {
+		p.stay = max(p.Delay, 1)
+		p.out = make([][]candidate, n.numClasses)
+		for c, list := range n.sorted[pid] {
+			start := len(recs)
+			for _, t := range list {
+				recs = append(recs, candidate{&t.capOf.occupancy, t.capLimit, t.gate, t})
+			}
+			p.out[c] = recs[start:len(recs):len(recs)]
+		}
 	}
 }
 

@@ -79,21 +79,24 @@ type Place struct {
 	Stage *Stage
 	// Delay is the default residency delay: how many cycles a token must sit
 	// in this place before its output transitions may consider it. Places
-	// are created with Delay 1 (one pipeline stage per cycle).
+	// are created with Delay 1 (one pipeline stage per cycle). Like stage
+	// capacities, delays are fixed at Build: a value set afterwards is
+	// ignored.
 	Delay int64
 	// TwoList marks the place as using the two-list (master/slave latch)
 	// algorithm: arrivals stay invisible until the start of the next cycle.
 	// Build sets it automatically for places read through feedback paths;
-	// models may also set it explicitly.
+	// models may also set it explicitly, before Build.
 	TwoList bool
 	// End marks the virtual final state: tokens reaching it retire.
 	End bool
 
 	id     int
 	net    *Net
-	tokens []*Token        // visible tokens
-	staged []*Token        // arrivals pending promotion (TwoList only)
-	out    [][]*Transition // per-class sorted transition lists (compiled)
+	tokens []*Token      // visible tokens
+	staged []*Token      // arrivals pending promotion (TwoList only)
+	out    [][]candidate // per-class sorted transition records (compiled)
+	stay   int64         // default residency, max(Delay, 1), fixed at Build
 
 	// meta and stagedMeta mirror tokens and staged index-for-index with
 	// the fields the cycle loop scans — readiness cycle and class: the
@@ -145,6 +148,18 @@ func (p *Place) ForEachToken(f func(*Token)) {
 // Reservations returns the visible reservation-token count.
 func (p *Place) Reservations() int { return p.reservations }
 
+// candidate is one compiled entry of a place's sorted_transitions list
+// (Fig. 6): the transition plus the enabling facts the cycle loop checks
+// without dereferencing it — the occupancy counter of the stage whose
+// capacity firing consumes, that stage's capacity (MaxInt when firing
+// consumes none) and the gate (see Transition.gate).
+type candidate struct {
+	occ   *int
+	limit int
+	gate  *func(tok *Token) bool
+	t     *Transition
+}
+
 // tokMeta is one slot of a place's struct-of-arrays token mirror: the
 // residency-entry deadline and the class, the only token fields the cycle
 // loop needs before committing to fire.
@@ -164,7 +179,8 @@ type Transition struct {
 	// Priority orders the output arcs of From: lower fires first.
 	Priority int
 	// Delay is the execution delay of the transition's functionality, added
-	// to the residency delay of the destination place.
+	// to the residency delay of the destination place. It is fixed at
+	// Build, like Place.Delay.
 	Delay int64
 	// Guard is the arc guard condition; nil means always true. Guards must
 	// be side-effect free.
@@ -202,6 +218,11 @@ type Transition struct {
 	// read at call time, so one assigned after Build takes effect.
 	gate    *func(tok *Token) bool
 	resGate func(tok *Token) bool
+	// inline marks the common firing shape the cycle loop runs itself: no
+	// reservation arcs and a destination that is not two-list.
+	inline bool
+	delay  int64 // Delay, fixed at Build
+	stay   int64 // default residency in To, max(To.Delay+Delay, 1)
 }
 
 // ID returns the transition's dense creation index (also its identity in
@@ -286,7 +307,7 @@ type Net struct {
 	numClasses   int
 	cycle        int64
 	built        bool
-	retire       func(tok *Token)
+	onRetire     func(tok *Token)
 	RetiredCount uint64
 
 	// dynamicSearch disables the static sorted_transitions table and makes
@@ -299,6 +320,7 @@ type Net struct {
 	// Event-driven scheduling state (see engine.go). sweep selects the
 	// full-order ablation loop; the rest implement the active-place set.
 	sweep      bool
+	sweepMask  []uint64          // every non-end position: the sweep's active set
 	activeMask []uint64          // bit per order position: process this cycle
 	nextMask   []uint64          // armed for the next cycle (delay-1 fast path)
 	promoteQ   []*Place          // two-list places with staged arrivals
@@ -408,7 +430,7 @@ func (n *Net) AddSource(s *Source) *Source {
 
 // OnRetire installs the callback invoked when an instruction token reaches
 // an end place (after the arriving transition's action ran).
-func (n *Net) OnRetire(f func(tok *Token)) { n.retire = f }
+func (n *Net) OnRetire(f func(tok *Token)) { n.onRetire = f }
 
 // Places returns all places in creation order.
 func (n *Net) Places() []*Place { return n.places }

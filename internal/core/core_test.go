@@ -294,6 +294,44 @@ func TestPlaceAndTransitionDelays(t *testing.T) {
 	}
 }
 
+// TestDelaysFixedAtBuild pins the delay semantics: like stage capacities,
+// place and transition delays are compiled at Build, so values assigned
+// afterwards change nothing — on the inline firing path (one-list
+// destination), on the general one (two-list destination) and for source
+// arrivals.
+func TestDelaysFixedAtBuild(t *testing.T) {
+	for _, twoList := range []bool{false, true} {
+		n := NewNet(1)
+		l1 := n.Place("L1", n.Stage("L1", 1))
+		l2 := n.Place("L2", n.Stage("L2", 1))
+		l2.Delay = 3
+		l2.TwoList = twoList
+		end := n.EndPlace("end")
+		e := n.AddTransition(&Transition{Name: "E", Class: 0, From: l1, To: l2, Delay: 2})
+		n.AddTransition(&Transition{Name: "W", Class: 0, From: l2, To: end})
+		sent := false
+		n.AddSource(&Source{Name: "F", To: l1, Fire: func() *Token {
+			if sent {
+				return nil
+			}
+			sent = true
+			return NewToken(0, nil)
+		}})
+		var retireCycle int64 = -1
+		n.OnRetire(func(*Token) { retireCycle = n.CycleCount() })
+		n.MustBuild()
+		l1.Delay, l2.Delay, e.Delay = 9, 9, 9
+		for i := 0; i < 40; i++ {
+			n.Step()
+		}
+		// As in TestPlaceAndTransitionDelays: ready in L2 at c1+3+2.
+		if retireCycle != 6 {
+			t.Fatalf("twoList=%v: retired at cycle %d, want 6 (delays set after Build must be ignored)",
+				twoList, retireCycle)
+		}
+	}
+}
+
 func TestTwoListAutoDetection(t *testing.T) {
 	// A transition out of L1 reads L3 through a feedback query. L3 is
 	// processed before L1 (reverse topo order), so it must be two-list.

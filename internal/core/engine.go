@@ -9,15 +9,16 @@ import (
 
 // The engine's cycle loop is event-driven: instead of sweeping every place in
 // reverse topological order each cycle (the literal Fig. 8 loop, kept as the
-// stepSweep ablation below), it processes only *active* places — places that
+// SetFullSweep ablation), it processes only *active* places — places that
 // hold at least one token whose residency delay has elapsed. Everything else
 // is skipped at zero cost:
 //
 //   - empty places are never visited;
 //   - places whose tokens are all still waiting out a delay are woken by a
-//     per-cycle wakeup wheel: deliver() schedules the holding place on the
-//     wheel slot of the token's readyAt cycle, so multi-cycle units (cache
-//     misses, multiplier early termination) cost nothing while they wait;
+//     per-cycle wakeup wheel: every arrival schedules the holding place on
+//     the wheel slot of the token's readyAt cycle, so multi-cycle units
+//     (cache misses, multiplier early termination) cost nothing while they
+//     wait;
 //   - a place with a ready token that found no enabled transition (a stall)
 //     stays active, so guards that depend on external state are re-evaluated
 //     every cycle exactly as the full sweep would;
@@ -31,8 +32,12 @@ import (
 // set bits in ascending position visits active places in exactly the order
 // the full sweep would — so the two schedulers are cycle-for-cycle,
 // counter-for-counter identical; the golden-trace and ablation-equivalence
-// tests pin this. The common case (residency delay 1, the one-stage-per-
-// cycle pipeline step) bypasses the wheel entirely: deliver sets the
+// tests pin this. The full sweep is the same loop over a full mask: Step
+// ORs every non-end position into the active set. Two-list promotion needs
+// no sweep of its own in either mode — every staged arrival queues its
+// place, so the queue promotes every two-list place that has arrivals. The
+// common case (residency delay 1, the one-stage-per-
+// cycle pipeline step) bypasses the wheel entirely: the arrival sets the
 // destination's bit in nextMask, which becomes activeMask at the next Step.
 
 // wheelSpan is the wakeup-wheel horizon in cycles. Token delays beyond it
@@ -45,16 +50,18 @@ const wheelMask = wheelSpan - 1
 //
 //	promote staged arrivals queued by last cycle's deliveries;
 //	wake places whose tokens become ready this cycle;
-//	process the active places in reverse topological order;
+//	process the active places in reverse topological order (Fig. 7);
 //	execute the instruction-independent (token-generating) sub-net;
 //	increment the cycle count.
+//
+// Step is the engine's one scan loop. For every ready instruction token of
+// an active place, in arrival order, it tries the token's candidate records
+// in priority order and fires the first enabled transition. The common
+// firing — no reservation arcs, a one-list or end destination, nothing
+// observing the net — runs inline; fire takes the general shapes.
 func (n *Net) Step() {
 	if !n.built {
 		panic("core: Step before Build")
-	}
-	if n.sweep {
-		n.stepSweep()
-		return
 	}
 	if len(n.promoteQ) > 0 {
 		for _, p := range n.promoteQ {
@@ -85,38 +92,83 @@ func (n *Net) Step() {
 			delete(n.farWake, n.cycle)
 		}
 	}
-	// Deliveries during processing only ever target future cycles (residency
-	// delays are >= 1), so activeMask is fixed for the duration of the loop:
-	// process() arms nextMask, never activeMask. Ascending bit order is
-	// ascending reverse-topological position.
+	if n.sweep {
+		for i, w := range n.sweepMask {
+			n.activeMask[i] |= w
+		}
+	}
+	// Arrivals during the loop only ever target future cycles (residency
+	// delays are >= 1), so activeMask is fixed for its duration: firings arm
+	// nextMask, never activeMask. Ascending bit order is ascending
+	// reverse-topological position.
+	now := n.cycle
 	for w, word := range n.activeMask {
 		base := w << 6
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
 			word &^= 1 << uint(b)
-			if n.process(n.order[base+b]) {
-				next[w] |= 1 << uint(b) // stalled: re-evaluate next cycle
+			p := n.order[base+b]
+			stalled := false
+			for i := 0; i < len(p.tokens); {
+				// Readiness and class come from the dense mirror: tokens
+				// still waiting out a residency delay are skipped, and the
+				// candidate list is looked up, without touching the Token
+				// struct (the struct-of-arrays fast path). A movedAt==now
+				// check is unnecessary: every token moved this cycle was
+				// delivered with readyAt >= now+1 or retired.
+				m := p.meta[i]
+				if m.ready > now {
+					i++
+					continue
+				}
+				tok := p.tokens[i]
+				var t *Transition
+				if n.dynamicSearch {
+					for _, c := range n.candidates(p, tok) {
+						if c.enabled(tok) {
+							t = c
+							break
+						}
+					}
+				} else {
+					cands := p.out[m.cls]
+					for k := range cands {
+						c := &cands[k]
+						if *c.occ < c.limit && (*c.gate == nil || (*c.gate)(tok)) {
+							t = c.t
+							break
+						}
+					}
+				}
+				if t == nil {
+					n.stalls[p.id]++
+					stalled = true
+					i++
+					continue
+				}
+				// On fire the token leaves index i; the next token is now
+				// at i, so i stays put.
+				if !t.inline || n.observed {
+					n.fire(t, tok, i)
+					continue
+				}
+				p.removeAt(i)
+				if t.Action != nil {
+					t.Action(tok)
+				}
+				t.Fires++
+				tok.movedAt = now
+				if to := t.To; to.End {
+					n.retire(tok)
+				} else {
+					to.enter(tok, now+residency(tok, t.stay, t.delay))
+					n.wake(to, tok.readyAt)
+				}
+			}
+			if stalled {
+				next[w] |= 1 << uint(b) // re-evaluate next cycle
 			}
 		}
-	}
-	for _, s := range n.sources {
-		n.fireSource(s)
-	}
-	if n.prof != nil {
-		n.profileCycle()
-	}
-	n.cycle++
-}
-
-// stepSweep is the pre-event-driven loop body of Fig. 8, retained as the
-// activeList=off ablation: promote every two-list place, then visit every
-// place in reverse topological order whether or not it holds work.
-func (n *Net) stepSweep() {
-	for _, p := range n.twoList {
-		p.promote()
-	}
-	for _, p := range n.order {
-		n.process(p)
 	}
 	for _, s := range n.sources {
 		n.fireSource(s)
@@ -184,53 +236,6 @@ func (p *Place) promote() {
 	p.stagedMeta = p.stagedMeta[:0]
 }
 
-// process implements Fig. 7: for every ready instruction token in the place,
-// in arrival order, try the statically sorted transitions for its class and
-// fire the first enabled one. It reports whether the place must stay active
-// next cycle — true exactly when a ready token stalled (its guards need
-// re-evaluation every cycle); tokens still inside a residency delay are
-// covered by the wakeup wheel instead.
-func (n *Net) process(p *Place) (keepActive bool) {
-	if p.End {
-		return false
-	}
-	now := n.cycle
-	for i := 0; i < len(p.tokens); {
-		// Readiness and class come from the dense mirror: tokens still
-		// waiting out a residency delay are skipped, and the candidate list
-		// is looked up, without touching the Token struct at all (the
-		// struct-of-arrays fast path). A movedAt==now check is unnecessary:
-		// every just-moved token is delivered with readyAt ≥ now+1 or has
-		// retired out of the list, so the ready test already excludes it.
-		m := p.meta[i]
-		if m.ready > now {
-			i++
-			continue
-		}
-		tok := p.tokens[i]
-		cand := p.out[m.cls]
-		if n.dynamicSearch {
-			cand = n.candidates(p, tok)
-		}
-		fired := false
-		for _, t := range cand {
-			if t.enabled(tok) {
-				n.fire(t, tok, i)
-				fired = true
-				break
-			}
-		}
-		if !fired {
-			n.stalls[p.id]++
-			keepActive = true
-			i++
-		}
-		// On fire the token was removed from index i; the next token is now
-		// at i, so i stays put.
-	}
-	return keepActive
-}
-
 // candidates returns the transitions to try for tok at p in priority order:
 // the precomputed sorted_transitions list normally, or — in the ablation's
 // dynamic-search mode — a per-call scan and sort over all transitions, the
@@ -256,11 +261,11 @@ func (n *Net) candidates(p *Place, tok *Token) []*Transition {
 }
 
 // enabled is the RCPN enabling rule for one candidate token: destination
-// capacity, reservation arcs, then the guard. It is the one check process,
-// the dynamic-search ablation and the stall explainer (classifyToken) share,
-// and small enough to inline into process: past capacity it makes one
-// call, through gate, to the Guard or, on the few transitions with
-// reservation arcs, to resGate.
+// capacity, reservation arcs, then the guard. The dynamic-search ablation
+// and the stall explainer (classifyToken) use it; Step's scan makes the
+// same check from a candidate record. Past capacity it makes one call,
+// through gate, to the Guard or, on the few transitions with reservation
+// arcs, to resGate.
 func (t *Transition) enabled(tok *Token) bool {
 	return !t.capBlocked() && (*t.gate == nil || (*t.gate)(tok))
 }
@@ -293,65 +298,58 @@ func (t *Transition) resBlock() obsv.StallKind {
 	return obsv.StallEmpty
 }
 
-// fire executes the transition for tok, currently at index idx of t.From:
-// remove the token from its input place, consume reservation inputs, run the
-// action, emit reservation outputs, and deliver the token to the output
-// place (or retire it at an end place). The token's place is written once,
-// on arrival: during the action it still names t.From.
+// fire executes the transition for tok, currently at index idx of t.From,
+// in the shapes Step does not run inline: reservation arcs, a two-list
+// destination, or an observed net. It removes the token from its input
+// place, consumes reservation inputs, runs the action, emits reservation
+// outputs, and delivers the token to the output place (or retires it at an
+// end place). The token's place is written once, on arrival: during the
+// action it still names t.From.
 func (n *Net) fire(t *Transition, tok *Token, idx int) {
 	from := t.From
-	last := len(from.tokens) - 1
-	if idx < last {
-		copy(from.tokens[idx:], from.tokens[idx+1:])
-		copy(from.meta[idx:], from.meta[idx+1:])
+	from.removeAt(idx)
+	for _, r := range t.ResIn {
+		r.reservations--
+		r.Stage.occupancy--
 	}
-	from.tokens = from.tokens[:last]
-	from.meta = from.meta[:last]
-	from.Stage.occupancy--
-
-	if t.hasRes {
-		for _, r := range t.ResIn {
-			r.reservations--
-			r.Stage.occupancy--
-		}
-	}
-
 	if t.Action != nil {
 		t.Action(tok)
 	}
 	t.Fires++
-
-	if t.hasRes {
-		for _, r := range t.ResOut {
-			r.reservations++
-			r.Stage.occupancy++
-		}
+	for _, r := range t.ResOut {
+		r.reservations++
+		r.Stage.occupancy++
 	}
-
 	tok.movedAt = n.cycle
 	if n.observed {
 		n.observeFire(t, tok, from)
 	}
-	to := t.To
-	switch {
-	case to.End:
-		tok.place = nil
-		n.RetiredCount++
-		if n.retire != nil {
-			n.retire(tok)
-		}
-	case to.TwoList:
-		n.deliver(tok, to, t.Delay)
-	default:
-		// deliver's one-list case, inline on the hot path.
-		tok.readyAt = n.cycle + to.residency(tok, t.Delay)
-		tok.place = to
-		to.Stage.occupancy++
-		to.tokens = append(to.tokens, tok)
-		to.meta = append(to.meta, tokMeta{tok.readyAt, tok.Class})
-		if !n.sweep {
-			n.wake(to, tok.readyAt)
-		}
+	if t.To.End {
+		n.retire(tok)
+	} else {
+		n.deliver(tok, t.To, residency(tok, t.stay, t.delay))
+	}
+}
+
+// removeAt takes the token at index i out of p's visible tokens and frees
+// its stage slot.
+func (p *Place) removeAt(i int) {
+	last := len(p.tokens) - 1
+	if i < last {
+		copy(p.tokens[i:], p.tokens[i+1:])
+		copy(p.meta[i:], p.meta[i+1:])
+	}
+	p.tokens = p.tokens[:last]
+	p.meta = p.meta[:last]
+	p.Stage.occupancy--
+}
+
+// retire ends a token's flight at an end place.
+func (n *Net) retire(tok *Token) {
+	tok.place = nil
+	n.RetiredCount++
+	if n.onRetire != nil {
+		n.onRetire(tok)
 	}
 }
 
@@ -371,24 +369,20 @@ func (n *Net) observeFire(t *Transition, tok *Token, from *Place) {
 	}
 }
 
-// residency is the delay of tok's stay in p: the token delay (if set, and
-// then consumed) overrides the place delay, the transition delay adds, and
-// every stay lasts at least one cycle.
-func (p *Place) residency(tok *Token, transDelay int64) int64 {
-	d := p.Delay
+// residency is the delay of tok's next stay: the token delay, if set (and
+// then consumed), plus extra; otherwise the default stay, which Build
+// computed from the same delays.
+func residency(tok *Token, stay, extra int64) int64 {
 	if tok.Delay > 0 {
-		d = tok.Delay
+		d := tok.Delay + extra
 		tok.Delay = 0
+		return d
 	}
-	d += transDelay
-	if d < 1 {
-		d = 1
-	}
-	return d
+	return stay
 }
 
 // wake arranges for p to be processed at cycle at, when the token just
-// delivered into it becomes ready (event-driven mode only).
+// delivered into it becomes ready.
 func (n *Net) wake(p *Place, at int64) {
 	if at == n.cycle+1 {
 		// The one-stage-per-cycle fast path: arm the place directly for the
@@ -399,27 +393,35 @@ func (n *Net) wake(p *Place, at int64) {
 	}
 }
 
-// deliver places tok into p, computing its residency delay. In
-// event-driven mode it also schedules the wakeup that will process the
-// token when the delay elapses, and queues two-list promotion for next
-// cycle.
-func (n *Net) deliver(tok *Token, p *Place, transDelay int64) {
-	tok.readyAt = n.cycle + p.residency(tok, transDelay)
+// enter makes tok a visible resident of the one-list place p, ready at
+// cycle at.
+func (p *Place) enter(tok *Token, at int64) {
+	tok.readyAt = at
 	tok.place = p
 	p.Stage.occupancy++
-	if p.TwoList {
+	p.tokens = append(p.tokens, tok)
+	p.meta = append(p.meta, tokMeta{at, tok.Class})
+}
+
+// deliver places tok into p for a stay of d cycles, scheduling the wakeup
+// that will process the token when the stay ends. A two-list place stages
+// the arrival and queues its promotion for next cycle.
+func (n *Net) deliver(tok *Token, p *Place, d int64) {
+	if !p.TwoList {
+		p.enter(tok, n.cycle+d)
+	} else {
+		tok.readyAt = n.cycle + d
+		tok.place = p
 		tok.staged = true
+		p.Stage.occupancy++
 		p.staged = append(p.staged, tok)
 		p.stagedMeta = append(p.stagedMeta, tokMeta{tok.readyAt, tok.Class})
-		if !n.sweep && !p.inPromoteQ {
+		if !p.inPromoteQ {
 			p.inPromoteQ = true
 			n.promoteQ = append(n.promoteQ, p)
 		}
-	} else {
-		p.tokens = append(p.tokens, tok)
-		p.meta = append(p.meta, tokMeta{tok.readyAt, tok.Class})
 	}
-	if !n.sweep && !p.End {
+	if !p.End {
 		n.wake(p, tok.readyAt)
 	}
 }
@@ -448,7 +450,7 @@ func (n *Net) fireSource(s *Source) {
 		tok.seq = n.tokSeq
 		n.tracer.Birth(n.cycle, tok.seq, int32(s.To.id))
 	}
-	n.deliver(tok, s.To, 0)
+	n.deliver(tok, s.To, residency(tok, s.To.stay, 0))
 }
 
 // Inject adds a token produced inside a transition action (micro-operation
@@ -466,17 +468,14 @@ func (n *Net) Inject(tok *Token, p *Place) bool {
 		n.tracer.Birth(n.cycle, tok.seq, int32(p.id))
 	}
 	if p.End {
-		n.RetiredCount++
 		if n.tracer != nil {
 			n.tracer.Retire(n.cycle, tok.seq, int32(p.id))
 		}
-		if n.retire != nil {
-			n.retire(tok)
-		}
+		n.retire(tok)
 		return true
 	}
 	tok.movedAt = n.cycle
-	n.deliver(tok, p, 0)
+	n.deliver(tok, p, residency(tok, p.stay, 0))
 	return true
 }
 
@@ -493,11 +492,7 @@ func (n *Net) RemoveToken(tok *Token) bool {
 		if t != tok {
 			continue
 		}
-		copy(p.tokens[i:], p.tokens[i+1:])
-		copy(p.meta[i:], p.meta[i+1:])
-		p.tokens = p.tokens[:len(p.tokens)-1]
-		p.meta = p.meta[:len(p.meta)-1]
-		p.Stage.occupancy--
+		p.removeAt(i)
 		tok.place = nil
 		tok.staged = false
 		return true

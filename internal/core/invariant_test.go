@@ -9,8 +9,10 @@ import (
 // randomNet builds a randomized but well-formed layered pipeline: `depth`
 // layers of places with random capacities, each class taking a random path
 // through one place per layer, with random place delays and random guard
-// availability driven by a seeded RNG (deterministic per seed).
-func randomNet(seed int64, produce int) (*Net, *rand.Rand) {
+// availability driven by a seeded RNG (deterministic per seed). A shaped
+// net adds the firing shapes the cycle loop leaves to the general fire
+// (see addShapes).
+func randomNet(seed int64, produce int, shaped bool) (*Net, *rand.Rand) {
 	rng := rand.New(rand.NewSource(seed))
 	classes := 1 + rng.Intn(3)
 	depth := 2 + rng.Intn(3)
@@ -28,23 +30,27 @@ func randomNet(seed int64, produce int) (*Net, *rand.Rand) {
 	}
 	end := n.EndPlace("end")
 
+	paths := make([][]*Transition, classes)
 	for c := 0; c < classes; c++ {
 		prev := layers[0][rng.Intn(len(layers[0]))]
 		for l := 1; l < depth; l++ {
 			next := layers[l][rng.Intn(len(layers[l]))]
-			n.AddTransition(&Transition{
+			paths[c] = append(paths[c], n.AddTransition(&Transition{
 				Name:  fmt.Sprintf("t%d.%d", c, l),
 				Class: ClassID(c),
 				From:  prev, To: next,
 				Delay: int64(rng.Intn(2)),
-			})
+			}))
 			prev = next
 		}
-		n.AddTransition(&Transition{
+		paths[c] = append(paths[c], n.AddTransition(&Transition{
 			Name:  fmt.Sprintf("t%d.end", c),
 			Class: ClassID(c),
 			From:  prev, To: end,
-		})
+		}))
+	}
+	if shaped {
+		addShapes(n, rng, paths, layers[depth-1])
 	}
 
 	made := 0
@@ -67,12 +73,32 @@ func randomNet(seed int64, produce int) (*Net, *rand.Rand) {
 	return n, rng
 }
 
+// addShapes gives a random net the firing shapes of real models that the
+// plain layered pipeline lacks: reservation arcs and a two-list place read
+// through feedback. A scoreboard place off every path holds reservation
+// tokens: each chosen class produces one on its first move and consumes one
+// on retirement, so the count never runs dry and the scoreboard's capacity
+// throttles how many such tokens fly at once. One class's first move reads
+// a last-layer place, which is evaluated before it, so Build makes that
+// place two-list; addRandomGuards makes the reader's guard depend on it.
+func addShapes(n *Net, rng *rand.Rand, paths [][]*Transition, last []*Place) {
+	board := n.Place("board", n.Stage("board", 1+rng.Intn(3)))
+	for _, path := range paths {
+		if rng.Intn(2) == 0 {
+			path[0].ResOut = []*Place{board}
+			path[len(path)-1].ResIn = []*Place{board}
+		}
+	}
+	reader := paths[rng.Intn(len(paths))][0]
+	reader.Reads = []*Place{last[rng.Intn(len(last))]}
+}
+
 // buildConnected retries seeds until every class's path starts at the
 // source's destination (so all tokens can retire).
-func buildConnected(t *testing.T, seed int64, produce int) *Net {
+func buildConnected(t *testing.T, seed int64, produce int, shaped bool) *Net {
 	t.Helper()
 	for s := seed; s < seed+10_000; s++ {
-		n, _ := randomNet(s, produce)
+		n, _ := randomNet(s, produce, shaped)
 		if err := n.Build(); err != nil {
 			continue
 		}
@@ -151,7 +177,7 @@ func TestEngineInvariantsRandomNets(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			const produce = 25
-			n := buildConnected(t, seed*1000, produce)
+			n := buildConnected(t, seed*1000, produce, false)
 			src := n.Sources()[0]
 			for i := 0; i < 500 && n.RetiredCount < produce; i++ {
 				n.Step()
@@ -171,7 +197,10 @@ func TestEngineInvariantsRandomNets(t *testing.T) {
 // addRandomGuards decorates every transition of a built net with a pure
 // time-varying guard (bit cycle%64 of a per-transition random mask) and a
 // pure data-dependent token delay installed by the action — the paper's
-// "t.delay = mem.delay(addr)" idiom with a synthetic delay function.
+// "t.delay = mem.delay(addr)" idiom with a synthetic delay function that
+// leaves some moves (delay 0) to the destination's default residency. A
+// transition with a feedback read also waits, on two cycles out of three,
+// for the read place to hold no visible token.
 // Purity matters: the active-list engine evaluates guards only for places
 // on its worklist while the full sweep evaluates every place, so guards
 // that consumed an RNG at evaluation time would diverge between the two
@@ -186,8 +215,14 @@ func addRandomGuards(n *Net, seed int64) {
 		tr.Guard = func(*Token) bool {
 			return mask>>(uint64(n.CycleCount())%64)&1 != 0
 		}
+		if len(tr.Reads) > 0 {
+			read, timed := tr.Reads[0], tr.Guard
+			tr.Guard = func(tok *Token) bool {
+				return timed(tok) && (len(read.Tokens()) == 0 || n.CycleCount()%3 == 0)
+			}
+		}
 		tr.Action = func(tok *Token) {
-			tok.Delay = int64(tok.Data.(int))*stride%3 + 1
+			tok.Delay = int64(tok.Data.(int)) * stride % 4
 		}
 	}
 }
@@ -203,7 +238,7 @@ func TestEngineInvariantsRandomGuardedNets(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			const produce = 25
-			n := buildConnected(t, seed*1000, produce)
+			n := buildConnected(t, seed*1000, produce, false)
 			addRandomGuards(n, seed*77)
 			src := n.Sources()[0]
 			for i := 0; i < 4000 && n.RetiredCount < produce; i++ {
@@ -219,45 +254,79 @@ func TestEngineInvariantsRandomGuardedNets(t *testing.T) {
 }
 
 // TestActiveListMatchesFullSweep locksteps the event-driven engine against
-// the literal Fig. 8 full reverse-topological sweep on identical guarded
-// nets and requires bit-identical evolution: same retired count after every
-// cycle, same final cycle count, and the same firing count on every
-// transition. This is the equivalence argument for the active-list
-// scheduler, checked mechanically across random structures, guards and
-// delays.
+// three twins on identical guarded nets — the literal Fig. 8 full
+// reverse-topological sweep, the dynamic transition search that replaces
+// the Fig. 6 table, and a net with a stall profile attached, whose every
+// firing takes the general fire — and requires bit-identical evolution: the
+// same visible tokens, staged arrivals and reservation tokens in every place
+// after every cycle, then the same cycle and retired counts, the same
+// firing count on every transition, the same stall count on every place
+// and the same source counters. The nets carry reservation arcs, a
+// feedback-read two-list place and action-set token delays, so both the
+// inline firing and the general fire are compared. This is the
+// equivalence argument for the active-list scheduler and the compiled
+// candidate records, checked mechanically across random structures, guards
+// and delays.
 func TestActiveListMatchesFullSweep(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			const produce = 30
-			active := buildConnected(t, seed*1000, produce)
-			sweep := buildConnected(t, seed*1000, produce)
+			active := buildConnected(t, seed*1000, produce, true)
+			twins := map[string]*Net{
+				"sweep":    buildConnected(t, seed*1000, produce, true),
+				"dynamic":  buildConnected(t, seed*1000, produce, true),
+				"observed": buildConnected(t, seed*1000, produce, true),
+			}
+			twins["sweep"].SetFullSweep(true)
+			twins["dynamic"].SetDynamicSearch(true)
+			twins["observed"].EnableProfile()
 			addRandomGuards(active, seed*99)
-			addRandomGuards(sweep, seed*99)
-			sweep.SetFullSweep(true)
+			for _, twin := range twins {
+				addRandomGuards(twin, seed*99)
+			}
+			resident := func(p *Place) (n int) {
+				p.ForEachToken(func(*Token) { n++ })
+				return n
+			}
 
 			for i := 0; i < 4000 && active.RetiredCount < produce; i++ {
 				active.Step()
-				sweep.Step()
-				if active.RetiredCount != sweep.RetiredCount {
-					t.Fatalf("cycle %d: active retired %d, sweep retired %d",
-						active.CycleCount(), active.RetiredCount, sweep.RetiredCount)
-				}
-				for pi, p := range active.Places() {
-					q := sweep.Places()[pi]
-					if len(p.Tokens()) != len(q.Tokens()) || p.Reservations() != q.Reservations() {
-						t.Fatalf("cycle %d: place %s diverged: %d/%d tokens, %d/%d reservations",
-							active.CycleCount(), p.Name, len(p.Tokens()), len(q.Tokens()),
-							p.Reservations(), q.Reservations())
+				for name, twin := range twins {
+					twin.Step()
+					for pi, p := range active.Places() {
+						q := twin.Places()[pi]
+						if len(p.Tokens()) != len(q.Tokens()) || resident(p) != resident(q) ||
+							p.Reservations() != q.Reservations() {
+							t.Fatalf("cycle %d: %s: place %s diverged: %d/%d visible, %d/%d resident, %d/%d reservations",
+								active.CycleCount(), name, p.Name, len(p.Tokens()), len(q.Tokens()),
+								resident(p), resident(q), p.Reservations(), q.Reservations())
+						}
 					}
 				}
 			}
-			if active.CycleCount() != sweep.CycleCount() {
-				t.Fatalf("cycle counts diverged: %d vs %d", active.CycleCount(), sweep.CycleCount())
+			if active.RetiredCount != produce {
+				t.Fatalf("retired %d of %d tokens", active.RetiredCount, produce)
 			}
-			for ti, tr := range active.Transitions() {
-				if got := sweep.Transitions()[ti].Fires; tr.Fires != got {
-					t.Fatalf("transition %s fired %d (active) vs %d (sweep)", tr.Name, tr.Fires, got)
+			for name, twin := range twins {
+				if active.CycleCount() != twin.CycleCount() || active.RetiredCount != twin.RetiredCount {
+					t.Fatalf("%s: %d cycles, %d retired; active %d cycles, %d retired", name,
+						twin.CycleCount(), twin.RetiredCount, active.CycleCount(), active.RetiredCount)
+				}
+				for ti, tr := range active.Transitions() {
+					if got := twin.Transitions()[ti].Fires; tr.Fires != got {
+						t.Fatalf("%s: transition %s fired %d, active %d", name, tr.Name, got, tr.Fires)
+					}
+				}
+				for pi, p := range active.Places() {
+					if got := twin.Places()[pi].Stalls(); p.Stalls() != got {
+						t.Fatalf("%s: place %s stalled %d, active %d", name, p.Name, got, p.Stalls())
+					}
+				}
+				s, ts := active.Sources()[0], twin.Sources()[0]
+				if s.Fires != ts.Fires || s.Stalls != ts.Stalls {
+					t.Fatalf("%s: source fired %d, stalled %d; active %d, %d", name,
+						ts.Fires, ts.Stalls, s.Fires, s.Stalls)
 				}
 			}
 		})
@@ -268,7 +337,7 @@ func TestActiveListMatchesFullSweep(t *testing.T) {
 // evolution (cycle counts, retire counts, firing counts).
 func TestEngineDeterminism(t *testing.T) {
 	run := func() (int64, uint64, []uint64) {
-		n := buildConnected(t, 4242, 30)
+		n := buildConnected(t, 4242, 30, false)
 		for i := 0; i < 300 && n.RetiredCount < 30; i++ {
 			n.Step()
 		}

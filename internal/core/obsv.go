@@ -82,7 +82,7 @@ func (n *Net) EnableProfile() *obsv.StallProfile {
 func (n *Net) Profile() *obsv.StallProfile { return n.prof }
 
 // profileCycle fills one accounting slot per profiled stage for the cycle
-// that just executed. Called from Step/stepSweep before the cycle counter
+// that just executed. Called from Step before the cycle counter
 // advances, so n.cycle is still the executed cycle.
 func (n *Net) profileCycle() {
 	for i, s := range n.profStages {

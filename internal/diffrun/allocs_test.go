@@ -169,3 +169,22 @@ func TestRunCancelled(t *testing.T) {
 		t.Fatalf("Run: %d golden instructions, err %v, clean %v", res.Golden.Instret, err, res.Clean())
 	}
 }
+
+// TestLookupAllocs: resolving an engine by name reuses the registry rows
+// built at package initialisation instead of rebuilding every model spec.
+// The race detector allocates on its own behalf, so race builds skip it.
+func TestLookupAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	for _, name := range Names() {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, ok := Lookup(name); !ok {
+				t.Fatalf("Lookup(%q) failed", name)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("Lookup(%q): %.0f allocations, want at most 1", name, allocs)
+		}
+	}
+}

@@ -143,16 +143,20 @@ func (e Engine) Build(p *arm.Program) (batch.CheckpointStepper, func() State, er
 // RCPN machine, the three generated cycle-accurate machines, the
 // hand-written five-stage pipeline, the SimpleScalar-like baseline and the
 // registered generated simulators. Adding an engine here — or registering
-// one with Register — reaches every front end at once.
+// one with Register — reaches every front end at once. The slice is the
+// caller's; the rows themselves are built once.
 func Engines() []Engine {
-	return append(builtinEngines(), registered...)
+	all := make([]Engine, 0, len(builtins)+len(registered))
+	return append(append(all, builtins...), registered...)
 }
 
-// Lookup returns the registry row named name.
+// Lookup returns the registry row named name, without allocating.
 func Lookup(name string) (Engine, bool) {
-	for _, e := range Engines() {
-		if e.Name == name {
-			return e, true
+	for _, rows := range [2][]Engine{builtins, registered} {
+		for _, e := range rows {
+			if e.Name == name {
+				return e, true
+			}
 		}
 	}
 	return Engine{}, false
@@ -208,30 +212,31 @@ func machineEngine(name string, spec machine.Spec, units func(*machine.Config)) 
 		}}
 }
 
-func builtinEngines() []Engine {
-	return []Engine{
-		{Name: "iss", Functional: true, New: func(p *arm.Program, _ Config) (batch.CheckpointStepper, func() State, error) {
-			c := iss.New(p, 0)
-			return c, stateOf(c), nil
+// builtins holds the built-in rows, built once: a row's constructor
+// captures its model spec, so rebuilding the rows would rebuild every
+// spec's route maps.
+var builtins = []Engine{
+	{Name: "iss", Functional: true, New: func(p *arm.Program, _ Config) (batch.CheckpointStepper, func() State, error) {
+		c := iss.New(p, 0)
+		return c, stateOf(c), nil
+	}},
+	{Name: "func", Functional: true, New: func(p *arm.Program, _ Config) (batch.CheckpointStepper, func() State, error) {
+		m := machine.NewFunctional(p, machine.Config{})
+		return m, stateOf(m), nil
+	}},
+	machineEngine("strongarm", machine.StrongARMSpec(), machine.StrongARMUnits),
+	machineEngine("xscale", machine.XScaleSpec(), machine.XScaleUnits),
+	machineEngine("arm9", machine.ARM9Spec(), machine.StrongARMUnits),
+	{Name: "pipe5", Warm: warmUnits(machine.StrongARMUnits),
+		New: func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
+			s := pipe5.New(p, pipe5.Config{Caches: cfg.Caches, Predictor: cfg.Predictor})
+			return s, stateOf(s), nil
 		}},
-		{Name: "func", Functional: true, New: func(p *arm.Program, _ Config) (batch.CheckpointStepper, func() State, error) {
-			m := machine.NewFunctional(p, machine.Config{})
-			return m, stateOf(m), nil
+	{Name: "ssim", Warm: warmUnits(machine.StrongARMUnits),
+		New: func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
+			s := ssim.New(p, ssim.Config{Caches: cfg.Caches, Predictor: cfg.Predictor})
+			return s, stateOf(s), nil
 		}},
-		machineEngine("strongarm", machine.StrongARMSpec(), machine.StrongARMUnits),
-		machineEngine("xscale", machine.XScaleSpec(), machine.XScaleUnits),
-		machineEngine("arm9", machine.ARM9Spec(), machine.StrongARMUnits),
-		{Name: "pipe5", Warm: warmUnits(machine.StrongARMUnits),
-			New: func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
-				s := pipe5.New(p, pipe5.Config{Caches: cfg.Caches, Predictor: cfg.Predictor})
-				return s, stateOf(s), nil
-			}},
-		{Name: "ssim", Warm: warmUnits(machine.StrongARMUnits),
-			New: func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
-				s := ssim.New(p, ssim.Config{Caches: cfg.Caches, Predictor: cfg.Predictor})
-				return s, stateOf(s), nil
-			}},
-	}
 }
 
 // WithProgramMutation wraps e so every built instance executes a mutated

@@ -181,22 +181,19 @@ func (s *Store) Drop(id string) error {
 }
 
 func (s *Store) append(rec record) error {
-	payload, err := json.Marshal(rec)
+	frame, err := appendFrame(nil, rec)
 	if err != nil {
 		return fmt.Errorf("store: encode record: %w", err)
 	}
 	if err := s.inj.Hit(faultinj.SiteJournalAppend, 0); err != nil {
 		return err
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.journal == nil {
 		return fmt.Errorf("store: journal closed")
 	}
-	if _, err := s.journal.Write(append(hdr[:], payload...)); err != nil {
+	if _, err := s.journal.Write(frame); err != nil {
 		return fmt.Errorf("store: journal append: %w", err)
 	}
 	if err := s.journal.Sync(); err != nil {
@@ -360,43 +357,32 @@ func (s *Store) recover() ([]Job, error) {
 	case err != nil:
 		return nil, fmt.Errorf("store: read journal: %w", err)
 	default:
-		rest, verr := checkJournalHeader(data)
-		if verr != nil {
-			s.Quarantine(s.journalPath(), verr.Error())
-		} else {
-			consumed := 0
-			for len(rest) > 0 {
-				rec, n, ferr := readFrame(rest)
-				if ferr != nil {
-					s.Quarantine(s.journalPath(), fmt.Sprintf("frame at offset %d: %v (recovered %d records)",
-						12+consumed, ferr, order))
-					break
-				}
-				rest = rest[n:]
-				consumed += n
-				sl := jobs[rec.ID]
-				if sl == nil {
-					sl = &slot{j: Job{ID: rec.ID}, order: order}
-					order++
-					jobs[rec.ID] = sl
-				}
-				switch rec.Op {
-				case "submit":
-					sl.j.Spec = []byte(rec.Spec)
-					if sl.j.State == "" {
-						sl.j.State = StatePending
-					}
-				case "done":
-					sl.j.State = StateDone
-				case "failed":
-					sl.j.State = StateFailed
-					sl.j.Diag = rec.Diag
-				case "drop":
-					delete(jobs, rec.ID)
-				default:
-					s.logf("store: journal: unknown op %q for %s (ignored)", rec.Op, ShortID(rec.ID))
-				}
+		err := replayJournal(data, func(rec record) {
+			sl := jobs[rec.ID]
+			if sl == nil {
+				sl = &slot{j: Job{ID: rec.ID}, order: order}
+				order++
+				jobs[rec.ID] = sl
 			}
+			switch rec.Op {
+			case "submit":
+				sl.j.Spec = []byte(rec.Spec)
+				if sl.j.State == "" {
+					sl.j.State = StatePending
+				}
+			case "done":
+				sl.j.State = StateDone
+			case "failed":
+				sl.j.State = StateFailed
+				sl.j.Diag = rec.Diag
+			case "drop":
+				delete(jobs, rec.ID)
+			default:
+				s.logf("store: journal: unknown op %q for %s (ignored)", rec.Op, ShortID(rec.ID))
+			}
+		})
+		if err != nil {
+			s.Quarantine(s.journalPath(), err.Error())
 		}
 	}
 
@@ -469,6 +455,27 @@ func (s *Store) recover() ([]Job, error) {
 	return append(out, orphans...), nil
 }
 
+// replayJournal checks the journal header, then feeds the record of every
+// intact frame to apply, in journal order. The first damaged frame ends the
+// replay with an error naming its offset: every record before it has been
+// applied, nothing from it on.
+func replayJournal(data []byte, apply func(record)) error {
+	rest, err := checkJournalHeader(data)
+	if err != nil {
+		return err
+	}
+	for off, recovered := 12, 0; len(rest) > 0; recovered++ {
+		rec, n, err := readFrame(rest)
+		if err != nil {
+			return fmt.Errorf("frame at offset %d: %v (recovered %d records)", off, err, recovered)
+		}
+		apply(rec)
+		rest = rest[n:]
+		off += n
+	}
+	return nil
+}
+
 func checkJournalHeader(data []byte) (rest []byte, err error) {
 	if len(data) < 12 {
 		return nil, fmt.Errorf("short header (%d bytes)", len(data))
@@ -480,6 +487,17 @@ func checkJournalHeader(data []byte) (rest []byte, err error) {
 		return nil, fmt.Errorf("unsupported version %d", v)
 	}
 	return data[12:], nil
+}
+
+// appendFrame appends rec to buf as one journal frame.
+func appendFrame(buf []byte, rec record) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return buf, err
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...), nil
 }
 
 func readFrame(data []byte) (rec record, n int, err error) {
@@ -513,15 +531,9 @@ func (s *Store) compact(jobs []Job) error {
 	var buf []byte
 	buf = append(buf, journalMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, journalVersion)
-	frame := func(rec record) error {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-		buf = append(buf, payload...)
-		return nil
+	frame := func(rec record) (err error) {
+		buf, err = appendFrame(buf, rec)
+		return err
 	}
 	for _, j := range jobs {
 		if len(j.Spec) > 0 {
