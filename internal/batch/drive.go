@@ -55,6 +55,18 @@ func StepRetired(ctx context.Context, s CheckpointStepper, target uint64, cap, c
 	})
 }
 
+// CapError is the error Drive, DriveCkpt and StepRetired return when a
+// run reaches its position cap before the program exits.
+type CapError struct {
+	Cap     int64
+	Cycles  int64
+	Instret uint64
+}
+
+func (e *CapError) Error() string {
+	return fmt.Sprintf("batch: cap %d exceeded (cycles %d, instructions %d)", e.Cap, e.Cycles, e.Instret)
+}
+
 // chunks is the one chunk loop under Drive, DriveCkpt and StepRetired:
 // context check, limit = min(Pos()+chunk, cap), step, progress report, then
 // the exit, target and cap checks.
@@ -83,7 +95,7 @@ func chunks(ctx context.Context, s Stepper, target uint64, cap, chunk int64,
 			return false, nil
 		}
 		if cap > 0 && s.Pos() >= cap {
-			return false, fmt.Errorf("batch: cap %d exceeded (cycles %d, instructions %d)", cap, c, i)
+			return false, &CapError{Cap: cap, Cycles: c, Instret: i}
 		}
 	}
 }

@@ -79,20 +79,22 @@ type Checkpoint struct {
 // PC returns the next fetch address.
 func (ck *Checkpoint) PC() uint32 { return ck.R[15] }
 
-// CaptureMem copies m's contents as the canonical page set.
+// CaptureMem copies m's contents as the canonical page set. Each page's
+// Data is the fresh copy ForEachPage fills from m's allocation pages.
 func CaptureMem(m *mem.Memory) []Page {
 	var pages []Page
 	m.ForEachPage(func(base uint32, data []byte) {
-		pages = append(pages, Page{Base: base, Data: append([]byte(nil), data...)})
+		pages = append(pages, Page{Base: base, Data: data})
 	})
 	return pages
 }
 
-// RestoreMem resets m and installs the captured pages.
+// RestoreMem resets m and installs the captured pages, highest first, so
+// m's page directory is sized once.
 func RestoreMem(m *mem.Memory, pages []Page) {
 	m.Reset()
-	for _, p := range pages {
-		m.SetPage(p.Base, p.Data)
+	for i := len(pages) - 1; i >= 0; i-- {
+		m.SetPage(pages[i].Base, pages[i].Data)
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"rcpn/internal/arm"
+	"rcpn/internal/batch"
 	"rcpn/internal/workload"
 )
 
@@ -92,11 +94,12 @@ func TestSteadyStateStepAllocsZero(t *testing.T) {
 }
 
 // buildBytesBound is the footprint gate's bound on the heap bytes one
-// registry engine allocates in Build: 192 KiB. Each engine allocates
-// 67–123 KB for adpcm, two 64 KiB memory pages (text and stack) included.
-// A memory that allocates a fixed 64 Ki-entry page directory (512 KiB)
-// fails it on every engine.
-const buildBytesBound = 192 << 10
+// registry engine allocates in Build: 96 KiB. Each engine allocates
+// 6–65 KB for adpcm, its memory's 8 KiB page directory and 4 KiB text and
+// stack pages included. A memory that allocates whole 64 KiB pages for
+// text and stack (106–126 KB on the cycle engines) fails it, and so does
+// one with a fixed 2^20-entry page directory (8 MiB).
+const buildBytesBound = 96 << 10
 
 // TestBuildFootprint is the footprint gate: the mean bytes allocated by
 // one Build of each registry engine, over buildRuns builds of adpcm.
@@ -148,8 +151,63 @@ func TestGoldenInstretCancelled(t *testing.T) {
 	}
 }
 
-// TestRunCancelled: Run's golden pass reads Options.Context, so a
-// cancelled one stops the differential run before any engine runs.
+// spinLoop retires about 300k instructions, more than one batch.Drive
+// chunk on every engine.
+const spinLoop = `
+	ldr r5, =150000
+loop:
+	subs r5, r5, #1
+	bne loop
+	mov r0, #0
+	swi #0
+`
+
+// errSkipped fails an instance TestRunCancelled does not need to run.
+var errSkipped = errors.New("skipped")
+
+// stepWatch wraps one engine instance for TestRunCancelled. A skipped
+// instance fails its first step call at once. Otherwise, after its first
+// step call it runs cancel (when set) and records how far that call
+// stepped; every step call that begins once ctx is cancelled counts in
+// late.
+type stepWatch struct {
+	batch.CheckpointStepper
+	ctx     context.Context
+	skip    bool
+	cancel  func()
+	stepped *int64
+	late    *int
+}
+
+func (w *stepWatch) step(f func() (bool, error)) (bool, error) {
+	if w.ctx.Err() != nil {
+		*w.late++
+	}
+	if w.skip {
+		return false, errSkipped
+	}
+	start := w.Pos()
+	done, err := f()
+	if w.cancel != nil {
+		w.cancel()
+		w.cancel = nil
+		*w.stepped = w.Pos() - start
+	}
+	return done, err
+}
+
+func (w *stepWatch) StepTo(limit int64) (bool, error) {
+	return w.step(func() (bool, error) { return w.CheckpointStepper.StepTo(limit) })
+}
+
+func (w *stepWatch) StepToRetired(target uint64, limit int64) (bool, error) {
+	return w.step(func() (bool, error) { return w.CheckpointStepper.StepToRetired(target, limit) })
+}
+
+// TestRunCancelled: Run reads Options.Context in every pass. A cancelled
+// one stops the golden pass before any engine runs; one cancelled during
+// an engine's plain or checkpointed pass stops that pass within the chunk
+// in flight, and Run returns the cancellation instead of a result.
 func TestRunCancelled(t *testing.T) {
 	p, err := workload.ByName("crc").Program(1)
 	if err != nil {
@@ -167,6 +225,50 @@ func TestRunCancelled(t *testing.T) {
 	res, err = Run(p, Options{Engines: Engines()[:1]})
 	if err != nil || !res.Clean() || res.Golden.Instret == 0 {
 		t.Fatalf("Run: %d golden instructions, err %v, clean %v", res.Golden.Instret, err, res.Clean())
+	}
+
+	spin, err := arm.Assemble(spinLoop, 0x8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The plain pass builds the first instance, the checkpointed pass the
+	// second; cancel after the first step call of the chosen one. Before
+	// the checkpointed pass, the plain pass fails at once (a divergence
+	// Run records and moves past) instead of running to exit. Every engine
+	// is stepped by the same chunk loop, and each case runs a ~300k
+	// instruction golden pass, so race builds check the first three rows.
+	engines := Engines()
+	if raceEnabled {
+		engines = engines[:3]
+	}
+	for _, pass := range []struct {
+		variant string
+		build   int
+	}{{"plain", 1}, {"ckpt", 2}} {
+		for _, e := range engines {
+			ctx, cancel := context.WithCancel(context.Background())
+			var builds, late int
+			var stepped int64
+			watched := e
+			watched.New = func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
+				st, state, err := e.New(p, cfg)
+				builds++
+				w := &stepWatch{CheckpointStepper: st, ctx: ctx, skip: builds < pass.build, stepped: &stepped, late: &late}
+				if builds == pass.build {
+					w.cancel = cancel
+				}
+				return w, state, err
+			}
+			_, err := Run(spin, Options{Context: ctx, Engines: []Engine{watched}})
+			cancel()
+			if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), e.Name+" "+pass.variant) {
+				t.Errorf("%s %s: Run cancelled in the pass returned %v; want its context.Canceled", e.Name, pass.variant, err)
+			}
+			if late != 0 || stepped <= 0 || stepped > batch.DefaultChunk {
+				t.Errorf("%s %s: the cancelling call stepped %d positions and %d calls began after it; want one chunk at most, then none",
+					e.Name, pass.variant, stepped, late)
+			}
+		}
 	}
 }
 

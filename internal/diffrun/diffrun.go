@@ -15,6 +15,7 @@ package diffrun
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -273,11 +274,17 @@ const minCkptInstret = 128
 // RunPlain runs a fresh instance of e to completion, bounded by posLimit
 // (cycles or instructions, whichever the engine counts).
 func RunPlain(e Engine, p *arm.Program, posLimit int64) (State, error) {
+	return runPlain(context.Background(), e, p, posLimit)
+}
+
+// runPlain is RunPlain under ctx: a cancelled ctx stops it within one
+// batch.Drive chunk.
+func runPlain(ctx context.Context, e Engine, p *arm.Program, posLimit int64) (State, error) {
 	st, state, err := e.Build(p)
 	if err != nil {
 		return State{}, err
 	}
-	if err := Finish(st, posLimit); err != nil {
+	if err := finish(ctx, st, posLimit); err != nil {
 		return State{}, err
 	}
 	return state(), nil
@@ -286,14 +293,22 @@ func RunPlain(e Engine, p *arm.Program, posLimit int64) (State, error) {
 // Finish steps st to program exit within posLimit (cycles or instructions,
 // whichever the engine counts); stopping at the limit is an error.
 func Finish(st batch.Stepper, posLimit int64) error {
-	done, err := st.StepTo(posLimit)
-	if err != nil {
-		return err
+	return finish(context.Background(), st, posLimit)
+}
+
+// finish is Finish in batch.Drive's chunks under ctx.
+func finish(ctx context.Context, st batch.Stepper, posLimit int64) error {
+	return notFinished(batch.Drive(ctx, st, posLimit, 0, nil))
+}
+
+// notFinished reports a run that reached its position limit as
+// errNotFinished, whose text does not depend on where the engine stopped,
+// so a hang keeps one divergence signature.
+func notFinished(err error) error {
+	if capErr := new(batch.CapError); errors.As(err, &capErr) {
+		return errors.New(errNotFinished)
 	}
-	if !done {
-		return fmt.Errorf("%s", errNotFinished)
-	}
-	return nil
+	return err
 }
 
 // RunCheckpointed runs to a drained boundary at the given retirement count,
@@ -301,13 +316,19 @@ func Finish(st batch.Stepper, posLimit int64) error {
 // — the cross-instance handoff every engine's checkpoint support must
 // survive. A program that exits before the boundary is returned as-is.
 func RunCheckpointed(e Engine, p *arm.Program, boundary uint64, posLimit int64) (State, error) {
+	return runCheckpointed(context.Background(), e, p, boundary, posLimit)
+}
+
+// runCheckpointed is RunCheckpointed under ctx: a cancelled ctx stops
+// either instance within one chunk.
+func runCheckpointed(ctx context.Context, e Engine, p *arm.Program, boundary uint64, posLimit int64) (State, error) {
 	st, state, err := e.Build(p)
 	if err != nil {
 		return State{}, err
 	}
-	done, err := st.StepToRetired(boundary, posLimit)
+	done, err := batch.StepRetired(ctx, st, boundary, posLimit, 0, nil)
 	if err != nil {
-		return State{}, err
+		return State{}, notFinished(err)
 	}
 	if done {
 		return state(), nil
@@ -326,7 +347,7 @@ func RunCheckpointed(e Engine, p *arm.Program, boundary uint64, posLimit int64) 
 	if err := st2.Restore(ck); err != nil {
 		return State{}, err
 	}
-	if err := Finish(st2, posLimit); err != nil {
+	if err := finish(ctx, st2, posLimit); err != nil {
 		return State{}, err
 	}
 	return state2(), nil
@@ -353,8 +374,8 @@ type Options struct {
 	// CkptBoundary is where the checkpointed variants snapshot; 0 places it
 	// at half the golden retirement count.
 	CkptBoundary uint64
-	// Context cancels the golden ISS run at its next chunk boundary (nil:
-	// never cancelled).
+	// Context cancels the run at the next chunk boundary of the golden ISS
+	// pass or of an engine pass (nil: never cancelled).
 	Context context.Context
 }
 
@@ -454,23 +475,29 @@ func Run(p *arm.Program, opt Options) (Result, error) {
 	// divergences into that artifact.
 	runCkpt := opt.CkptBoundary != 0 || res.Golden.Instret >= minCkptInstret
 
+	type pass struct {
+		variant string
+		run     func(Engine) (State, error)
+	}
+	passes := []pass{{"plain", func(e Engine) (State, error) { return runPlain(ctx, e, p, posLimit) }}}
+	if runCkpt {
+		passes = append(passes, pass{"ckpt", func(e Engine) (State, error) {
+			return runCheckpointed(ctx, e, p, boundary, posLimit)
+		}})
+	}
 	for _, e := range engines {
-		if got, err := RunPlain(e, p, posLimit); err != nil {
-			res.Divergences = append(res.Divergences,
-				Divergence{Engine: e.Name, Variant: "plain", Err: err.Error()})
-		} else if lines := got.Diff(res.Golden); len(lines) > 0 {
-			res.Divergences = append(res.Divergences,
-				Divergence{Engine: e.Name, Variant: "plain", Lines: lines})
-		}
-		if !runCkpt {
-			continue
-		}
-		if got, err := RunCheckpointed(e, p, boundary, posLimit); err != nil {
-			res.Divergences = append(res.Divergences,
-				Divergence{Engine: e.Name, Variant: "ckpt", Err: err.Error()})
-		} else if lines := got.Diff(res.Golden); len(lines) > 0 {
-			res.Divergences = append(res.Divergences,
-				Divergence{Engine: e.Name, Variant: "ckpt", Lines: lines})
+		for _, pass := range passes {
+			got, err := pass.run(e)
+			if ctx.Err() != nil {
+				return Result{}, fmt.Errorf("%s %s: %w", e.Name, pass.variant, ctx.Err())
+			}
+			d := Divergence{Engine: e.Name, Variant: pass.variant}
+			if err != nil {
+				d.Err = err.Error()
+			} else if d.Lines = got.Diff(res.Golden); len(d.Lines) == 0 {
+				continue
+			}
+			res.Divergences = append(res.Divergences, d)
 		}
 	}
 	return res, nil

@@ -43,17 +43,20 @@ func TestMemoryZeroDefault(t *testing.T) {
 }
 
 func TestMemoryPageBoundaries(t *testing.T) {
-	m := New()
-	// Bytes on both sides of the 64KB page boundary must be independent and
-	// an aligned word just below it must not bleed into the next page.
-	m.Write8(0xffff, 0xaa)
-	m.Write8(0x10000, 0xbb)
-	if m.Read8(0xffff) != 0xaa || m.Read8(0x10000) != 0xbb {
-		t.Fatal("page boundary bytes wrong")
-	}
-	m.Write32(0xfffc, 0x11223344)
-	if m.Read8(0x10000) != 0xbb {
-		t.Fatal("word write bled into the next page")
+	// Bytes on both sides of a 4 KiB allocation page boundary and of a
+	// 64 KiB checkpoint page boundary must be independent, and an aligned
+	// word just below either must not bleed into the next page.
+	for _, edge := range []uint32{0x1000, 0x10000} {
+		m := New()
+		m.Write8(edge-1, 0xaa)
+		m.Write8(edge, 0xbb)
+		if m.Read8(edge-1) != 0xaa || m.Read8(edge) != 0xbb {
+			t.Fatalf("%#x: page boundary bytes wrong", edge)
+		}
+		m.Write32(edge-4, 0x11223344)
+		if m.Read8(edge) != 0xbb || m.Read32(edge-4) != 0x11223344 {
+			t.Fatalf("%#x: word write bled into the next page", edge)
+		}
 	}
 }
 
