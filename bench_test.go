@@ -215,14 +215,55 @@ func BenchmarkDecode(b *testing.B) {
 // not dead stores.
 var decoded arm.Instr
 
-// BenchmarkAssemble measures the two-pass assembler on the largest kernel.
+// BenchmarkAssemble measures the two-pass assembler on each kernel's
+// source at scale 1, allocations included.
 func BenchmarkAssemble(b *testing.B) {
-	src := workload.ByName("go").Source(1)
-	for i := 0; i < b.N; i++ {
-		if _, err := arm.Assemble(src, 0x8000); err != nil {
+	for _, w := range workload.All() {
+		src := w.Source(1)
+		b.Run(w.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := arm.Assemble(src, 0x8000); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSetup splits the set-up of perfbench's engines workload into
+// its two halves: "assemble" makes the six kernels' programs at scale 1
+// from their sources, "build" constructs each timed engine once on adpcm.
+func BenchmarkSetup(b *testing.B) {
+	b.Run("assemble", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, w := range workload.All() {
+				if _, err := w.Program(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("build", func(b *testing.B) {
+		p, err := workload.ByName("adpcm").Program(1)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		var engines []diffrun.Engine
+		for _, name := range []string{"iss", "strongarm", "xscale", "genpipe5", "pipe5", "ssim"} {
+			engines = append(engines, benchEngine(b, name))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, e := range engines {
+				if _, _, err := e.Build(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // TestBenchmarkHarnessSmoke keeps the harness itself covered by `go test`:

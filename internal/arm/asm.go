@@ -48,14 +48,13 @@ func (e *AsmError) Unwrap() error { return e.Err }
 // If a label "_start" exists it becomes the entry point, otherwise base.
 func Assemble(src string, base uint32) (*Program, error) {
 	a := &assembler{base: base, symbols: map[string]uint32{}}
-	lines := strings.Split(src, "\n")
 
-	// Pass 1: sizes and label addresses.
-	if err := a.scan(lines); err != nil {
+	// Pass 1: parse every line once, place its labels and size it.
+	if err := a.scan(src); err != nil {
 		return nil, err
 	}
-	// Pass 2: encoding.
-	if err := a.emit(lines); err != nil {
+	// Pass 2: encode the statements pass 1 recorded.
+	if err := a.emit(src); err != nil {
 		return nil, err
 	}
 
@@ -64,6 +63,13 @@ func Assemble(src string, base uint32) (*Program, error) {
 		entry = e
 	}
 	return &Program{Base: base, Entry: entry, Bytes: a.out, Symbols: a.symbols}, nil
+}
+
+// stmt is one non-empty source line as pass 1 parsed it: comment and
+// labels stripped, the lowercased mnemonic split from its operand text.
+type stmt struct {
+	line     int // 1-based source line, for AsmError
+	mn, rest string
 }
 
 // litFixup records an "ldr rd, =expr" whose pc-relative offset can only be
@@ -79,8 +85,12 @@ type assembler struct {
 	pc      uint32
 	out     []byte
 	symbols map[string]uint32
+	stmts   []stmt
 
-	pass     int
+	// ops and inner are operand buffers reused by every statement: the
+	// top-level operand list and the list inside an address's [...].
+	ops, inner []string
+
 	fixups   []litFixup     // pending literal loads awaiting a pool
 	litIdx   map[string]int // dedupe within one pending pool
 	poolSize uint32         // pass-1 accumulated size of pending pool
@@ -100,37 +110,30 @@ func splitComment(l string) string {
 	return l
 }
 
-// scan is pass 1: compute label addresses by sizing every line.
-func (a *assembler) scan(lines []string) error {
-	a.pass = 1
+// sourceLine returns line n (1-based) of src.
+func sourceLine(src string, n int) string {
+	for ; n > 1; n-- {
+		src = src[strings.IndexByte(src, '\n')+1:]
+	}
+	line, _, _ := strings.Cut(src, "\n")
+	return line
+}
+
+// scan is pass 1: record every non-empty line as a statement, compute label
+// addresses by sizing each statement.
+func (a *assembler) scan(src string) error {
 	a.pc = a.base
-	a.poolSize = 0
 	a.litIdx = map[string]int{}
-	for ln, raw := range lines {
-		line := strings.TrimSpace(splitComment(raw))
-		for {
-			i := strings.IndexByte(line, ':')
-			if i < 0 || strings.ContainsAny(line[:i], " \t[") {
-				break
-			}
-			name := strings.TrimSpace(line[:i])
-			if name == "" {
-				return &AsmError{ln + 1, raw, fmt.Errorf("empty label")}
-			}
-			if _, dup := a.symbols[name]; dup {
-				return &AsmError{ln + 1, raw, fmt.Errorf("duplicate label %q", name)}
-			}
-			a.symbols[name] = a.pc
-			line = strings.TrimSpace(line[i+1:])
+	a.stmts = make([]stmt, 0, strings.Count(src, "\n")+1)
+	for ln := 1; ; ln++ {
+		raw, next, more := strings.Cut(src, "\n")
+		if err := a.scanLine(ln, raw); err != nil {
+			return err
 		}
-		if line == "" {
-			continue
+		if !more {
+			break
 		}
-		n, err := a.sizeOf(line)
-		if err != nil {
-			return &AsmError{ln + 1, raw, err}
-		}
-		a.pc += n
+		src = next
 	}
 	// Implicit .ltorg at end.
 	a.pc = align4(a.pc)
@@ -138,16 +141,49 @@ func (a *assembler) scan(lines []string) error {
 	return nil
 }
 
+// scanLine defines the labels of source line ln and records what follows
+// them, if anything, as a statement.
+func (a *assembler) scanLine(ln int, raw string) error {
+	line := strings.TrimSpace(splitComment(raw))
+	for {
+		i := strings.IndexByte(line, ':')
+		if i < 0 || strings.ContainsAny(line[:i], " \t[") {
+			break
+		}
+		name := strings.TrimSpace(line[:i])
+		if name == "" {
+			return &AsmError{ln, raw, fmt.Errorf("empty label")}
+		}
+		if _, dup := a.symbols[name]; dup {
+			return &AsmError{ln, raw, fmt.Errorf("duplicate label %q", name)}
+		}
+		a.symbols[name] = a.pc
+		line = strings.TrimSpace(line[i+1:])
+	}
+	if line == "" {
+		return nil
+	}
+	mn, rest := splitMnemonic(line)
+	n, err := a.sizeOf(mn, rest)
+	if err != nil {
+		return &AsmError{ln, raw, err}
+	}
+	a.stmts = append(a.stmts, stmt{ln, mn, rest})
+	a.pc += n
+	return nil
+}
+
 func align4(v uint32) uint32 { return (v + 3) &^ 3 }
 
-// sizeOf returns the size in bytes a source line occupies.
-func (a *assembler) sizeOf(line string) (uint32, error) {
-	mn, rest := splitMnemonic(line)
+// sizeOf returns the size in bytes a statement occupies.
+func (a *assembler) sizeOf(mn, rest string) (uint32, error) {
 	switch mn {
 	case ".word":
-		return 4 * uint32(len(splitOperands(rest))), nil
+		a.ops = splitOperands(a.ops[:0], rest)
+		return 4 * uint32(len(a.ops)), nil
 	case ".byte":
-		return uint32(len(splitOperands(rest))), nil
+		a.ops = splitOperands(a.ops[:0], rest)
+		return uint32(len(a.ops)), nil
 	case ".asciz":
 		s, err := parseStringLit(rest)
 		if err != nil {
@@ -155,7 +191,7 @@ func (a *assembler) sizeOf(line string) (uint32, error) {
 		}
 		return uint32(len(s) + 1), nil
 	case ".space":
-		n, err := strconv.ParseUint(strings.TrimSpace(rest), 0, 32)
+		n, err := strconv.ParseUint(rest, 0, 32)
 		if err != nil {
 			return 0, fmt.Errorf(".space size: %v", err)
 		}
@@ -165,7 +201,7 @@ func (a *assembler) sizeOf(line string) (uint32, error) {
 	case ".ltorg":
 		n := align4(a.pc) - a.pc + a.poolSize
 		a.poolSize = 0
-		a.litIdx = map[string]int{}
+		clear(a.litIdx)
 		return n, nil
 	case ".text", ".data", ".global", ".globl", ".code":
 		return 0, nil
@@ -174,10 +210,10 @@ func (a *assembler) sizeOf(line string) (uint32, error) {
 		return 0, fmt.Errorf("unknown directive %s", mn)
 	}
 	// Instruction. "ldr rd, =expr" also reserves a pool slot.
-	if (strings.HasPrefix(mn, "ldr") || mn == "ldr") && strings.Contains(rest, "=") {
-		ops := splitOperands(rest)
-		if len(ops) == 2 && strings.HasPrefix(strings.TrimSpace(ops[1]), "=") {
-			expr := strings.TrimSpace(ops[1])[1:]
+	if strings.HasPrefix(mn, "ldr") && strings.Contains(rest, "=") {
+		a.ops = splitOperands(a.ops[:0], rest)
+		if len(a.ops) == 2 && strings.HasPrefix(a.ops[1], "=") {
+			expr := a.ops[1][1:]
 			if _, ok := a.litIdx[expr]; !ok {
 				a.litIdx[expr] = 1
 				a.poolSize += 4
@@ -187,27 +223,14 @@ func (a *assembler) sizeOf(line string) (uint32, error) {
 	return 4, nil
 }
 
-// emit is pass 2: encode every line into a.out.
-func (a *assembler) emit(lines []string) error {
-	a.pass = 2
+// emit is pass 2: encode every statement into a.out, which is allocated
+// once at the size pass 1 laid out.
+func (a *assembler) emit(src string) error {
+	a.out = make([]byte, 0, a.pc-a.base)
 	a.pc = a.base
-	a.out = a.out[:0]
-	a.fixups = nil
-	a.litIdx = map[string]int{}
-	for ln, raw := range lines {
-		line := strings.TrimSpace(splitComment(raw))
-		for {
-			i := strings.IndexByte(line, ':')
-			if i < 0 || strings.ContainsAny(line[:i], " \t[") {
-				break
-			}
-			line = strings.TrimSpace(line[i+1:])
-		}
-		if line == "" {
-			continue
-		}
-		if err := a.emitLine(line); err != nil {
-			return &AsmError{ln + 1, raw, err}
+	for _, s := range a.stmts {
+		if err := a.emitLine(s.mn, s.rest); err != nil {
+			return &AsmError{s.line, sourceLine(src, s.line), err}
 		}
 	}
 	if err := a.flushPool(); err != nil {
@@ -269,16 +292,15 @@ func (a *assembler) flushPool() error {
 		}
 		binary.LittleEndian.PutUint32(a.out[f.outPos:], w)
 	}
-	a.fixups = nil
-	a.litIdx = map[string]int{}
+	a.fixups = a.fixups[:0]
 	return nil
 }
 
-func (a *assembler) emitLine(line string) error {
-	mn, rest := splitMnemonic(line)
+func (a *assembler) emitLine(mn, rest string) error {
 	switch mn {
 	case ".word":
-		for _, op := range splitOperands(rest) {
+		a.ops = splitOperands(a.ops[:0], rest)
+		for _, op := range a.ops {
 			v, err := a.eval(op)
 			if err != nil {
 				return err
@@ -287,7 +309,8 @@ func (a *assembler) emitLine(line string) error {
 		}
 		return nil
 	case ".byte":
-		for _, op := range splitOperands(rest) {
+		a.ops = splitOperands(a.ops[:0], rest)
+		for _, op := range a.ops {
 			v, err := a.eval(op)
 			if err != nil {
 				return err
@@ -306,13 +329,12 @@ func (a *assembler) emitLine(line string) error {
 		a.emitByte(0)
 		return nil
 	case ".space":
-		n, err := strconv.ParseUint(strings.TrimSpace(rest), 0, 32)
+		n, err := strconv.ParseUint(rest, 0, 32)
 		if err != nil {
 			return err
 		}
-		for i := uint32(0); i < uint32(n); i++ {
-			a.emitByte(0)
-		}
+		a.out = append(a.out, make([]byte, n)...)
+		a.pc += uint32(n)
 		return nil
 	case ".align":
 		for a.pc%4 != 0 {

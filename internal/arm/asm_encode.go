@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 type mnKind uint8
@@ -137,13 +138,13 @@ func splitMnemonic(line string) (mn, rest string) {
 	return strings.ToLower(line[:i]), strings.TrimSpace(line[i+1:])
 }
 
-// splitOperands splits on top-level commas, honoring [...] and {...}.
-func splitOperands(s string) []string {
+// splitOperands appends to dst the operands of s, split on top-level
+// commas (honoring [...] and {...}) and trimmed.
+func splitOperands(dst []string, s string) []string {
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return nil
+		return dst
 	}
-	var out []string
 	depth := 0
 	start := 0
 	for i := 0; i < len(s); i++ {
@@ -154,13 +155,12 @@ func splitOperands(s string) []string {
 			depth--
 		case ',':
 			if depth == 0 {
-				out = append(out, strings.TrimSpace(s[start:i]))
+				dst = append(dst, strings.TrimSpace(s[start:i]))
 				start = i + 1
 			}
 		}
 	}
-	out = append(out, strings.TrimSpace(s[start:]))
-	return out
+	return append(dst, strings.TrimSpace(s[start:]))
 }
 
 func parseStringLit(s string) (string, error) {
@@ -216,17 +216,16 @@ func (a *assembler) eval(expr string) (uint32, error) {
 			return lhs - rhs, nil
 		}
 	}
-	if n, err := strconv.ParseInt(expr, 0, 64); err == nil {
-		return uint32(n), nil
-	}
-	if n, err := strconv.ParseUint(expr, 0, 64); err == nil {
-		return uint32(n), nil
+	if c := expr[0]; '0' <= c && c <= '9' || c == '+' || c == '-' {
+		if n, err := strconv.ParseInt(expr, 0, 64); err == nil {
+			return uint32(n), nil
+		}
+		if n, err := strconv.ParseUint(expr, 0, 64); err == nil {
+			return uint32(n), nil
+		}
 	}
 	if v, ok := a.symbols[expr]; ok {
 		return v, nil
-	}
-	if a.pass == 1 {
-		return 0, nil // labels may be forward references during sizing
 	}
 	return 0, fmt.Errorf("undefined symbol %q", expr)
 }
@@ -237,37 +236,39 @@ func (a *assembler) parseOp2(ops []string) (Operand2, error) {
 	if len(ops) == 0 {
 		return Operand2{}, fmt.Errorf("missing operand2")
 	}
-	first := strings.TrimSpace(ops[0])
+	return a.op2(ops[0], ops[1:])
+}
+
+// op2 is parseOp2 with the first field apart: first is "#imm" or a
+// register, shift the fields after it.
+func (a *assembler) op2(first string, shift []string) (Operand2, error) {
+	first = strings.TrimSpace(first)
 	if strings.HasPrefix(first, "#") {
-		v, err := a.eval(first[1:])
-		if err != nil {
-			return Operand2{}, err
-		}
-		return ImmOp(v), nil
+		return a.immOp2(first[1:])
 	}
 	rm, err := parseReg(first)
 	if err != nil {
 		return Operand2{}, err
 	}
 	op2 := RegOp(rm)
-	if len(ops) == 1 {
+	if len(shift) == 0 {
 		return op2, nil
 	}
-	if len(ops) > 2 {
+	if len(shift) > 1 {
 		return Operand2{}, fmt.Errorf("trailing operands after shift")
 	}
-	shiftStr := strings.TrimSpace(ops[1])
+	shiftStr := strings.TrimSpace(shift[0])
 	if strings.EqualFold(shiftStr, "rrx") {
 		op2.ShiftTyp = ROR
 		op2.ShiftAmt = 0
 		return op2, nil
 	}
-	fields := strings.Fields(shiftStr)
-	if len(fields) != 2 {
+	name, amt, ok := twoFields(shiftStr)
+	if !ok {
 		return Operand2{}, fmt.Errorf("bad shift %q", shiftStr)
 	}
 	var typ Shift
-	switch strings.ToLower(fields[0]) {
+	switch strings.ToLower(name) {
 	case "lsl":
 		typ = LSL
 	case "lsr":
@@ -277,11 +278,24 @@ func (a *assembler) parseOp2(ops []string) (Operand2, error) {
 	case "ror":
 		typ = ROR
 	default:
-		return Operand2{}, fmt.Errorf("bad shift type %q", fields[0])
+		return Operand2{}, fmt.Errorf("bad shift type %q", name)
 	}
+	return a.shiftOp2(op2, typ, amt)
+}
+
+func (a *assembler) immOp2(expr string) (Operand2, error) {
+	v, err := a.eval(expr)
+	if err != nil {
+		return Operand2{}, err
+	}
+	return ImmOp(v), nil
+}
+
+// shiftOp2 shifts the register operand op2 by amt: "#n" or a register.
+func (a *assembler) shiftOp2(op2 Operand2, typ Shift, amt string) (Operand2, error) {
 	op2.ShiftTyp = typ
-	if strings.HasPrefix(fields[1], "#") {
-		v, err := a.eval(fields[1][1:])
+	if strings.HasPrefix(amt, "#") {
+		v, err := a.eval(amt[1:])
 		if err != nil {
 			return Operand2{}, err
 		}
@@ -294,7 +308,7 @@ func (a *assembler) parseOp2(ops []string) (Operand2, error) {
 		op2.ShiftAmt = uint8(v)
 		return op2, nil
 	}
-	rs, err := parseReg(fields[1])
+	rs, err := parseReg(amt)
 	if err != nil {
 		return Operand2{}, err
 	}
@@ -303,13 +317,26 @@ func (a *assembler) parseOp2(ops []string) (Operand2, error) {
 	return op2, nil
 }
 
+// twoFields splits the trimmed s around white space as strings.Fields does
+// and reports whether that gives exactly two fields.
+func twoFields(s string) (f0, f1 string, ok bool) {
+	i := strings.IndexFunc(s, unicode.IsSpace)
+	if i < 0 {
+		return "", "", false
+	}
+	f0, f1 = s[:i], strings.TrimLeftFunc(s[i:], unicode.IsSpace)
+	return f0, f1, f0 != "" && f1 != "" && strings.IndexFunc(f1, unicode.IsSpace) < 0
+}
+
 func (a *assembler) parseRegList(s string) (uint16, error) {
 	s = strings.TrimSpace(s)
 	if len(s) < 2 || s[0] != '{' || s[len(s)-1] != '}' {
 		return 0, fmt.Errorf("bad register list %q", s)
 	}
 	var mask uint16
-	for _, part := range strings.Split(s[1:len(s)-1], ",") {
+	for rest, more := s[1:len(s)-1], true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
@@ -342,7 +369,8 @@ func (a *assembler) encodeInstr(mn, rest string) (uint32, error) {
 	if !ok {
 		return 0, fmt.Errorf("unknown mnemonic %q", mn)
 	}
-	ops := splitOperands(rest)
+	a.ops = splitOperands(a.ops[:0], rest)
+	ops := a.ops
 	switch spec.kind {
 	case mnNop:
 		return EncodeDP(spec.cond, OpMOV, false, 0, 0, RegOp(0))
@@ -574,8 +602,13 @@ func (a *assembler) encodeLS(spec mnSpec, ops []string) (uint32, error) {
 	if !strings.HasSuffix(addr, "]") {
 		return 0, fmt.Errorf("bad address %q", ops[1])
 	}
-	inner := splitOperands(addr[1 : len(addr)-1])
-	rn, err := parseReg(inner[0])
+	a.inner = splitOperands(a.inner[:0], addr[1:len(addr)-1])
+	inner := a.inner
+	base := ""
+	if len(inner) > 0 {
+		base = inner[0]
+	}
+	rn, err := parseReg(base)
 	if err != nil {
 		return 0, err
 	}
@@ -600,19 +633,21 @@ func (a *assembler) encodeLS(spec mnSpec, ops []string) (uint32, error) {
 	if len(offFields) == 0 {
 		m.Off = ImmOp(0)
 	} else {
-		f0 := strings.TrimSpace(offFields[0])
+		f0 := offFields[0]
 		neg := false
+		var op2 Operand2
 		switch {
 		case strings.HasPrefix(f0, "#-"):
 			neg = true
-			offFields[0] = "#" + f0[2:]
+			op2, err = a.immOp2(f0[2:])
 		case strings.HasPrefix(f0, "-"):
 			neg = true
-			offFields[0] = f0[1:]
+			op2, err = a.op2(f0[1:], offFields[1:])
 		case strings.HasPrefix(f0, "+"):
-			offFields[0] = f0[1:]
+			op2, err = a.op2(f0[1:], offFields[1:])
+		default:
+			op2, err = a.op2(f0, offFields[1:])
 		}
-		op2, err := a.parseOp2(offFields)
 		if err != nil {
 			return 0, err
 		}

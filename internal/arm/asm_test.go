@@ -270,6 +270,7 @@ func TestAssembleErrors(t *testing.T) {
 		"add r0, r1",                       // missing operand
 		"ldr r0, [r1, r2, lsl r3]",         // register-shifted offset unsupported
 		"ldm r0",                           // missing list
+		"ldr r0, []",                       // no base register
 		"b nowhere",                        // undefined label
 		".word nolabel",                    // undefined symbol in data
 		"dup: mov r0, #0\ndup: mov r0, #0", // duplicate label

@@ -64,7 +64,6 @@ type Inst struct {
 	writesPC    bool // result redirects control flow (non-Branch classes)
 
 	// Per-dynamic-instance state.
-	inUse    bool
 	annulled bool
 	resolved bool   // control transfer already performed
 	predNext uint32 // fetch PC chosen after this instruction was fetched
@@ -85,7 +84,6 @@ func (m *Machine) decode(addr uint32) *Inst {
 }
 
 func (in *Inst) resetDynamic() {
-	in.inUse = true
 	in.sourced = false
 	in.annulled = false
 	in.resolved = false
@@ -101,7 +99,7 @@ func (in *Inst) resetDynamic() {
 // RegRef/Const operands and builds the instance's issue plan.
 func (m *Machine) newInst(addr uint32) *Inst {
 	raw := m.Mem.Read32(addr)
-	in := &Inst{m: m, inUse: true}
+	in := &Inst{m: m}
 	in.I.Decode(raw, addr)
 	in.Tok = m.tokens.Get(core.ClassID(in.I.Class), in)
 	in.reads, in.dsts = in.readBuf[:0], in.dstBuf[:0]

@@ -280,7 +280,6 @@ func (m *Machine) retire(tok *core.Token) {
 }
 
 func (m *Machine) recycle(in *Inst) {
-	in.inUse = false
 	if m.cfg.NoTokenCache {
 		// The instance is dropped, so return its arena slot — otherwise a
 		// long uncached run would grow the token arena without bound.

@@ -7,15 +7,18 @@ import (
 )
 
 // jobBytesBound bounds the mean heap bytes one ExecuteSpec allocates for
-// each cluster-sweep job kind, about 1.5 times what it measures (57–260 KB
-// a job). Memory that allocates whole 64 KiB pages for each engine's text
-// and stack and for each checkpoint a time-parallel job restores (124–395
-// KB a job) fails the pipe5, ssim and time-parallel rows.
+// each cluster-sweep job kind, about 1.5 times what it measures (39–225 KB
+// a job; 1.4 times for pipe5, whose job is mostly its assembly). An
+// assembler that splits the source into a line slice, allocates operand
+// lists per line and grows its image a byte at a time (57–260 KB a job)
+// fails the pipe5 rows. Memory that allocates whole 64 KiB pages for each
+// engine's text and stack and for each checkpoint a time-parallel job
+// restores (124–395 KB a job) fails the pipe5, ssim and time-parallel rows.
 var jobBytesBound = map[string]uint64{
-	"strongarm/plain": 270 << 10, "strongarm/ckpt": 270 << 10, "strongarm/par": 350 << 10,
-	"xscale/plain": 300 << 10, "xscale/ckpt": 300 << 10, "xscale/par": 380 << 10,
-	"pipe5/plain": 85 << 10, "pipe5/ckpt": 85 << 10, "pipe5/par": 160 << 10,
-	"ssim/plain": 140 << 10, "ssim/ckpt": 140 << 10, "ssim/par": 210 << 10,
+	"strongarm/plain": 250 << 10, "strongarm/ckpt": 250 << 10, "strongarm/par": 300 << 10,
+	"xscale/plain": 280 << 10, "xscale/ckpt": 280 << 10, "xscale/par": 330 << 10,
+	"pipe5/plain": 55 << 10, "pipe5/ckpt": 55 << 10, "pipe5/par": 105 << 10,
+	"ssim/plain": 110 << 10, "ssim/ckpt": 110 << 10, "ssim/par": 165 << 10,
 }
 
 // sweepSpec is the spec of one cluster-sweep job (perfbench/cluster.go):

@@ -63,9 +63,13 @@ func All() []*Workload {
 	}
 }
 
-// ByName returns the named kernel (including the extras) or nil.
+// kernels is the table ByName scans, built once.
+var kernels = AllWithExtra()
+
+// ByName returns the named kernel (including the extras) or nil. The
+// kernel is shared by every caller, so it must not be modified.
 func ByName(name string) *Workload {
-	for _, w := range AllWithExtra() {
+	for _, w := range kernels {
 		if w.Name == name {
 			return w
 		}

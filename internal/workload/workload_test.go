@@ -200,6 +200,22 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestByNameAllocs: every served kernel job and every benchmark set-up
+// looks its kernel up by name, so the lookup scans a table built once.
+func TestByNameAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		if ByName("crc") == nil || ByName("sha") == nil || ByName("nope") != nil {
+			t.Fatal("ByName lookup broken")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ByName: %.0f allocations, want 0", allocs)
+	}
+	if a, b := All(), All(); a[0] == b[0] {
+		t.Error("All returned the same kernel twice; it must build a fresh slice")
+	}
+}
+
 func TestSourcesAssembleAtScales(t *testing.T) {
 	for _, w := range All() {
 		for _, scale := range []int{1, 2, 4} {
