@@ -1,10 +1,15 @@
 package gen_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
 	"go/format"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rcpn/internal/gen"
@@ -13,11 +18,77 @@ import (
 
 func generate(t *testing.T, spec machine.Spec, pkg string) []byte {
 	t.Helper()
-	src, err := gen.Generate(spec, gen.Options{Package: pkg, Model: pkg, OutDir: "internal/" + pkg})
+	src, err := gen.Generate(spec, gen.Options{Package: pkg, Model: strings.TrimPrefix(pkg, "gen"), OutDir: "internal/" + pkg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return src
+}
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/emitted_sha256.json")
+
+// emittedPinPath pins the SHA-256 and length of the source Generate emits
+// for each Spec model. Regenerate with
+//
+//	go test ./internal/gen -run TestEmittedSourcePinned -update-golden
+//
+// only when the emitted code is meant to change.
+const emittedPinPath = "testdata/emitted_sha256.json"
+
+// emittedPin is one model's row of the pin table.
+type emittedPin struct {
+	Model  string `json:"model"`
+	Len    int    `json:"len"`
+	SHA256 string `json:"sha256"`
+}
+
+// pinnedSpecs lists the Spec models whose emitted source is pinned, in pin
+// table order.
+var pinnedSpecs = []struct {
+	model string
+	spec  func() machine.Spec
+}{
+	{"strongarm", machine.StrongARMSpec},
+	{"arm9", machine.ARM9Spec},
+	{"xscale", machine.XScaleSpec},
+}
+
+// TestEmittedSourcePinned pins what the generator emits for every Spec
+// model, byte for byte, so a change to the analyzer or the emitter that
+// alters generated code shows up as a named row.
+func TestEmittedSourcePinned(t *testing.T) {
+	var rows []emittedPin
+	for _, ps := range pinnedSpecs {
+		src := generate(t, ps.spec(), "gen"+ps.model)
+		sum := sha256.Sum256(src)
+		rows = append(rows, emittedPin{ps.model, len(src), hex.EncodeToString(sum[:])})
+	}
+	if *updateGolden {
+		data, err := json.MarshalIndent(rows, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(emittedPinPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(emittedPinPath)
+	if err != nil {
+		t.Fatalf("missing golden %s (run with -update-golden to create): %v", emittedPinPath, err)
+	}
+	var want []emittedPin
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("%s: %v", emittedPinPath, err)
+	}
+	if len(want) != len(rows) {
+		t.Fatalf("%s has %d rows, want %d", emittedPinPath, len(want), len(rows))
+	}
+	for i, got := range rows {
+		if got != want[i] {
+			t.Errorf("row %d differs from golden:\n got  %+v\n want %+v", i, got, want[i])
+		}
+	}
 }
 
 // TestByteStable pins generation as a pure function: the same spec emits
@@ -48,11 +119,13 @@ func TestGofmtClean(t *testing.T) {
 // directory inside the module (an underscore prefix keeps it out of ./...
 // wildcards) and compiles it — the end-to-end check that emitted code is
 // valid Go against the real machine/obsv surfaces, for the linear
-// five-stage model and the deeper-front-end ARM9 alike.
+// five-stage model, the deeper-front-end ARM9 and the three-pipe XScale
+// (the only model with a fused memory writeback) alike.
 func TestEmittedPackagesBuild(t *testing.T) {
 	specs := map[string]machine.Spec{
-		"pipe5": machine.StrongARMSpec(),
-		"arm9":  machine.ARM9Spec(),
+		"pipe5":  machine.StrongARMSpec(),
+		"arm9":   machine.ARM9Spec(),
+		"xscale": machine.XScaleSpec(),
 	}
 	for name, spec := range specs {
 		name, spec := name, spec
