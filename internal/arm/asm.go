@@ -213,7 +213,7 @@ func (a *assembler) sizeOf(mn, rest string) (uint32, error) {
 	if strings.HasPrefix(mn, "ldr") && strings.Contains(rest, "=") {
 		a.ops = splitOperands(a.ops[:0], rest)
 		if len(a.ops) == 2 && strings.HasPrefix(a.ops[1], "=") {
-			expr := a.ops[1][1:]
+			expr := strings.TrimSpace(a.ops[1][1:]) // trimmed, as pass 2 keys its pool
 			if _, ok := a.litIdx[expr]; !ok {
 				a.litIdx[expr] = 1
 				a.poolSize += 4

@@ -219,6 +219,23 @@ later:
 	}
 }
 
+func TestAssembleLiteralSpacing(t *testing.T) {
+	// "=7" and "= 7" share one pool slot in both passes, so the label after
+	// the pool lands on the code and the branch reaches it.
+	src := "ldr r0, =7\nldr r1, = 7\n.ltorg\nafter: mov r2, #1\nb after\n"
+	p, err := Assemble(src, 0x8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := p.Symbols["after"]; after != 0x800c {
+		t.Fatalf("after = %#x, want 0x800c (code 8 bytes + one 4-byte slot)", after)
+	}
+	w := p.Words()
+	if len(w) != 5 || w[3] != 0xe3a02001 || w[4] != 0xeafffffd {
+		t.Fatalf("words %#x, want mov r2, #1 at 0x800c and b 0x800c after it", w)
+	}
+}
+
 func TestAssembleLabelArithmetic(t *testing.T) {
 	src := `
 	ldr r0, =tbl+8

@@ -130,7 +130,7 @@ func (a *refAssembler) sizeOf(line string) (uint32, error) {
 	if (strings.HasPrefix(mn, "ldr") || mn == "ldr") && strings.Contains(rest, "=") {
 		ops := refSplitOperands(rest)
 		if len(ops) == 2 && strings.HasPrefix(strings.TrimSpace(ops[1]), "=") {
-			expr := strings.TrimSpace(ops[1])[1:]
+			expr := strings.TrimSpace(strings.TrimSpace(ops[1])[1:])
 			if _, ok := a.litIdx[expr]; !ok {
 				a.litIdx[expr] = 1
 				a.poolSize += 4

@@ -12,41 +12,17 @@ import (
 // building the *real* net (machine.Generate on a throwaway program) and
 // walking its compiled structures — the reverse topological place order and
 // the sorted_transitions[place, class] table — exactly as the interpreted
-// engine would. The spec is re-walked in parallel only to recover each
-// transition's semantic role (which ops.go call its action performs), since
-// the net stores actions as opaque closures; every recovered role is then
-// cross-validated against the compiled transition (guard/explain presence,
-// capacity facts, self-loop shape), so a drift between the two walks is an
-// analysis error, never miscompiled output.
-
-// candKind names the semantic body of one compiled transition — the direct
-// calls the emitter inlines in place of the interpreted Action/Guard
-// closures.
-type candKind int
-
-const (
-	kPass       candKind = iota // move only, no architected work
-	kIssue                      // operand read + destination reservation
-	kIssueMult                  // issue + data-dependent multiplier latency
-	kExecute                    // ALU work, branch/PC resolution
-	kExecuteMem                 // execute + D-cache latency acquisition
-	kMemAccess                  // functional memory access
-	kLSMStep                    // block-transfer stay loop (self-loop)
-	kLSMLast                    // block-transfer completion
-	kWriteback                  // architected commit (+ trap effects)
-	kMemWB                      // fused memory access + writeback
-	kLSMLastWB                  // fused block-transfer completion + writeback
-)
-
-func (k candKind) needsGuard() bool   { return k == kIssue || k == kIssueMult || k == kLSMStep }
-func (k candKind) needsExplain() bool { return k == kIssue || k == kIssueMult }
-func (k candKind) selfLoop() bool     { return k == kLSMStep }
+// engine would. Each transition's work is the machine.Body the lowering
+// recorded for it, so the emitter compiles the same decision the closures
+// were built from. What remains here is input validation: any net shape the
+// emitter cannot compile faithfully is an analysis error, never miscompiled
+// output.
 
 // cand is one sorted_transitions cell entry: the compiled transition plus
-// its recovered semantics.
+// the work it performs.
 type cand struct {
 	tr   *core.Transition
-	kind candKind
+	body machine.Body
 }
 
 // stageInfo is one finite pipeline stage (one place, capacity 1) of the
@@ -63,7 +39,7 @@ type stageInfo struct {
 
 // model is everything the emitter needs, fully validated.
 type model struct {
-	spec     machine.Spec
+	name     string // the Spec's model name
 	stages   []stageInfo
 	order    []int // stage ids in reverse topological (evaluation) order
 	endName  string
@@ -71,13 +47,6 @@ type model struct {
 	fetchTo  int   // stage id receiving fetched instructions
 	ops      []string
 	macExtra int64
-}
-
-// classConstNames spells the arm.Class constants for emitted case labels,
-// in class-id order. analyze checks it against arm.NumClasses.
-var classConstNames = []string{
-	"arm.ClassDataProc", "arm.ClassMult", "arm.ClassLoadStore",
-	"arm.ClassLoadStoreM", "arm.ClassBranch", "arm.ClassSystem",
 }
 
 func sanitizeIdent(name string) string {
@@ -94,81 +63,7 @@ func sanitizeIdent(name string) string {
 	return string(out)
 }
 
-// roleKinds recovers the (transition name -> semantics) map by re-walking
-// the spec in the exact order and naming scheme machine.Generate uses.
-func roleKinds(spec machine.Spec) (map[string]candKind, error) {
-	desc := map[string]candKind{}
-	add := func(name string, k candKind) error {
-		if _, dup := desc[name]; dup {
-			return fmt.Errorf("gen: duplicate transition name %q", name)
-		}
-		desc[name] = k
-		return nil
-	}
-	for i := 0; i+1 < len(spec.FrontEnd); i++ {
-		if err := add("fe."+spec.FrontEnd[i+1], kPass); err != nil {
-			return nil, err
-		}
-	}
-	for c := arm.Class(0); c < arm.NumClasses; c++ {
-		for _, seg := range spec.Routes[c] {
-			name := fmt.Sprintf("%s.%s.%s", c, seg.Stage, seg.Exit)
-			var err error
-			switch seg.Exit {
-			case machine.RolePass:
-				err = add(name, kPass)
-			case machine.RoleIssue:
-				k := kIssue
-				if c == arm.ClassMult {
-					k = kIssueMult
-				}
-				err = add(name, k)
-			case machine.RoleExecute:
-				k := kExecute
-				if c == arm.ClassLoadStore || c == arm.ClassLoadStoreM {
-					k = kExecuteMem
-				}
-				err = add(name, k)
-			case machine.RoleMem:
-				switch c {
-				case arm.ClassLoadStore:
-					err = add(name, kMemAccess)
-				case arm.ClassLoadStoreM:
-					if err = add(name+"step", kLSMStep); err == nil {
-						err = add(name+"last", kLSMLast)
-					}
-				default:
-					err = add(name, kPass)
-				}
-			case machine.RoleWriteback:
-				err = add(name, kWriteback)
-			case machine.RoleMemWriteback:
-				switch c {
-				case arm.ClassLoadStore:
-					err = add(name, kMemWB)
-				case arm.ClassLoadStoreM:
-					if err = add(name+"step", kLSMStep); err == nil {
-						err = add(name+"last", kLSMLastWB)
-					}
-				default:
-					err = add(name, kWriteback)
-				}
-			default:
-				err = fmt.Errorf("gen: class %v: unknown role %v", c, seg.Exit)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return desc, nil
-}
-
 func analyze(spec machine.Spec) (*model, error) {
-	if int(arm.NumClasses) != len(classConstNames) {
-		return nil, fmt.Errorf("gen: class table out of date (%d classes, %d names)",
-			arm.NumClasses, len(classConstNames))
-	}
 	// Build the real net on a throwaway program; the net is only walked,
 	// never stepped.
 	mach, err := machine.Generate(&arm.Program{Bytes: make([]byte, 8)}, spec, machine.Config{})
@@ -189,12 +84,7 @@ func analyze(spec machine.Spec) (*model, error) {
 		return nil, fmt.Errorf("gen: want exactly one source transition, have %d", len(net.Sources()))
 	}
 
-	desc, err := roleKinds(spec)
-	if err != nil {
-		return nil, err
-	}
-
-	m := &model{spec: spec, macExtra: spec.MACExtra}
+	m := &model{name: spec.Name, macExtra: spec.MACExtra, bypass: mach.Bypass()}
 
 	// Stages: one capacity-1 place per finite stage, end place created last.
 	places := net.Places()
@@ -241,7 +131,10 @@ func analyze(spec machine.Spec) (*model, error) {
 	}
 
 	// Transition facts + the sorted_transitions cells, validated per entry.
-	for _, t := range net.Transitions() {
+	for i, t := range net.Transitions() {
+		if t.ID() != i {
+			return nil, fmt.Errorf("gen: transition %s: id %d at index %d", t.Name, t.ID(), i)
+		}
 		if t.Delay != 0 {
 			return nil, fmt.Errorf("gen: transition %s: transition delays are not supported", t.Name)
 		}
@@ -251,29 +144,11 @@ func analyze(spec machine.Spec) (*model, error) {
 		if len(t.Reads) != 0 {
 			return nil, fmt.Errorf("gen: transition %s: Reads arcs are not supported", t.Name)
 		}
-		k, ok := desc[t.Name]
-		if !ok {
-			return nil, fmt.Errorf("gen: transition %s: no spec segment produces it", t.Name)
-		}
-		if (t.Guard != nil) != k.needsGuard() {
-			return nil, fmt.Errorf("gen: transition %s: guard presence does not match role", t.Name)
-		}
-		if (t.Explain != nil) != k.needsExplain() {
-			return nil, fmt.Errorf("gen: transition %s: explain presence does not match role", t.Name)
-		}
-		if (t.From == t.To) != k.selfLoop() {
-			return nil, fmt.Errorf("gen: transition %s: self-loop shape does not match role", t.Name)
-		}
 		if want := t.To != t.From && !t.To.End; t.NeedsCapacity() != want {
 			return nil, fmt.Errorf("gen: transition %s: NeedsCapacity=%v, derived %v",
 				t.Name, t.NeedsCapacity(), want)
 		}
 		m.ops = append(m.ops, t.Name)
-	}
-	for i, t := range net.Transitions() {
-		if t.ID() != i {
-			return nil, fmt.Errorf("gen: transition %s: id %d at index %d", t.Name, t.ID(), i)
-		}
 	}
 
 	for si := range m.stages {
@@ -282,7 +157,7 @@ func analyze(spec machine.Spec) (*model, error) {
 		st.cands = make([][]cand, int(arm.NumClasses))
 		for c := 0; c < int(arm.NumClasses); c++ {
 			for _, t := range net.SortedTransitions(p, core.ClassID(c)) {
-				st.cands[c] = append(st.cands[c], cand{tr: t, kind: desc[t.Name]})
+				st.cands[c] = append(st.cands[c], cand{tr: t, body: mach.Body(t)})
 			}
 		}
 	}
@@ -295,23 +170,10 @@ func analyze(spec machine.Spec) (*model, error) {
 		}
 	}
 
-	// Fetch destination and bypass states, straight from the compiled net.
+	// Fetch destination, straight from the compiled net.
 	m.fetchTo = net.Sources()[0].To.ID()
 	if m.fetchTo >= len(m.stages) {
 		return nil, fmt.Errorf("gen: fetch feeds the end place")
-	}
-	for _, name := range spec.Bypass {
-		found := -1
-		for _, st := range m.stages {
-			if st.name == name {
-				found = st.id
-				break
-			}
-		}
-		if found < 0 {
-			return nil, fmt.Errorf("gen: bypass stage %q not found", name)
-		}
-		m.bypass = append(m.bypass, found)
 	}
 	return m, nil
 }

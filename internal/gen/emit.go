@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"rcpn/internal/arm"
+	"rcpn/internal/machine"
 )
 
 // The emitter writes the generated package as one Go source file. Output is
@@ -33,7 +34,7 @@ func className(c int) string { return arm.Class(c).String() }
 func classLabels(classes []int) string {
 	names := make([]string, len(classes))
 	for i, c := range classes {
-		names[i] = classConstNames[c]
+		names[i] = "arm.Class" + className(c)
 	}
 	return strings.Join(names, ", ")
 }
@@ -99,12 +100,12 @@ func (e *emitter) dispatch(bodies []string) {
 // true (the destination is a real latch) the data-dependent kinds also bind
 // d, the token-delay override of the interpreted engine's deliver;
 // destinations past the end place retire immediately and take no delay.
-func (e *emitter) actionLines(b *strings.Builder, k candKind, wantDelay bool) (delayVar bool) {
-	switch k {
-	case kPass:
-	case kIssue:
+func (e *emitter) actionLines(b *strings.Builder, body machine.Body, wantDelay bool) (delayVar bool) {
+	switch body {
+	case machine.BodyPass:
+	case machine.BodyIssue:
 		b.WriteString("in.Issue(bypassStates)\n")
-	case kIssueMult:
+	case machine.BodyIssueMult:
 		b.WriteString("in.Issue(bypassStates)\n")
 		if wantDelay {
 			b.WriteString("var d int64\nif !in.Annulled() {\n")
@@ -116,26 +117,26 @@ func (e *emitter) actionLines(b *strings.Builder, k candKind, wantDelay bool) (d
 			b.WriteString("}\n")
 			delayVar = true
 		}
-	case kExecute:
+	case machine.BodyExecute:
 		b.WriteString("in.Execute()\n")
-	case kExecuteMem:
+	case machine.BodyExecuteMem:
 		b.WriteString("in.Execute()\n")
 		if wantDelay {
 			b.WriteString("d := in.MemLatency()\n")
 			delayVar = true
 		}
-	case kMemAccess:
+	case machine.BodyMemAccess:
 		b.WriteString("in.MemAccess()\n")
-	case kLSMStep:
+	case machine.BodyLSMStep:
 		b.WriteString("d := in.LSMStep()\n")
 		delayVar = true
-	case kLSMLast:
+	case machine.BodyLSMLast:
 		b.WriteString("in.LSMFinish()\n")
-	case kWriteback:
+	case machine.BodyWriteback:
 		b.WriteString("in.Writeback()\n")
-	case kMemWB:
+	case machine.BodyMemWriteback:
 		b.WriteString("in.MemAccess()\nin.Writeback()\n")
-	case kLSMLastWB:
+	case machine.BodyLSMLastWriteback:
 		b.WriteString("in.LSMFinish()\nin.Writeback()\n")
 	}
 	return delayVar
@@ -153,7 +154,7 @@ func (e *emitter) fireLines(st *stageInfo, slot int, cd cand) string {
 	if !selfLoop {
 		fmt.Fprintf(&b, "s.l%s = nil\nin.SetState(-1)\n", st.ident)
 	}
-	delayVar := e.actionLines(&b, cd.kind, !toEnd)
+	delayVar := e.actionLines(&b, cd.body, !toEnd)
 	opRef := fmt.Sprintf("op%s%d[in.I.Class]", st.ident, slot)
 	switch {
 	case toEnd:
@@ -197,10 +198,10 @@ func (e *emitter) stepBody(st *stageInfo, c int) string {
 		if cd.tr.NeedsCapacity() {
 			conds = append(conds, fmt.Sprintf("s.l%s == nil", e.m.stages[cd.tr.To.ID()].ident))
 		}
-		switch cd.kind {
-		case kIssue, kIssueMult:
+		switch cd.body {
+		case machine.BodyIssue, machine.BodyIssueMult:
 			conds = append(conds, "in.IssueReady(bypassStates)")
-		case kLSMStep:
+		case machine.BodyLSMStep:
 			conds = append(conds, "in.LSMMore()")
 		}
 		fire := e.fireLines(st, slot, cd)
@@ -229,7 +230,7 @@ func (e *emitter) classifyBody(st *stageInfo, c int) string {
 	if cd.tr.NeedsCapacity() {
 		fmt.Fprintf(&b, "if s.l%s != nil {\nreturn obsv.StallCapacity\n}\n", e.m.stages[cd.tr.To.ID()].ident)
 	}
-	if cd.kind.needsExplain() {
+	if cd.body == machine.BodyIssue || cd.body == machine.BodyIssueMult {
 		b.WriteString("if !in.IssueReady(bypassStates) {\nreturn in.IssueStallKind(bypassStates)\n}\n")
 	}
 	b.WriteString("return obsv.StallGuard\n")
@@ -240,10 +241,10 @@ func emit(m *model, opts Options) []byte {
 	e := &emitter{m: m}
 	nc := int(arm.NumClasses)
 
-	e.f("// Code generated by rcpngen from the %q machine spec; DO NOT EDIT.\n", m.spec.Name)
+	e.f("// Code generated by rcpngen from the %q machine spec; DO NOT EDIT.\n", m.name)
 	e.f("//\n// Regenerate with:\n//\n//\tgo run ./cmd/rcpngen -model %s -pkg %s -out %s\n\n",
 		opts.Model, opts.Package, opts.OutDir)
-	e.f("// Package %s is a generated cycle-accurate simulator for the %s\n", opts.Package, m.spec.Name)
+	e.f("// Package %s is a generated cycle-accurate simulator for the %s\n", opts.Package, m.name)
 	e.f("// model: the RCPN's sorted_transitions table compiled to one flattened\n")
 	e.f("// step function per pipeline stage, with guards inlined as ifs and\n")
 	e.f("// per-operation-class dispatch devirtualized into direct calls. Fetch and\n")
@@ -254,7 +255,7 @@ func emit(m *model, opts Options) []byte {
 	e.f("package %s\n\n", opts.Package)
 	e.f("import (\n\"fmt\"\n\n\"rcpn/internal/arm\"\n\"rcpn/internal/batch\"\n\"rcpn/internal/ckpt\"\n\"rcpn/internal/machine\"\n\"rcpn/internal/obsv\"\n)\n\n")
 
-	e.f("const modelName = %q\n\n", m.spec.Name)
+	e.f("const modelName = %q\n\n", m.name)
 	e.f("// Pipeline state indices: the source net's place ids, reused as trace\n")
 	e.f("// locations, profile rows and the bypass-query states tokens carry.\n")
 	e.f("const (\n")
@@ -323,7 +324,7 @@ func emit(m *model, opts Options) []byte {
 	e.f(")\n\n")
 
 	// The simulator type.
-	e.f("// Sim is one %s pipeline instance: a single-slot latch per stage plus\n", m.spec.Name)
+	e.f("// Sim is one %s pipeline instance: a single-slot latch per stage plus\n", m.name)
 	e.f("// the shared net-free machine runtime.\n")
 	e.f("type Sim struct {\n")
 	e.f("// Driver is the shared chunked-stepping protocol (Run, RunUntil, Drain\n")

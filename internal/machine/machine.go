@@ -126,7 +126,10 @@ type Machine struct {
 	// generated simulator's latches in place of the net walk.
 	genFlush func(youngerThan uint64) []*Inst
 
-	classNames []string
+	// bodies records each net transition's Body by transition id, and
+	// bypass the forwarding place ids, as Generate lowered them.
+	bodies []Body
+	bypass []int
 }
 
 // newMachine builds the model-independent parts.
@@ -148,9 +151,6 @@ func newMachine(name string, p *arm.Program, cfg Config, defaults func(*Config))
 		pool:      make([][]*Inst, (len(p.Bytes)+4)/4),
 		poolExtra: map[uint32][]*Inst{},
 		entry:     p.Entry,
-		classNames: []string{
-			"DataProc", "Mult", "LoadStore", "LoadStoreM", "Branch", "System",
-		},
 	}
 	m.Driver = batch.NewDriver(m)
 	for i := 0; i < 16; i++ {
@@ -219,7 +219,20 @@ func (m *Machine) Counters() (int64, int64, uint64) {
 func (m *Machine) Where() (string, uint32) { return m.Name, m.pc }
 
 // Dot renders the model's RCPN in Graphviz format.
-func (m *Machine) Dot() string { return m.Net.Dot(m.classNames) }
+func (m *Machine) Dot() string {
+	names := make([]string, arm.NumClasses)
+	for c := range names {
+		names[c] = arm.Class(c).String()
+	}
+	return m.Net.Dot(names)
+}
+
+// Body returns the work transition t of the lowered net performs.
+func (m *Machine) Body(t *core.Transition) Body { return m.bodies[t.ID()] }
+
+// Bypass returns the place ids whose resident results feed the forwarding
+// network, in Spec order.
+func (m *Machine) Bypass() []int { return m.bypass }
 
 // fail records a fatal simulation error (undefined instruction, unknown
 // system call) surfaced out of transition actions.

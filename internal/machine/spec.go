@@ -53,6 +53,37 @@ func (r Role) String() string {
 	return fmt.Sprintf("role(%d)", uint8(r))
 }
 
+// Body names the work one lowered transition performs when it fires. The
+// lowering decides it once per transition (bodyOf) and records it, so the
+// closures the engine runs and the code the generator emits are both read
+// off the same decision.
+type Body uint8
+
+// Transition bodies.
+const (
+	BodyPass             Body = iota // move only, no architected work
+	BodyIssue                        // operand read + destination reservation
+	BodyIssueMult                    // issue + data-dependent multiplier latency
+	BodyExecute                      // ALU work, branch/PC resolution
+	BodyExecuteMem                   // execute + D-cache latency acquisition
+	BodyMemAccess                    // functional memory access
+	BodyLSMStep                      // block-transfer stay loop (self-loop)
+	BodyLSMLast                      // block-transfer completion
+	BodyWriteback                    // architected commit (+ trap effects)
+	BodyMemWriteback                 // fused memory access + writeback
+	BodyLSMLastWriteback             // fused block-transfer completion + writeback
+)
+
+var bodyNames = [...]string{"pass", "issue", "issue-mult", "execute", "execute-mem",
+	"mem-access", "lsm-step", "lsm-last", "writeback", "mem-writeback", "lsm-last-writeback"}
+
+func (b Body) String() string {
+	if int(b) < len(bodyNames) {
+		return bodyNames[b]
+	}
+	return fmt.Sprintf("body(%d)", uint8(b))
+}
+
 // StageSpec declares one pipeline storage element.
 type StageSpec struct {
 	Name     string
@@ -122,13 +153,20 @@ func Generate(p *arm.Program, spec Spec, cfg Config) (*Machine, error) {
 	if len(spec.FrontEnd) == 0 {
 		return nil, fmt.Errorf("adl: a front end stage is required")
 	}
-	var bypass []int
 	for _, name := range spec.Bypass {
 		pl, err := lookup(name)
 		if err != nil {
 			return nil, err
 		}
-		bypass = append(bypass, pl.ID())
+		m.bypass = append(m.bypass, pl.ID())
+	}
+	// add appends one transition performing body and records the body under
+	// the transition's id.
+	add := func(name string, class core.ClassID, body Body, from, to *core.Place, priority int) {
+		t := bodyTransition(body, m.bypass, spec.MACExtra)
+		t.Name, t.Class, t.From, t.To, t.Priority = name, class, from, to, priority
+		n.AddTransition(t)
+		m.bodies = append(m.bodies, body)
 	}
 
 	// Shared front end: AnyClass pass transitions between successive stages.
@@ -141,9 +179,7 @@ func Generate(p *arm.Program, spec Spec, cfg Config) (*Machine, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.AddTransition(&core.Transition{
-			Name: "fe." + spec.FrontEnd[i+1], Class: core.AnyClass, From: from, To: to,
-		})
+		add("fe."+spec.FrontEnd[i+1], core.AnyClass, BodyPass, from, to, 0)
 	}
 	routeStart, err := lookup(spec.FrontEnd[len(spec.FrontEnd)-1])
 	if err != nil {
@@ -176,10 +212,19 @@ func Generate(p *arm.Program, spec Spec, cfg Config) (*Machine, error) {
 					return nil, err
 				}
 			}
-			name := fmt.Sprintf("%s.%s.%s", c, seg.Stage, seg.Exit)
-			if err := addRoleTransition(n, name, c, seg.Exit, segStage, to, bypass, spec.MACExtra); err != nil {
+			body, err := bodyOf(c, seg.Exit)
+			if err != nil {
 				return nil, err
 			}
+			name, priority := fmt.Sprintf("%s.%s.%s", c, seg.Stage, seg.Exit), 0
+			if body == BodyLSMLast || body == BodyLSMLastWriteback {
+				// A block transfer stays in the stage, moving one register
+				// per step while any is left; the lower-priority completion
+				// then moves it on.
+				add(name+"step", core.ClassID(c), BodyLSMStep, segStage, segStage, 0)
+				name, priority = name+"last", 1
+			}
+			add(name, core.ClassID(c), body, segStage, to, priority)
 			from = to
 		}
 	}
@@ -220,24 +265,57 @@ func XScaleUnits(c *Config) {
 // instOf returns the instruction instance a token carries.
 func instOf(tok *core.Token) *Inst { return tok.Data.(*Inst) }
 
-// addRoleTransition wires one route segment to the operation-class
-// semantics, including the class-specific specials (multiplier latency at
-// issue, cache latency at execute, block-transfer stay loop at mem).
-func addRoleTransition(n *core.Net, name string, c arm.Class, role Role,
-	from, to *core.Place, bypass []int, macExtra int64) error {
-	class := core.ClassID(c)
+// bodyOf picks the work a class performs when it leaves a stage in role:
+// the class-specific specials are the multiplier latency at issue, the
+// cache latency at execute and the block-transfer stay loop at mem.
+func bodyOf(c arm.Class, role Role) (Body, error) {
 	switch role {
 	case RolePass:
-		n.AddTransition(&core.Transition{Name: name, Class: class, From: from, To: to})
-
+		return BodyPass, nil
 	case RoleIssue:
-		t := &core.Transition{
-			Name: name, Class: class, From: from, To: to,
-			Guard:   func(tok *core.Token) bool { return instOf(tok).IssueReady(bypass) },
-			Explain: func(tok *core.Token) obsv.StallKind { return instOf(tok).IssueStallKind(bypass) },
-			Action:  func(tok *core.Token) { instOf(tok).Issue(bypass) },
-		}
 		if c == arm.ClassMult {
+			return BodyIssueMult, nil
+		}
+		return BodyIssue, nil
+	case RoleExecute:
+		if c == arm.ClassLoadStore || c == arm.ClassLoadStoreM {
+			return BodyExecuteMem, nil
+		}
+		return BodyExecute, nil
+	case RoleMem:
+		switch c {
+		case arm.ClassLoadStore:
+			return BodyMemAccess, nil
+		case arm.ClassLoadStoreM:
+			return BodyLSMLast, nil
+		}
+		return BodyPass, nil
+	case RoleWriteback:
+		return BodyWriteback, nil
+	case RoleMemWriteback:
+		switch c {
+		case arm.ClassLoadStore:
+			return BodyMemWriteback, nil
+		case arm.ClassLoadStoreM:
+			return BodyLSMLastWriteback, nil
+		}
+		return BodyWriteback, nil
+	}
+	return 0, fmt.Errorf("adl: unknown role %v", role)
+}
+
+// bodyTransition builds a transition performing body, its closures
+// specialised now so that none switches on the body when it fires. A pass
+// keeps a nil Action and only the guarded bodies get a Guard: the engine's
+// inline firing tests both.
+func bodyTransition(body Body, bypass []int, macExtra int64) *core.Transition {
+	t := &core.Transition{}
+	switch body {
+	case BodyIssue, BodyIssueMult:
+		t.Guard = func(tok *core.Token) bool { return instOf(tok).IssueReady(bypass) }
+		t.Explain = func(tok *core.Token) obsv.StallKind { return instOf(tok).IssueStallKind(bypass) }
+		t.Action = func(tok *core.Token) { instOf(tok).Issue(bypass) }
+		if body == BodyIssueMult {
 			t.Action = func(tok *core.Token) {
 				in := instOf(tok)
 				in.Issue(bypass)
@@ -246,83 +324,35 @@ func addRoleTransition(n *core.Net, name string, c arm.Class, role Role,
 				}
 			}
 		}
-		n.AddTransition(t)
-
-	case RoleExecute:
-		t := &core.Transition{
-			Name: name, Class: class, From: from, To: to,
-			Action: func(tok *core.Token) { instOf(tok).Execute() },
+	case BodyExecute:
+		t.Action = func(tok *core.Token) { instOf(tok).Execute() }
+	case BodyExecuteMem:
+		t.Action = func(tok *core.Token) {
+			in := instOf(tok)
+			in.Execute()
+			tok.Delay = in.MemLatency()
 		}
-		if c == arm.ClassLoadStore || c == arm.ClassLoadStoreM {
-			t.Action = func(tok *core.Token) {
-				in := instOf(tok)
-				in.Execute()
-				tok.Delay = in.MemLatency()
-			}
+	case BodyMemAccess:
+		t.Action = func(tok *core.Token) { instOf(tok).MemAccess() }
+	case BodyLSMStep:
+		t.Guard = func(tok *core.Token) bool { return instOf(tok).LSMMore() }
+		t.Action = func(tok *core.Token) { tok.Delay = instOf(tok).LSMStep() }
+	case BodyLSMLast:
+		t.Action = func(tok *core.Token) { instOf(tok).LSMFinish() }
+	case BodyWriteback:
+		t.Action = func(tok *core.Token) { instOf(tok).Writeback() }
+	case BodyMemWriteback:
+		t.Action = func(tok *core.Token) {
+			in := instOf(tok)
+			in.MemAccess()
+			in.Writeback()
 		}
-		n.AddTransition(t)
-
-	case RoleMem:
-		switch c {
-		case arm.ClassLoadStore:
-			n.AddTransition(&core.Transition{
-				Name: name, Class: class, From: from, To: to,
-				Action: func(tok *core.Token) { instOf(tok).MemAccess() },
-			})
-		case arm.ClassLoadStoreM:
-			n.AddTransition(&core.Transition{
-				Name: name + "step", Class: class, From: from, To: from, Priority: 0,
-				Guard:  func(tok *core.Token) bool { return instOf(tok).LSMMore() },
-				Action: func(tok *core.Token) { tok.Delay = instOf(tok).LSMStep() },
-			})
-			n.AddTransition(&core.Transition{
-				Name: name + "last", Class: class, From: from, To: to, Priority: 1,
-				Action: func(tok *core.Token) { instOf(tok).LSMFinish() },
-			})
-		default:
-			n.AddTransition(&core.Transition{Name: name, Class: class, From: from, To: to})
+	case BodyLSMLastWriteback:
+		t.Action = func(tok *core.Token) {
+			in := instOf(tok)
+			in.LSMFinish()
+			in.Writeback()
 		}
-
-	case RoleWriteback:
-		n.AddTransition(&core.Transition{
-			Name: name, Class: class, From: from, To: to,
-			Action: func(tok *core.Token) { instOf(tok).Writeback() },
-		})
-
-	case RoleMemWriteback:
-		switch c {
-		case arm.ClassLoadStore:
-			n.AddTransition(&core.Transition{
-				Name: name, Class: class, From: from, To: to,
-				Action: func(tok *core.Token) {
-					in := instOf(tok)
-					in.MemAccess()
-					in.Writeback()
-				},
-			})
-		case arm.ClassLoadStoreM:
-			n.AddTransition(&core.Transition{
-				Name: name + "step", Class: class, From: from, To: from, Priority: 0,
-				Guard:  func(tok *core.Token) bool { return instOf(tok).LSMMore() },
-				Action: func(tok *core.Token) { tok.Delay = instOf(tok).LSMStep() },
-			})
-			n.AddTransition(&core.Transition{
-				Name: name + "last", Class: class, From: from, To: to, Priority: 1,
-				Action: func(tok *core.Token) {
-					in := instOf(tok)
-					in.LSMFinish()
-					in.Writeback()
-				},
-			})
-		default:
-			n.AddTransition(&core.Transition{
-				Name: name, Class: class, From: from, To: to,
-				Action: func(tok *core.Token) { instOf(tok).Writeback() },
-			})
-		}
-
-	default:
-		return fmt.Errorf("adl: unknown role %v", role)
 	}
-	return nil
+	return t
 }

@@ -117,3 +117,50 @@ func TestSpecValidation(t *testing.T) {
 		t.Error("unknown bypass stage accepted")
 	}
 }
+
+// TestTransitionBodies holds every transition of the Spec models to the
+// Body the lowering recorded for it: one Body per transition, a Guard
+// exactly on the guarded bodies, an Explain exactly on the issues, a
+// self-loop exactly for the block-transfer step and a nil Action exactly
+// for a pass. The code generator compiles the recorded Body in place of
+// the closures, so these facts are what keeps the two engines alike.
+func TestTransitionBodies(t *testing.T) {
+	p, err := arm.Assemble("swi #0\n", 0x8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[Body]bool{}
+	for _, spec := range []Spec{StrongARMSpec(), ARM9Spec(), XScaleSpec()} {
+		m, err := Generate(p, spec, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trs := m.Net.Transitions()
+		if len(m.bodies) != len(trs) {
+			t.Fatalf("%s: %d bodies for %d transitions", spec.Name, len(m.bodies), len(trs))
+		}
+		for _, tr := range trs {
+			b := m.Body(tr)
+			seen[b] = true
+			issue := b == BodyIssue || b == BodyIssueMult
+			for _, c := range []struct {
+				fact      string
+				got, want bool
+			}{
+				{"guard", tr.Guard != nil, issue || b == BodyLSMStep},
+				{"explain", tr.Explain != nil, issue},
+				{"self-loop", tr.From == tr.To, b == BodyLSMStep},
+				{"nil action", tr.Action == nil, b == BodyPass},
+			} {
+				if c.got != c.want {
+					t.Errorf("%s: %s (%v): %s is %v, want %v", spec.Name, tr.Name, b, c.fact, c.got, c.want)
+				}
+			}
+		}
+	}
+	for b := BodyPass; b <= BodyLSMLastWriteback; b++ {
+		if !seen[b] {
+			t.Errorf("no Spec model lowers a %v transition", b)
+		}
+	}
+}

@@ -370,6 +370,37 @@ func TestInlineSource(t *testing.T) {
 	}
 }
 
+// TestSourceAssembledOnce: a source job's program is the one Normalize
+// assembled, shared read-only by every build (as tpar segment builds run
+// concurrently), and outside the canonical bytes.
+func TestSourceAssembledOnce(t *testing.T) {
+	sp, err := ParseSpec(strings.NewReader(`{"simulator":"strongarm","source":"mov r0, #0\nswi 0\n"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.prog == nil {
+		t.Fatal("Normalize kept no program")
+	}
+	job := *sp // the server keeps its own copy of the spec
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if p, err := job.program(); err != nil || p != sp.prog {
+				t.Errorf("program() = %p, %v; want the Normalized %p", p, err, sp.prog)
+			}
+			if _, err := job.Build(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if c := string(sp.Canonical()); strings.Contains(c, "prog") {
+		t.Errorf("canonical bytes carry the program: %s", c)
+	}
+}
+
 // TestSSEProgress: the events stream delivers progress (cycles retired)
 // and a terminal state event, then closes.
 func TestSSEProgress(t *testing.T) {

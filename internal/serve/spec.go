@@ -100,6 +100,10 @@ type JobSpec struct {
 	// error bound reported in the result extras).
 	ParallelMode string    `json:"parallel_mode,omitempty"`
 	Config       SimConfig `json:"config"`
+
+	// prog is Source assembled by Normalize, which alone sets it: read-only
+	// once the job runs, so concurrent segment builds share it safely.
+	prog *arm.Program
 }
 
 // maxSourceBytes bounds inline assembly so a single request cannot balloon
@@ -226,9 +230,11 @@ func (s *JobSpec) Normalize() error {
 	// Assemble now so a syntactically broken inline program is a 400, not a
 	// failed job. Kernels are known-good; skip the redundant work for them.
 	if s.Source != "" {
-		if _, err := arm.Assemble(s.Source, 0x8000); err != nil {
+		p, err := arm.Assemble(s.Source, 0x8000)
+		if err != nil {
 			return specErrf("source does not assemble: %v", err)
 		}
+		s.prog = p
 	}
 	return nil
 }
@@ -312,10 +318,15 @@ func (s *JobSpec) checkCaches() error {
 	return nil
 }
 
-// program assembles the job's workload.
+// program returns the job's workload: a kernel assembled now, or the
+// source as Normalize assembled it (assembled here only when Normalize was
+// skipped).
 func (s *JobSpec) program() (*arm.Program, error) {
 	if s.Kernel != "" {
 		return workload.ByName(s.Kernel).Program(s.Scale)
+	}
+	if s.prog != nil {
+		return s.prog, nil
 	}
 	return arm.Assemble(s.Source, 0x8000)
 }
