@@ -71,12 +71,6 @@ func analyze(spec machine.Spec) (*model, error) {
 		return nil, fmt.Errorf("gen: lowering spec: %w", err)
 	}
 	net := mach.Net
-	if !net.Built() {
-		return nil, fmt.Errorf("gen: net is not built")
-	}
-	if net.NumClasses() != int(arm.NumClasses) {
-		return nil, fmt.Errorf("gen: net has %d classes, want %d", net.NumClasses(), arm.NumClasses)
-	}
 	if tl := net.TwoListPlaces(); len(tl) != 0 {
 		return nil, fmt.Errorf("gen: two-list place %s: feedback-read places are not supported", tl[0].Name)
 	}
@@ -88,7 +82,6 @@ func analyze(spec machine.Spec) (*model, error) {
 
 	// Stages: one capacity-1 place per finite stage, end place created last.
 	places := net.Places()
-	placesPerStage := map[int]int{}
 	idents := map[string]bool{}
 	for i, p := range places {
 		if p.End {
@@ -102,17 +95,14 @@ func analyze(spec machine.Spec) (*model, error) {
 			return nil, fmt.Errorf("gen: stage %s: capacity %d not supported (only single-slot latches)",
 				p.Stage.Name, p.Stage.Capacity)
 		}
-		placesPerStage[p.Stage.ID()]++
-		if placesPerStage[p.Stage.ID()] > 1 {
-			return nil, fmt.Errorf("gen: stage %s holds more than one place", p.Stage.Name)
-		}
 		if p.Delay < 1 {
 			return nil, fmt.Errorf("gen: place %s: residency delay %d < 1", p.Name, p.Delay)
 		}
 		if p.Stage.ID() != p.ID() {
 			// The emitted code reuses one index as place id, stage id, trace
-			// location and profile row; the lowering creates one stage per
-			// place in the same order, which keeps them equal.
+			// location and profile row (so no stage holds two places); the
+			// lowering creates one stage per place in the same order, which
+			// keeps them equal.
 			return nil, fmt.Errorf("gen: stage %s: stage id %d != place id %d",
 				p.Stage.Name, p.Stage.ID(), p.ID())
 		}

@@ -198,10 +198,10 @@ func (e *emitter) stepBody(st *stageInfo, c int) string {
 		if cd.tr.NeedsCapacity() {
 			conds = append(conds, fmt.Sprintf("s.l%s == nil", e.m.stages[cd.tr.To.ID()].ident))
 		}
-		switch cd.body {
-		case machine.BodyIssue, machine.BodyIssueMult:
+		switch {
+		case cd.body.Explained():
 			conds = append(conds, "in.IssueReady(bypassStates)")
-		case machine.BodyLSMStep:
+		case cd.body.Guarded():
 			conds = append(conds, "in.LSMMore()")
 		}
 		fire := e.fireLines(st, slot, cd)
@@ -230,7 +230,7 @@ func (e *emitter) classifyBody(st *stageInfo, c int) string {
 	if cd.tr.NeedsCapacity() {
 		fmt.Fprintf(&b, "if s.l%s != nil {\nreturn obsv.StallCapacity\n}\n", e.m.stages[cd.tr.To.ID()].ident)
 	}
-	if cd.body == machine.BodyIssue || cd.body == machine.BodyIssueMult {
+	if cd.body.Explained() {
 		b.WriteString("if !in.IssueReady(bypassStates) {\nreturn in.IssueStallKind(bypassStates)\n}\n")
 	}
 	b.WriteString("return obsv.StallGuard\n")

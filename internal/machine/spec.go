@@ -84,6 +84,14 @@ func (b Body) String() string {
 	return fmt.Sprintf("body(%d)", uint8(b))
 }
 
+// Explained reports whether a transition performing b has an Explain, and
+// so a guard that names its stall kind: the issues' operand check.
+func (b Body) Explained() bool { return b == BodyIssue || b == BodyIssueMult }
+
+// Guarded reports whether a transition performing b has a Guard: the
+// issues' operand check or a block-transfer step's "registers remain".
+func (b Body) Guarded() bool { return b.Explained() || b == BodyLSMStep }
+
 // StageSpec declares one pipeline storage element.
 type StageSpec struct {
 	Name     string
@@ -265,63 +273,57 @@ func XScaleUnits(c *Config) {
 // instOf returns the instruction instance a token carries.
 func instOf(tok *core.Token) *Inst { return tok.Data.(*Inst) }
 
+// roleBodies is each role's body for a class with no special there.
+var roleBodies = [...]Body{RolePass: BodyPass, RoleIssue: BodyIssue, RoleExecute: BodyExecute,
+	RoleMem: BodyPass, RoleWriteback: BodyWriteback, RoleMemWriteback: BodyWriteback}
+
 // bodyOf picks the work a class performs when it leaves a stage in role:
 // the class-specific specials are the multiplier latency at issue, the
 // cache latency at execute and the block-transfer stay loop at mem.
 func bodyOf(c arm.Class, role Role) (Body, error) {
-	switch role {
-	case RolePass:
-		return BodyPass, nil
-	case RoleIssue:
-		if c == arm.ClassMult {
-			return BodyIssueMult, nil
-		}
-		return BodyIssue, nil
-	case RoleExecute:
-		if c == arm.ClassLoadStore || c == arm.ClassLoadStoreM {
-			return BodyExecuteMem, nil
-		}
-		return BodyExecute, nil
-	case RoleMem:
-		switch c {
-		case arm.ClassLoadStore:
-			return BodyMemAccess, nil
-		case arm.ClassLoadStoreM:
-			return BodyLSMLast, nil
-		}
-		return BodyPass, nil
-	case RoleWriteback:
-		return BodyWriteback, nil
-	case RoleMemWriteback:
-		switch c {
-		case arm.ClassLoadStore:
-			return BodyMemWriteback, nil
-		case arm.ClassLoadStoreM:
-			return BodyLSMLastWriteback, nil
-		}
-		return BodyWriteback, nil
+	if int(role) >= len(roleBodies) {
+		return 0, fmt.Errorf("adl: unknown role %v", role)
 	}
-	return 0, fmt.Errorf("adl: unknown role %v", role)
+	ls, lsm := c == arm.ClassLoadStore, c == arm.ClassLoadStoreM
+	switch {
+	case role == RoleIssue && c == arm.ClassMult:
+		return BodyIssueMult, nil
+	case role == RoleExecute && (ls || lsm):
+		return BodyExecuteMem, nil
+	case role == RoleMem && ls:
+		return BodyMemAccess, nil
+	case role == RoleMem && lsm:
+		return BodyLSMLast, nil
+	case role == RoleMemWriteback && ls:
+		return BodyMemWriteback, nil
+	case role == RoleMemWriteback && lsm:
+		return BodyLSMLastWriteback, nil
+	}
+	return roleBodies[role], nil
 }
 
 // bodyTransition builds a transition performing body, its closures
 // specialised now so that none switches on the body when it fires. A pass
-// keeps a nil Action and only the guarded bodies get a Guard: the engine's
+// keeps a nil Action and only Guarded bodies get a Guard: the engine's
 // inline firing tests both.
 func bodyTransition(body Body, bypass []int, macExtra int64) *core.Transition {
 	t := &core.Transition{}
-	switch body {
-	case BodyIssue, BodyIssueMult:
+	switch {
+	case body.Explained():
 		t.Guard = func(tok *core.Token) bool { return instOf(tok).IssueReady(bypass) }
 		t.Explain = func(tok *core.Token) obsv.StallKind { return instOf(tok).IssueStallKind(bypass) }
+	case body.Guarded():
+		t.Guard = func(tok *core.Token) bool { return instOf(tok).LSMMore() }
+	}
+	switch body {
+	case BodyIssue:
 		t.Action = func(tok *core.Token) { instOf(tok).Issue(bypass) }
-		if body == BodyIssueMult {
-			t.Action = func(tok *core.Token) {
-				in := instOf(tok)
-				in.Issue(bypass)
-				if !in.annulled {
-					tok.Delay = macExtra + in.MulLatency()
-				}
+	case BodyIssueMult:
+		t.Action = func(tok *core.Token) {
+			in := instOf(tok)
+			in.Issue(bypass)
+			if !in.annulled {
+				tok.Delay = macExtra + in.MulLatency()
 			}
 		}
 	case BodyExecute:
@@ -335,7 +337,6 @@ func bodyTransition(body Body, bypass []int, macExtra int64) *core.Transition {
 	case BodyMemAccess:
 		t.Action = func(tok *core.Token) { instOf(tok).MemAccess() }
 	case BodyLSMStep:
-		t.Guard = func(tok *core.Token) bool { return instOf(tok).LSMMore() }
 		t.Action = func(tok *core.Token) { tok.Delay = instOf(tok).LSMStep() }
 	case BodyLSMLast:
 		t.Action = func(tok *core.Token) { instOf(tok).LSMFinish() }

@@ -120,9 +120,10 @@ func TestSpecValidation(t *testing.T) {
 
 // TestTransitionBodies holds every transition of the Spec models to the
 // Body the lowering recorded for it: one Body per transition, a Guard
-// exactly on the guarded bodies, an Explain exactly on the issues, a
-// self-loop exactly for the block-transfer step and a nil Action exactly
-// for a pass. The code generator compiles the recorded Body in place of
+// exactly on the Guarded bodies (the issues and the block-transfer step),
+// an Explain exactly on the Explained ones (the issues), a self-loop
+// exactly for the block-transfer step and a nil Action exactly for a
+// pass. The code generator compiles the recorded Body in place of
 // the closures, so these facts are what keeps the two engines alike.
 func TestTransitionBodies(t *testing.T) {
 	p, err := arm.Assemble("swi #0\n", 0x8000)
@@ -142,13 +143,12 @@ func TestTransitionBodies(t *testing.T) {
 		for _, tr := range trs {
 			b := m.Body(tr)
 			seen[b] = true
-			issue := b == BodyIssue || b == BodyIssueMult
 			for _, c := range []struct {
 				fact      string
 				got, want bool
 			}{
-				{"guard", tr.Guard != nil, issue || b == BodyLSMStep},
-				{"explain", tr.Explain != nil, issue},
+				{"guard", tr.Guard != nil, b.Guarded()},
+				{"explain", tr.Explain != nil, b.Explained()},
 				{"self-loop", tr.From == tr.To, b == BodyLSMStep},
 				{"nil action", tr.Action == nil, b == BodyPass},
 			} {
@@ -161,6 +161,10 @@ func TestTransitionBodies(t *testing.T) {
 	for b := BodyPass; b <= BodyLSMLastWriteback; b++ {
 		if !seen[b] {
 			t.Errorf("no Spec model lowers a %v transition", b)
+		}
+		issue := b == BodyIssue || b == BodyIssueMult
+		if b.Guarded() != (issue || b == BodyLSMStep) || b.Explained() != issue {
+			t.Errorf("%v: Guarded %v, Explained %v", b, b.Guarded(), b.Explained())
 		}
 	}
 }

@@ -399,6 +399,43 @@ func TestSourceAssembledOnce(t *testing.T) {
 	if c := string(sp.Canonical()); strings.Contains(c, "prog") {
 		t.Errorf("canonical bytes carry the program: %s", c)
 	}
+	raw := &JobSpec{Simulator: "strongarm", Source: "swi 0\n"}
+	if _, err := raw.program(); err == nil {
+		t.Error("program() of a source spec that skipped Normalize did not fail")
+	}
+}
+
+// TestFinishedSourceJobDropsProgram: a terminal job's record stays in the
+// result cache, but not the program it ran — neither after the run nor
+// when a restarted server adopts the stored result.
+func TestFinishedSourceJobDropsProgram(t *testing.T) {
+	heldProgram := func(s *Server, id string) bool {
+		s.mu.Lock()
+		j := s.jobs[id]
+		s.mu.Unlock()
+		if j == nil {
+			t.Fatalf("job %s has no record", id)
+		}
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.spec.prog != nil
+	}
+	dir := t.TempDir()
+	body := `{"simulator":"strongarm","source":"mov r0, #0\nswi 0\n"}`
+	s1, hs1 := newTestServer(t, durableConfig(t, dir))
+	r := submit(t, hs1.URL, body)
+	waitState(t, hs1.URL, r.ID)
+	if heldProgram(s1, r.ID) {
+		t.Error("finished job's record holds its program")
+	}
+	hs1.Close()
+	s1.Drain(0)
+
+	s2, hs2 := newTestServer(t, durableConfig(t, dir))
+	defer func() { hs2.Close(); s2.Drain(0) }()
+	if heldProgram(s2, r.ID) {
+		t.Error("adopted terminal job's record holds its program")
+	}
 }
 
 // TestSSEProgress: the events stream delivers progress (cycles retired)

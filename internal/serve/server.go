@@ -317,6 +317,7 @@ func (s *Server) adopt(jobs []store.Job) {
 		}
 		switch jb.State {
 		case store.StateDone, store.StateFailed:
+			j.spec.prog = nil // a cached result never runs again
 			j.state = StateDone
 			if jb.State == store.StateFailed {
 				j.state = StateFailed
@@ -558,6 +559,9 @@ func (s *Server) execute(ctx context.Context, j *job) (batch.Metrics, error) {
 	j.state = StateRunning
 	j.attempts++
 	j.remote = nil // a retry may run locally; never keep a stale override
+	// This attempt's own copy: finalize drops the record's program, and an
+	// abandoned attempt may still be building from it.
+	spec := j.spec
 	j.mu.Unlock()
 	j.startNano.Store(time.Now().UnixNano())
 	s.queued.Add(-1)
@@ -566,7 +570,7 @@ func (s *Server) execute(ctx context.Context, j *job) (batch.Metrics, error) {
 	defer s.inflight.Add(-1)
 
 	if s.cfg.Dispatcher != nil {
-		if m, err, handled := s.executeRemote(ctx, j); handled {
+		if m, err, handled := s.executeRemote(ctx, j, &spec); handled {
 			return m, err
 		}
 	}
@@ -614,7 +618,7 @@ func (s *Server) execute(ctx context.Context, j *job) (batch.Metrics, error) {
 		discardCkpt: func(why string) { s.discardCheckpoint(j, why) },
 		onResume:    func() { s.resumes.Add(1) },
 	}
-	return runSpec(ctx, &j.spec, env)
+	return runSpec(ctx, &spec, env)
 }
 
 // executeRemote tries the job on the shard ring. handled is false only for
@@ -625,8 +629,8 @@ func (s *Server) execute(ctx context.Context, j *job) (batch.Metrics, error) {
 // batch.ErrTransient-wrapped error, which the retry machinery re-runs with
 // backoff — by then the ring has evicted the dead worker and the job
 // hashes somewhere live.
-func (s *Server) executeRemote(ctx context.Context, j *job) (_ batch.Metrics, _ error, handled bool) {
-	res, err := s.cfg.Dispatcher.Dispatch(ctx, j.id, j.spec.Canonical(),
+func (s *Server) executeRemote(ctx context.Context, j *job, spec *JobSpec) (_ batch.Metrics, _ error, handled bool) {
+	res, err := s.cfg.Dispatcher.Dispatch(ctx, j.id, spec.Canonical(),
 		func(c int64, i uint64) {
 			j.cycles.Store(c)
 			j.instret.Store(i)
@@ -811,6 +815,7 @@ func (s *Server) finalize(j *job, res batch.Result, transient bool) {
 	j.state = state
 	j.result = payload
 	j.transient = transient
+	j.spec.prog = nil // the record stays cached; the program is spent
 	j.mu.Unlock()
 	evicted := s.cache.add(j.id, payload)
 	for _, id := range evicted {

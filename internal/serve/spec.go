@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -101,8 +102,9 @@ type JobSpec struct {
 	ParallelMode string    `json:"parallel_mode,omitempty"`
 	Config       SimConfig `json:"config"`
 
-	// prog is Source assembled by Normalize, which alone sets it: read-only
-	// once the job runs, so concurrent segment builds share it safely.
+	// prog is Source as Normalize assembled it. Only Normalize sets it, so
+	// it is read-only while the job runs and concurrent segment builds
+	// share it; a server drops it once the job is terminal.
 	prog *arm.Program
 }
 
@@ -319,16 +321,15 @@ func (s *JobSpec) checkCaches() error {
 }
 
 // program returns the job's workload: a kernel assembled now, or the
-// source as Normalize assembled it (assembled here only when Normalize was
-// skipped).
+// source as Normalize assembled it.
 func (s *JobSpec) program() (*arm.Program, error) {
 	if s.Kernel != "" {
 		return workload.ByName(s.Kernel).Program(s.Scale)
 	}
-	if s.prog != nil {
-		return s.prog, nil
+	if s.prog == nil {
+		return nil, errors.New("serve: source job was not normalized")
 	}
-	return arm.Assemble(s.Source, 0x8000)
+	return s.prog, nil
 }
 
 // engineConfig builds the registry Config from the overrides; nil caches
