@@ -33,7 +33,7 @@ import (
 func cycleEngines() []diffrun.Engine {
 	var out []diffrun.Engine
 	for _, e := range diffrun.Engines() {
-		if !e.Functional {
+		if !e.Functional() {
 			out = append(out, e)
 		}
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"io"
 	"os"
@@ -42,7 +43,7 @@ func captureStdout(t *testing.T, f func()) []byte {
 // only for intended timing changes.
 func TestFig11Golden(t *testing.T) {
 	path := filepath.Join("testdata", "fig11_scale1.txt")
-	got := captureStdout(t, func() { fig11(&stats.Set{}, 1) })
+	got := captureStdout(t, func() { fig11(context.Background(), &stats.Set{}, 1) })
 	if *updateGolden {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)

@@ -19,10 +19,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"slices"
+	"syscall"
 	"time"
 
 	"rcpn/internal/batch"
@@ -41,19 +44,22 @@ func main() {
 	flag.IntVar(&workers, "j", 0, "measurement worker pool (0 = GOMAXPROCS, 1 = one cell at a time)")
 	flag.Parse()
 
+	// An interrupt cancels the Figure 10/11 cells, as in rcpnserve.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	set := &stats.Set{}
 	switch *fig {
 	case "10":
-		fig10(set, *scale)
+		fig10(ctx, set, *scale)
 	case "11":
-		fig11(set, *scale)
+		fig11(ctx, set, *scale)
 	case "ablation":
 		ablation(*scale)
 	case "sweep":
 		sweep(*scale)
 	case "all":
-		fig10(set, *scale)
-		fig11(set, *scale)
+		fig10(ctx, set, *scale)
+		fig11(ctx, set, *scale)
 		ablation(*scale)
 		sweep(*scale)
 	default:
@@ -81,23 +87,23 @@ var workers int
 // worker pool; each cell is checked against the ISS golden model. Results
 // are aggregated in submission order, not completion order, so the tables
 // are identical at any -j. A set an earlier figure filled is kept as is.
-func measure(set *stats.Set, scale int) {
+func measure(ctx context.Context, set *stats.Set, scale int) {
 	if len(set.Runs) > 0 {
 		return
 	}
-	jobs, err := diffrun.MatrixJobs(diffrun.Fig10(), workload.All(), scale)
+	jobs, err := diffrun.MatrixJobs(ctx, diffrun.Fig10(), workload.All(), scale)
 	if err != nil {
 		die(err)
 	}
-	rep := batch.Run(jobs, batch.Options{Workers: workers})
+	rep := batch.Run(jobs, batch.Options{Workers: workers, Context: ctx})
 	for _, r := range rep.Failed() {
 		die(fmt.Errorf("%s on %s: %s", r.Simulator, r.Workload, r.Err))
 	}
 	set.Runs = append(set.Runs, rep.StatsSet().Runs...)
 }
 
-func fig10(set *stats.Set, scale int) {
-	measure(set, scale)
+func fig10(ctx context.Context, set *stats.Set, scale int) {
+	measure(ctx, set, scale)
 	fmt.Println(set.Table("Figure 10 — Simulation performance", "million cycles/second", stats.MetricMCPS, 2))
 	// The paper's three bars: the baseline, then the two RCPN simulators.
 	bars := diffrun.Fig10()
@@ -109,8 +115,8 @@ func fig10(set *stats.Set, scale int) {
 	}
 }
 
-func fig11(set *stats.Set, scale int) {
-	measure(set, scale)
+func fig11(ctx context.Context, set *stats.Set, scale int) {
+	measure(ctx, set, scale)
 	// Figure 11 compares only the bars modeling a StrongARM-class
 	// five-stage machine.
 	var cpi []string
@@ -226,7 +232,6 @@ func sweep(scale int) {
 				die(err)
 			}
 			cfg := machine.Config{Caches: mem.Hierarchy{
-				I: mem.MustCache(mem.CacheConfig{Name: "icache", Sets: 16, Ways: 32, LineBytes: 32, HitLatency: 1, MissLatency: 24}),
 				D: mem.MustCache(mem.CacheConfig{Name: "dcache", Sets: sets, Ways: 8, LineBytes: 32, HitLatency: 1, MissLatency: 24}),
 			}}
 			m, err := machine.Generate(p, machine.StrongARMSpec(), cfg)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -29,14 +30,14 @@ func TestReportGolden(t *testing.T) {
 		run        func(opt batch.Options) *batch.Report
 	}{
 		{"matrix", "matrix_scale1.json", func(opt batch.Options) *batch.Report {
-			jobs, err := diffrun.MatrixJobs(diffrun.Fig10(), workload.All(), 1)
+			jobs, err := diffrun.MatrixJobs(context.Background(), diffrun.Fig10(), workload.All(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return batch.Run(jobs, opt)
 		}},
 		{"sample", "sample_scale1_k3.json", func(opt batch.Options) *batch.Report {
-			return runSample(diffrun.Fig10(), workload.All(), 1, 3, 20_000, opt)
+			return runSample(context.Background(), diffrun.Fig10(), workload.All(), 1, 3, 20_000, opt)
 		}},
 	}
 	for _, m := range modes {

@@ -25,8 +25,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"slices"
 	"strings"
+	"syscall"
 	"time"
 
 	"rcpn/internal/arm"
@@ -35,6 +37,7 @@ import (
 	"rcpn/internal/diffrun"
 	"rcpn/internal/iss"
 	"rcpn/internal/stats"
+	"rcpn/internal/tpar"
 	"rcpn/internal/workload"
 )
 
@@ -61,8 +64,11 @@ func main() {
 		die(err)
 	}
 
+	// An interrupt cancels the golden runs and every job, as in rcpnserve.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	var rep *batch.Report
-	opt := batch.Options{Workers: *jobs, Timeout: *timeout}
+	opt := batch.Options{Workers: *jobs, Timeout: *timeout, Context: ctx}
 	if !*quiet {
 		opt.Progress = func(done, total int, r batch.Result) {
 			status := "ok"
@@ -76,7 +82,7 @@ func main() {
 
 	switch *mode {
 	case "matrix":
-		jobs, err := diffrun.MatrixJobs(sims, works, *scale)
+		jobs, err := diffrun.MatrixJobs(ctx, sims, works, *scale)
 		if err != nil {
 			die(err)
 		}
@@ -84,7 +90,7 @@ func main() {
 		fmt.Println(rep.StatsSet().Table(
 			"Batch matrix — simulation performance", "million cycles/second", stats.MetricMCPS, 2))
 	case "sample":
-		rep = runSample(sims, works, *scale, *k, *ilen, opt)
+		rep = runSample(ctx, sims, works, *scale, *k, *ilen, opt)
 	default:
 		die(fmt.Errorf("unknown -mode %q (want matrix or sample)", *mode))
 	}
@@ -169,7 +175,7 @@ func selectWorkloads(csv string) ([]*workload.Workload, error) {
 // sampled CPI estimate is the pooled cycles/instructions over the k
 // intervals; its error against the full run is attached to the reference
 // job's extra metrics and printed.
-func runSample(sims []diffrun.Bar, works []*workload.Workload, scale int, k int, ilen uint64, opt batch.Options) *batch.Report {
+func runSample(ctx context.Context, sims []diffrun.Bar, works []*workload.Workload, scale int, k int, ilen uint64, opt batch.Options) *batch.Report {
 	if k < 1 {
 		die(fmt.Errorf("-k must be >= 1"))
 	}
@@ -189,7 +195,7 @@ func runSample(sims []diffrun.Bar, works []*workload.Workload, scale int, k int,
 		// One functional pass gives the instruction count that places the
 		// intervals and checks the reference job; it is the same
 		// fast-forward engine the interval jobs use.
-		total, err := diffrun.GoldenInstret(context.Background(), p)
+		total, err := diffrun.GoldenInstret(ctx, p)
 		if err != nil {
 			die(fmt.Errorf("%s: iss: %w", w.Name, err))
 		}
@@ -263,8 +269,7 @@ func runSample(sims []diffrun.Bar, works []*workload.Workload, scale int, k int,
 // short (tens of thousands of instructions).
 func sampleInterval(ctx context.Context, e diffrun.Engine, p *arm.Program, start, ilen uint64) (batch.Metrics, error) {
 	c := iss.New(p, 0)
-	w := e.Warm()
-	c.WarmI, c.WarmD, c.WarmPred = w.Caches.I, w.Caches.D, w.Predictor
+	tpar.Warm(e, diffrun.Config{})(c)
 	if _, err := batch.StepRetired(ctx, c, start, 0, 0, nil); err != nil {
 		return batch.Metrics{}, fmt.Errorf("fast-forward: %w", err)
 	}

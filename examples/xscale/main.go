@@ -30,9 +30,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		var cfg machine.Config
-		machine.XScaleUnits(&cfg)
-		m, err := machine.Generate(p, machine.XScaleSpec(), cfg)
+		m, err := machine.Generate(p, machine.XScaleSpec(), machine.Config{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -76,15 +76,15 @@ func CellJob(label, workload string, e Engine, p *arm.Program, golden uint64) ba
 
 // MatrixJobs returns the evaluation matrix as batch jobs: one CellJob per
 // workload × bar, workload-major, each checked against the ISS golden run
-// of its workload.
-func MatrixJobs(bars []Bar, works []*workload.Workload, scale int) ([]batch.Job, error) {
+// of its workload. The golden runs stop when ctx is done.
+func MatrixJobs(ctx context.Context, bars []Bar, works []*workload.Workload, scale int) ([]batch.Job, error) {
 	var jobs []batch.Job
 	for _, w := range works {
 		p, err := w.Program(scale)
 		if err != nil {
 			return nil, err
 		}
-		golden, err := GoldenInstret(context.TODO(), p)
+		golden, err := GoldenInstret(ctx, p)
 		if err != nil {
 			return nil, fmt.Errorf("%s: iss: %w", w.Name, err)
 		}

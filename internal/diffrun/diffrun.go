@@ -126,13 +126,15 @@ type Engine struct {
 	// the simulator itself as a checkpointable stepper, plus a closure
 	// extracting the instance's final architectural state.
 	New func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error)
-	// Warm returns fresh units with the engine's default cache and
-	// predictor geometry, for an ISS leader whose warm checkpoints must
-	// restore into the engine (tpar). Nil for functional engines.
-	Warm func() Config
-	// Functional marks instruction-positioned engines that take no Config.
-	Functional bool
+	// Units fills each cache and predictor a Config leaves unset with the
+	// engine's default, as New does, so an ISS leader can warm units that
+	// its checkpoints restore into (tpar.Warm). Nil for functional engines.
+	Units func(*machine.Config)
 }
+
+// Functional reports whether e is an instruction-positioned engine that
+// takes no Config.
+func (e Engine) Functional() bool { return e.Units == nil }
 
 // Build constructs a fresh instance with the engine's default
 // configuration.
@@ -188,24 +190,12 @@ func Register(e Engine) {
 	registered = append(registered, e)
 }
 
-// warmUnits adapts a model's default-unit filler to Engine.Warm.
-func warmUnits(fill func(*machine.Config)) func() Config {
-	return func() Config {
-		var c machine.Config
-		fill(&c)
-		return Config{Caches: c.Caches, Predictor: c.Predictor}
-	}
-}
-
-// machineEngine is the row of an RCPN model built by lowering spec through
-// machine.Generate, with units filling the non-pipeline units a run leaves
-// unset.
-func machineEngine(name string, spec machine.Spec, units func(*machine.Config)) Engine {
-	return Engine{Name: name, Warm: warmUnits(units),
+// machineEngine is the row of the RCPN model built by lowering spec
+// through machine.Generate, named and unit-filled as the Spec says.
+func machineEngine(spec machine.Spec) Engine {
+	return Engine{Name: spec.Name, Units: spec.Units,
 		New: func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
-			mc := machine.Config{Caches: cfg.Caches, Predictor: cfg.Predictor}
-			units(&mc)
-			m, err := machine.Generate(p, spec, mc)
+			m, err := machine.Generate(p, spec, machine.Config{Caches: cfg.Caches, Predictor: cfg.Predictor})
 			if err != nil {
 				return nil, nil, err
 			}
@@ -217,23 +207,23 @@ func machineEngine(name string, spec machine.Spec, units func(*machine.Config)) 
 // captures its model spec, so rebuilding the rows would rebuild every
 // spec's route maps.
 var builtins = []Engine{
-	{Name: "iss", Functional: true, New: func(p *arm.Program, _ Config) (batch.CheckpointStepper, func() State, error) {
+	{Name: "iss", New: func(p *arm.Program, _ Config) (batch.CheckpointStepper, func() State, error) {
 		c := iss.New(p, 0)
 		return c, stateOf(c), nil
 	}},
-	{Name: "func", Functional: true, New: func(p *arm.Program, _ Config) (batch.CheckpointStepper, func() State, error) {
+	{Name: "func", New: func(p *arm.Program, _ Config) (batch.CheckpointStepper, func() State, error) {
 		m := machine.NewFunctional(p, machine.Config{})
 		return m, stateOf(m), nil
 	}},
-	machineEngine("strongarm", machine.StrongARMSpec(), machine.StrongARMUnits),
-	machineEngine("xscale", machine.XScaleSpec(), machine.XScaleUnits),
-	machineEngine("arm9", machine.ARM9Spec(), machine.StrongARMUnits),
-	{Name: "pipe5", Warm: warmUnits(machine.StrongARMUnits),
+	machineEngine(machine.StrongARMSpec()),
+	machineEngine(machine.XScaleSpec()),
+	machineEngine(machine.ARM9Spec()),
+	{Name: "pipe5", Units: machine.StrongARMUnits,
 		New: func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
 			s := pipe5.New(p, pipe5.Config{Caches: cfg.Caches, Predictor: cfg.Predictor})
 			return s, stateOf(s), nil
 		}},
-	{Name: "ssim", Warm: warmUnits(machine.StrongARMUnits),
+	{Name: "ssim", Units: machine.StrongARMUnits,
 		New: func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
 			s := ssim.New(p, ssim.Config{Caches: cfg.Caches, Predictor: cfg.Predictor})
 			return s, stateOf(s), nil

@@ -12,7 +12,7 @@ import (
 // engines automatically.
 
 func init() {
-	Register(Engine{Name: "genpipe5", Warm: warmUnits(machine.StrongARMUnits),
+	Register(Engine{Name: "genpipe5", Units: machine.StrongARMUnits,
 		New: func(p *arm.Program, cfg Config) (batch.CheckpointStepper, func() State, error) {
 			s := genpipe5.New(p, machine.Config{Caches: cfg.Caches, Predictor: cfg.Predictor})
 			return s, stateOf(s.Runtime()), nil

@@ -22,7 +22,7 @@ import (
 // model. Caches and the branch predictor are not consulted; the decoded-
 // instruction cache still applies (and benefits throughput the same way).
 func NewFunctional(p *arm.Program, cfg Config) *Machine {
-	m := newMachine("functional", p, cfg, func(c *Config) {})
+	m := newMachine("functional", p, cfg, nil)
 	m.functional = true
 	m.Driver = batch.NewDriver(functionalCore{m})
 	return m

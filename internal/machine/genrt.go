@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+
 	"rcpn/internal/arm"
 	"rcpn/internal/obsv"
 )
@@ -18,14 +20,22 @@ import (
 // reg.Ref.CanReadIn works unchanged.
 
 // NewGenRuntime builds the net-free Machine a generated simulator drives.
-// It uses the same default units as machine.Generate (StrongARM caches,
-// not-taken prediction) so a generated model and its interpreted twin are
-// cycle-comparable under identical configs. The pipeline ablation flags
-// (TwoListAll, DynamicSearch, NoActiveList) have no net to act on and are
-// ignored; NoTokenCache still disables the decode cache.
+// name is the Spec model the simulator was generated from, whose Units
+// fill what cfg leaves unset, as Generate does for the interpreted twin.
+// It panics on a name that is not a Spec model. The pipeline ablation
+// flags (TwoListAll, DynamicSearch, NoActiveList) have no net to act on
+// and are ignored; NoTokenCache still disables the decode cache.
 func NewGenRuntime(name string, p *arm.Program, cfg Config) *Machine {
-	return newMachine(name, p, cfg, StrongARMUnits)
+	for _, s := range models {
+		if s.Name == name {
+			return newMachine(name, p, cfg, s.Units)
+		}
+	}
+	panic(fmt.Sprintf("machine: no Spec model named %q to run generated code for", name))
 }
+
+// models are the Spec models a generated simulator may name.
+var models = [...]Spec{StrongARMSpec(), ARM9Spec(), XScaleSpec()}
 
 // GenFetch is fetchOne for generated simulators: decode (or reuse) the
 // instruction at the fetch PC, consult the predictor, advance the

@@ -132,9 +132,12 @@ type Machine struct {
 	bypass []int
 }
 
-// newMachine builds the model-independent parts.
-func newMachine(name string, p *arm.Program, cfg Config, defaults func(*Config)) *Machine {
-	defaults(&cfg)
+// newMachine builds the model-independent parts, with units (if non-nil)
+// filling the non-pipeline units cfg leaves unset.
+func newMachine(name string, p *arm.Program, cfg Config, units func(*Config)) *Machine {
+	if units != nil {
+		units(&cfg)
+	}
 	if cfg.StackTop == 0 {
 		cfg.StackTop = 0x00400000
 	}

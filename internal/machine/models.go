@@ -13,7 +13,7 @@ import "rcpn/internal/arm"
 // latches (ALU results enter ME, load results enter WB). The multiplier
 // holds EX for a data-dependent number of cycles (early termination), and
 // block transfers stay in ME moving one register per step (the paper's
-// footnote 1). Run it with StrongARMUnits: 16KB I/D caches and static
+// footnote 1). Its units are StrongARMUnits: 16KB I/D caches and static
 // not-taken branches, since the SA-110 has no branch predictor and every
 // taken branch pays the two-cycle refetch. TestSpecModels pins it.
 func StrongARMSpec() Spec {
@@ -37,6 +37,7 @@ func StrongARMSpec() Spec {
 		FrontEnd: []string{"FD"},
 		Routes:   routes,
 		Bypass:   []string{"ME", "WB"},
+		Units:    StrongARMUnits,
 	}
 }
 
@@ -65,6 +66,7 @@ func ARM9Spec() Spec {
 		FrontEnd: []string{"F1", "DE"},
 		Routes:   routes,
 		Bypass:   []string{"ME", "WB"},
+		Units:    StrongARMUnits,
 	}
 }
 
@@ -80,9 +82,9 @@ func ARM9Spec() Spec {
 // the register-reference lock interface (reg package) carries all the
 // resulting data hazards, exactly as in §3.1. Results forward from X2, D2
 // and M2. The MAC takes 2-5 cycles depending on the multiplier, one more
-// than the StrongARM's (MACExtra). Run it with XScaleUnits, since the
-// XScale core has dynamic branch prediction and Generate's defaults are
-// StrongARM-class. TestSpecModels pins it.
+// than the StrongARM's (MACExtra). Its units are XScaleUnits: 32KB I/D
+// caches and the XScale core's dynamic branch prediction. TestSpecModels
+// pins it.
 func XScaleSpec() Spec {
 	alu := []Seg{
 		{Stage: "RF", Exit: RoleIssue},
@@ -118,5 +120,6 @@ func XScaleSpec() Spec {
 		},
 		Bypass:   []string{"X2", "D2", "M2"},
 		MACExtra: 1,
+		Units:    XScaleUnits,
 	}
 }

@@ -124,13 +124,17 @@ type Spec struct {
 	// MACExtra adds fixed cycles to every multiply's issue latency (a
 	// deeper multiplier pipeline, e.g. the XScale MAC).
 	MACExtra int64
+	// Units fills each non-pipeline unit a run's Config leaves unset with
+	// the model's default (StrongARMUnits, XScaleUnits); nil leaves them
+	// unset, so the model runs without caches or a predictor.
+	Units func(*Config)
 }
 
 // Generate lowers a Spec to a runnable Machine. The produced net has one
 // place per declared stage and one transition per route segment, with the
 // operation-class semantics of ops.go wired in by role.
 func Generate(p *arm.Program, spec Spec, cfg Config) (*Machine, error) {
-	m := newMachine(spec.Name, p, cfg, StrongARMUnits)
+	m := newMachine(spec.Name, p, cfg, spec.Units)
 
 	n := core.NewNet(int(arm.NumClasses))
 	places := map[string]*core.Place{}
@@ -248,23 +252,19 @@ func Generate(p *arm.Program, spec Spec, cfg Config) (*Machine, error) {
 }
 
 // StrongARMUnits supplies StrongARM-class non-pipeline units (16KB I/D
-// caches, static not-taken branches) where c leaves them unset: the
-// defaults of every Spec-generated model.
+// caches, static not-taken branches) for each unit c leaves unset: the
+// units of StrongARMSpec and ARM9Spec.
 func StrongARMUnits(c *Config) {
-	if c.Caches.I == nil {
-		c.Caches = mem.DefaultStrongARM()
-	}
+	c.Caches = c.Caches.Fill(mem.DefaultStrongARM)
 	if c.Predictor == nil {
 		c.Predictor = bpred.NewNotTaken()
 	}
 }
 
 // XScaleUnits supplies the XScale model's non-pipeline units (32KB I/D
-// caches, a 128-entry bimodal predictor with BTB) where c leaves them unset.
+// caches, a 128-entry bimodal predictor with BTB) for each unit c leaves unset.
 func XScaleUnits(c *Config) {
-	if c.Caches.I == nil {
-		c.Caches = mem.DefaultXScale()
-	}
+	c.Caches = c.Caches.Fill(mem.DefaultXScale)
 	if c.Predictor == nil {
 		c.Predictor = bpred.NewBimodal(128)
 	}

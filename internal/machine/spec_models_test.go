@@ -21,27 +21,21 @@ import (
 // only when modeled timing changes on purpose.
 const specModelsPath = "testdata/spec_models.json"
 
-// specModel is one paper model: its Spec and the non-pipeline units it runs
-// with by default.
-type specModel struct {
-	spec  Spec
-	units func(*Config)
-}
+// specModel is one Spec model.
+type specModel struct{ spec Spec }
 
 var (
-	strongARM = specModel{StrongARMSpec(), StrongARMUnits}
-	xScale    = specModel{XScaleSpec(), XScaleUnits}
-	arm9      = specModel{ARM9Spec(), StrongARMUnits}
+	strongARM = specModel{StrongARMSpec()}
+	xScale    = specModel{XScaleSpec()}
+	arm9      = specModel{ARM9Spec()}
 )
 
 // specModels are the two paper models TestSpecModels pins.
 func specModels() []specModel { return []specModel{strongARM, xScale} }
 
-// build lowers the model's Spec, filling the units cfg leaves unset with
-// the model's own.
+// build lowers the model's Spec under cfg.
 func (m specModel) build(t testing.TB, p *arm.Program, cfg Config) *Machine {
 	t.Helper()
-	m.units(&cfg)
 	mc, err := Generate(p, m.spec, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +80,7 @@ func specCells(t *testing.T) []specCell {
 				t.Fatal(err)
 			}
 			for _, u := range specModels() {
-				cells = append(cells, specCell{fmt.Sprintf("kernel/%s/%s@%s", w.Name, m.spec.Name, u.spec.Name), m, p, u.units})
+				cells = append(cells, specCell{fmt.Sprintf("kernel/%s/%s@%s", w.Name, m.spec.Name, u.spec.Name), m, p, u.spec.Units})
 			}
 		}
 		for i, src := range specUnitPrograms {
@@ -94,14 +88,14 @@ func specCells(t *testing.T) []specCell {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cells = append(cells, specCell{fmt.Sprintf("unit/%d/%s", i, m.spec.Name), m, p, m.units})
+			cells = append(cells, specCell{fmt.Sprintf("unit/%d/%s", i, m.spec.Name), m, p, m.spec.Units})
 		}
 		for seed := 0; seed < 64; seed++ {
 			g, err := armgen.Generate(armgen.Config{Seed: uint64(seed)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			cells = append(cells, specCell{fmt.Sprintf("seed/%02d/%s", seed, m.spec.Name), m, g.Image, m.units})
+			cells = append(cells, specCell{fmt.Sprintf("seed/%02d/%s", seed, m.spec.Name), m, g.Image, m.spec.Units})
 		}
 	}
 	return cells

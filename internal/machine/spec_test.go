@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"rcpn/internal/arm"
+	"rcpn/internal/bpred"
 	"rcpn/internal/iss"
+	"rcpn/internal/mem"
 	"rcpn/internal/workload"
 )
 
@@ -167,4 +169,33 @@ func TestTransitionBodies(t *testing.T) {
 			t.Errorf("%v: Guarded %v, Explained %v", b, b.Guarded(), b.Explained())
 		}
 	}
+}
+
+// TestGenRuntimeTakesItsModelsUnits: a generated simulator's runtime fills
+// the units a Config leaves unset with the units of the Spec model it was
+// generated from, never another model's, and refuses a name that is not a
+// Spec model.
+func TestGenRuntimeTakesItsModelsUnits(t *testing.T) {
+	p, err := arm.Assemble("swi #0\n", 0x8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewGenRuntime("xscale", p, Config{})
+	for _, c := range []*mem.Cache{m.ICache, m.DCache} {
+		if c == nil {
+			t.Fatal("xscale runtime has a nil cache")
+		}
+		if cc := c.Config(); cc.Sets*cc.Ways*cc.LineBytes != 32<<10 {
+			t.Errorf("%s: %d sets x %d ways x %d B, want 32 KB", cc.Name, cc.Sets, cc.Ways, cc.LineBytes)
+		}
+	}
+	if b, ok := m.Pred.(*bpred.Bimodal); !ok || len(b.Snapshot().Counter) != 128 {
+		t.Errorf("xscale runtime predictor %T, want a 128-entry bimodal", m.Pred)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewGenRuntime accepted an unknown model name")
+		}
+	}()
+	NewGenRuntime("pxa999", p, Config{})
 }

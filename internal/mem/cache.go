@@ -198,6 +198,21 @@ type Hierarchy struct {
 	D *Cache
 }
 
+// Fill returns h with each cache it leaves nil taken from def(), which it
+// calls only when one is missing.
+func (h Hierarchy) Fill(def func() Hierarchy) Hierarchy {
+	if h.I == nil || h.D == nil {
+		d := def()
+		if h.I == nil {
+			h.I = d.I
+		}
+		if h.D == nil {
+			h.D = d.D
+		}
+	}
+	return h
+}
+
 // DefaultStrongARM returns the SA-110-like 16KB 32-way I and D caches.
 func DefaultStrongARM() Hierarchy {
 	return Hierarchy{

@@ -105,12 +105,10 @@ type Sim struct {
 	rdFile, rdByp int
 }
 
-// New builds a baseline simulator with the program loaded. Defaults match
-// the StrongARM configuration (16KB caches, static not-taken branches).
+// New builds a baseline simulator with the program loaded, filling each unit
+// cfg leaves unset with the StrongARM default (16KB caches, not-taken).
 func New(p *arm.Program, cfg Config) *Sim {
-	if cfg.Caches.I == nil {
-		cfg.Caches = mem.DefaultStrongARM()
-	}
+	cfg.Caches = cfg.Caches.Fill(mem.DefaultStrongARM)
 	if cfg.Predictor == nil {
 		cfg.Predictor = bpred.NewNotTaken()
 	}

@@ -228,10 +228,12 @@ func runParallel(ctx context.Context, spec *JobSpec, env execEnv) (batch.Metrics
 	if err != nil {
 		return batch.Metrics{}, err
 	}
-	warm, err := spec.warm()
+	// The leader warms the units each segment builds and restores into.
+	cfg, err := spec.engineConfig()
 	if err != nil {
 		return batch.Metrics{}, err
 	}
+	engine, _ := diffrun.Lookup(spec.Simulator)
 	segBuild := func() (batch.CheckpointStepper, func() diffrun.State, error) {
 		st, err := env.build(spec)
 		if err != nil {
@@ -252,7 +254,7 @@ func runParallel(ctx context.Context, spec *JobSpec, env execEnv) (batch.Metrics
 		// Workers and Fault only reach sampled-mode segment workers.
 		Workers: spec.Parallelism,
 		Mode:    mode,
-		Warm:    warm,
+		Warm:    tpar.Warm(engine, cfg),
 		// max_cycles bounds each segment's position (a runaway segment is
 		// what a hang looks like here); an exact run is bounded by the
 		// segment count times this.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -133,6 +134,28 @@ func TestParallelSampledJob(t *testing.T) {
 	}
 	if extra["adopted"] != extra["segments"] {
 		t.Errorf("sampled mode must adopt every segment: %v", extra)
+	}
+}
+
+// TestParallelSampledPartialConfig: a sampled job that overrides only the
+// D cache finishes, and the override shows in its cycles. Its leader must
+// warm the spec's D cache beside the engine's default I cache and
+// predictor, the units each segment builds and restores into.
+func TestParallelSampledPartialConfig(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 4})
+	const spec = `{"simulator":"strongarm","kernel":"crc","parallelism":4,"parallel_mode":"sampled"%s}`
+	var cycles [2]any
+	for i, config := range []string{"", `,"config":{"dcache":{"sets":1,"ways":1,"line_bytes":32,"hit_latency":1,"miss_latency":24}}`} {
+		r := submit(t, hs.URL, fmt.Sprintf(spec, config))
+		body := waitState(t, hs.URL, r.ID)
+		rec := parallelResult(t, body)
+		if rec["error"] != nil && rec["error"] != "" {
+			t.Fatalf("sampled job%s failed: %s", config, body)
+		}
+		cycles[i] = rec["cycles"]
+	}
+	if cycles[0] == cycles[1] {
+		t.Errorf("a 1-line D cache left the sampled job's cycles at %v", cycles[0])
 	}
 }
 

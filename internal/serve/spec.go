@@ -40,7 +40,7 @@ func (c *CacheSpec) cache(name string) (*mem.Cache, error) {
 }
 
 // SimConfig is the tunable microarchitecture subset a job may override.
-// The zero value means the simulator's built-in defaults.
+// Each unit it leaves unset takes the simulator's default.
 type SimConfig struct {
 	ICache *CacheSpec `json:"icache,omitempty"`
 	DCache *CacheSpec `json:"dcache,omitempty"`
@@ -220,7 +220,7 @@ func (s *JobSpec) Normalize() error {
 	if s.ParallelMode != "" && s.ParallelMode != "sampled" {
 		return specErrf("unknown parallel_mode %q (want exact or sampled)", s.ParallelMode)
 	}
-	if engine.Functional && !s.Config.isZero() {
+	if engine.Functional() && !s.Config.isZero() {
 		return specErrf("simulator %q is functional and takes no cache/bpred config", s.Simulator)
 	}
 	if _, err := s.predictor(); err != nil {

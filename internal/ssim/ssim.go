@@ -212,11 +212,10 @@ func (s *Sim) popIFQ() {
 	s.ifq = s.ifq[:len(s.ifq)-1]
 }
 
-// New builds the baseline with the program loaded.
+// New builds the baseline with the program loaded. Each cache and the
+// predictor cfg leaves unset takes the StrongARM default.
 func New(p *arm.Program, cfg Config) *Sim {
-	if cfg.Caches.I == nil {
-		cfg.Caches = mem.DefaultStrongARM()
-	}
+	cfg.Caches = cfg.Caches.Fill(mem.DefaultStrongARM)
 	if cfg.Predictor == nil {
 		cfg.Predictor = bpred.NewNotTaken()
 	}

@@ -125,9 +125,9 @@ type Options struct {
 	// Mode selects Exact (default) or Sampled stitching.
 	Mode Mode
 	// Warm, when non-nil, attaches warm units to the leader ISS before it
-	// checkpoints (see DefaultWarm). The units must match the engine's
-	// cache geometry and predictor type or sampled segment restores will
-	// fail; nil (cold checkpoints) is always safe.
+	// checkpoints (the Warm function builds it). The units must match the
+	// engine's cache geometry and predictor type or sampled segment
+	// restores will fail; nil (cold checkpoints) is always safe.
 	Warm func(c *iss.CPU)
 	// PosBudget bounds each segment in its engine's position unit (cycles,
 	// or instructions for functional engines), counted from the segment's

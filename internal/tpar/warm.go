@@ -3,24 +3,28 @@ package tpar
 import (
 	"rcpn/internal/diffrun"
 	"rcpn/internal/iss"
+	"rcpn/internal/machine"
 )
 
-// DefaultWarm returns the leader warm-unit wiring matching the named
-// engine's default microarchitecture (its registry row's Warm units): the
-// leader's warm caches and predictor must share geometry with the segment
-// workers or the restore of a donor checkpoint fails. Functional engines
-// (and unknown names) get nil — cold checkpoints, always restorable.
-//
-// Jobs that override the cache hierarchy or predictor (internal/serve
-// specs) build their own warm function from the overridden config
-// instead of using this one.
-func DefaultWarm(engine string) func(c *iss.CPU) {
-	e, ok := diffrun.Lookup(engine)
-	if !ok || e.Warm == nil {
+// Warm returns the leader warm-unit wiring for engine e run under cfg: the
+// caches and predictor cfg sets, and e's defaults (e.Units) for each one it
+// leaves unset, so the leader warms units of exactly the geometry the
+// segment workers restore into. Functional engines get nil: cold
+// checkpoints, always restorable.
+func Warm(e diffrun.Engine, cfg diffrun.Config) func(c *iss.CPU) {
+	if e.Functional() {
 		return nil
 	}
 	return func(c *iss.CPU) {
-		w := e.Warm()
-		c.WarmI, c.WarmD, c.WarmPred = w.Caches.I, w.Caches.D, w.Predictor
+		u := machine.Config{Caches: cfg.Caches, Predictor: cfg.Predictor}
+		e.Units(&u)
+		c.WarmI, c.WarmD, c.WarmPred = u.Caches.I, u.Caches.D, u.Predictor
 	}
+}
+
+// DefaultWarm is Warm for the named engine under its default units; an
+// unknown name gets nil.
+func DefaultWarm(engine string) func(c *iss.CPU) {
+	e, _ := diffrun.Lookup(engine)
+	return Warm(e, diffrun.Config{})
 }

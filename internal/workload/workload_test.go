@@ -12,11 +12,9 @@ import (
 
 // runModel builds an RCPN model from spec with its default units and runs p
 // to completion.
-func runModel(t *testing.T, p *arm.Program, spec machine.Spec, units func(*machine.Config)) *machine.Machine {
+func runModel(t *testing.T, p *arm.Program, spec machine.Spec) *machine.Machine {
 	t.Helper()
-	var cfg machine.Config
-	units(&cfg)
-	m, err := machine.Generate(p, spec, cfg)
+	m, err := machine.Generate(p, spec, machine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +105,10 @@ func TestCrossSimulatorAgreement(t *testing.T) {
 				}
 			}
 
-			sa := runModel(t, p, machine.StrongARMSpec(), machine.StrongARMUnits)
+			sa := runModel(t, p, machine.StrongARMSpec())
 			check("strongarm", sa.Output, sa.Text, sa.Exit, sa.Instret)
 
-			xs := runModel(t, p, machine.XScaleSpec(), machine.XScaleUnits)
+			xs := runModel(t, p, machine.XScaleSpec())
 			check("xscale", xs.Output, xs.Text, xs.Exit, xs.Instret)
 
 			hp := pipe5.New(p, pipe5.Config{})
@@ -167,8 +165,8 @@ func TestExtraKernels(t *testing.T) {
 				t.Fatalf("%s too small: %d instrs, output %v", w.Name, golden.Instret, golden.Output)
 			}
 
-			sa := runModel(t, p, machine.StrongARMSpec(), machine.StrongARMUnits)
-			xs := runModel(t, p, machine.XScaleSpec(), machine.XScaleUnits)
+			sa := runModel(t, p, machine.StrongARMSpec())
+			xs := runModel(t, p, machine.XScaleSpec())
 			bs := ssim.New(p, ssim.Config{})
 			if err := bs.Run(0); err != nil {
 				t.Fatalf("ssim: %v", err)
