@@ -79,7 +79,7 @@ func (s *csim) instret() uint64 {
 
 // warmLeader returns an ISS fast-forwarder carrying e's default warm units.
 func warmLeader(e diffrun.Engine, p *arm.Program) *iss.CPU {
-	c := iss.New(p, 0)
+	c := iss.New(p)
 	tpar.DefaultWarm(e.Name)(c)
 	return c
 }
@@ -150,7 +150,7 @@ func TestISSHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := iss.New(p, 0)
+	golden := iss.New(p)
 	if err := golden.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSampledCPIAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := iss.New(p, 0)
+	golden := iss.New(p)
 	if err := golden.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestCheckpointRequiresDrained(t *testing.T) {
 		}
 	}
 	// A warm snapshot from mismatched cache geometry must be refused.
-	ff := iss.New(p, 0)
+	ff := iss.New(p)
 	ff.WarmI = mem.MustCache(mem.CacheConfig{Name: "tiny", Sets: 2, Ways: 1,
 		LineBytes: 16, HitLatency: 1, MissLatency: 10})
 	if _, err := ff.RunN(100); err != nil {

@@ -57,7 +57,7 @@ func encode(t *testing.T, ck *ckpt.Checkpoint) []byte {
 // checkpoints it.
 func issCheckpointAt(t *testing.T, p *arm.Program, instret uint64) *ckpt.Checkpoint {
 	t.Helper()
-	c := iss.New(p, 0)
+	c := iss.New(p)
 	if _, err := c.RunN(instret); err != nil {
 		t.Fatal(err)
 	}

@@ -268,7 +268,7 @@ func runSample(ctx context.Context, sims []diffrun.Bar, works []*workload.Worklo
 // and stops when ctx (the job's deadline) is done; the measured interval is
 // short (tens of thousands of instructions).
 func sampleInterval(ctx context.Context, e diffrun.Engine, p *arm.Program, start, ilen uint64) (batch.Metrics, error) {
-	c := iss.New(p, 0)
+	c := iss.New(p)
 	tpar.Warm(e, diffrun.Config{})(c)
 	if _, err := batch.StepRetired(ctx, c, start, 0, 0, nil); err != nil {
 		return batch.Metrics{}, fmt.Errorf("fast-forward: %w", err)

@@ -47,7 +47,7 @@ func diffState(t *testing.T, name string, got, golden diffrun.State) {
 // goldenState runs the ISS to completion and captures the reference state.
 func goldenState(t *testing.T, p *arm.Program) diffrun.State {
 	t.Helper()
-	golden := iss.New(p, 0)
+	golden := iss.New(p)
 	golden.MaxInstrs = 200_000_000
 	if err := golden.Run(); err != nil {
 		t.Fatalf("iss: %v", err)

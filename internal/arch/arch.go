@@ -21,6 +21,9 @@ import (
 	"rcpn/internal/mem"
 )
 
+// StackTop is the stack pointer every engine starts a program with.
+const StackTop = 0x00400000
+
 // State is the architected machine minus its registers and flags.
 type State struct {
 	Mem     *mem.Memory

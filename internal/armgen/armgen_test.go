@@ -52,7 +52,7 @@ func runISS(t *testing.T, src string) *iss.CPU {
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	c := iss.New(img, 0)
+	c := iss.New(img)
 	c.MaxInstrs = 5_000_000
 	if err := c.Run(); err != nil {
 		t.Fatalf("iss: %v\nsource:\n%s", err, src)

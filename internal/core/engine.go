@@ -513,13 +513,6 @@ func (n *Net) RemoveToken(tok *Token) bool {
 	return false
 }
 
-// DrainReservations removes all reservation tokens from a place (flush
-// support).
-func (p *Place) DrainReservations() {
-	p.Stage.occupancy -= p.reservations
-	p.reservations = 0
-}
-
 // NewToken returns a fresh instruction token of the given class and payload,
 // heap-allocated outside any arena. Hot paths should prefer a TokenArena;
 // NewToken remains for one-off tokens and external callers.

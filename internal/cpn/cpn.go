@@ -9,8 +9,7 @@
 //     Convert() performs this conversion, materializing RCPN's implicit
 //     output-capacity rule as the explicit back-edge capacity places of
 //     Figure 2(b).
-//  2. The analyses (reachability, boundedness, deadlock, token
-//     conservation) run on the converted nets (analyze.go).
+//  2. The converted net is a standard CPN for outside analysis tools.
 //  3. The generic engine here pays the costs RCPN eliminates — scanning all
 //     transitions for enablement every step, back-edge resource places —
 //     and is the "naive CPN simulation" arm of the ablation benchmarks.

@@ -1,8 +1,6 @@
 package cpn
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"rcpn/internal/core"
@@ -13,6 +11,25 @@ import (
 func fig2(produce int) *core.Net {
 	n, _ := Fig2(&produce)
 	return n
+}
+
+// checkSlots holds the place invariant the conversion must keep, the one
+// RCPN leaves implicit and the back-edge loops make explicit: for every
+// bounded stage of src, its free slot tokens plus the tokens in its places
+// equal its capacity.
+func checkSlots(t *testing.T, cycle int, src *core.Net, m *Mapping) {
+	t.Helper()
+	held := map[*core.Stage]int{}
+	for _, p := range src.Places() {
+		if !p.Stage.Unlimited() {
+			held[p.Stage] += len(m.PlaceOf[p].Tokens())
+		}
+	}
+	for st, n := range held {
+		if got := m.SlotOf[st].Count(SlotColor) + n; got != st.Capacity {
+			t.Fatalf("cycle %d: stage %s: slots+occupants = %d, capacity %d", cycle, st.Name, got, st.Capacity)
+		}
+	}
 }
 
 func TestConvertStructure(t *testing.T) {
@@ -65,6 +82,7 @@ func TestConvertedNetCycleEquivalence(t *testing.T) {
 	for cycle := 0; cycle < 20; cycle++ {
 		rc.Step()
 		cn.Step()
+		checkSlots(t, cycle, rcForCPN, m)
 		// Compare instruction-token occupancy of L1 and L2.
 		for i := 0; i < 2; i++ {
 			cp := rc.Places()[i]
@@ -108,16 +126,15 @@ func TestConvertedReservationTokens(t *testing.T) {
 		n.MustBuild()
 		return n
 	}
-	rc := build()
-	cn, m, err := Convert(build())
+	rc, src := build(), build()
+	cn, m, err := Convert(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1 := m.PlaceOf[rc.Places()[0]] // names align; index 0 is L1
-	_ = l1
 	for cycle := 0; cycle < 16; cycle++ {
 		rc.Step()
 		cn.Step()
+		checkSlots(t, cycle, src, m)
 	}
 	if rc.RetiredCount != 3 {
 		t.Fatalf("RCPN retired %d", rc.RetiredCount)
@@ -151,153 +168,5 @@ func TestNaiveEngineSearchOverhead(t *testing.T) {
 	}
 	if cn.Searches < fired*3 {
 		t.Errorf("searches=%d fires=%d: expected substantial scan overhead", cn.Searches, fired)
-	}
-}
-
-func TestExploreBoundedness(t *testing.T) {
-	cn, _, err := Convert(fig2(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := cn.Explore(4096)
-	if res.Truncated {
-		t.Fatal("tiny net should explore fully")
-	}
-	if res.States < 3 {
-		t.Fatalf("suspiciously small state space: %d", res.States)
-	}
-	// No place in the converted Fig. 2 net can exceed its stage capacity +
-	// slot priming: L1/L2 hold at most 1 instruction token.
-	for _, name := range []string{"L1", "L2"} {
-		if res.BoundPerPlace[name] > 1 {
-			t.Errorf("place %s reached occupancy %d, capacity 1", name, res.BoundPerPlace[name])
-		}
-	}
-}
-
-func TestExploreFindsDeadlock(t *testing.T) {
-	// A wedged net: two tokens each waiting for the slot the other holds.
-	n := New()
-	a := n.Place("A")
-	b := n.Place("B")
-	slotA := n.Place("A.slots")
-	slotB := n.Place("B.slots")
-	a.Add(Token{Color: 0})
-	b.Add(Token{Color: 0})
-	// Move A->B needs a B slot; move B->A needs an A slot; none exist.
-	n.AddTransition(&Transition{Name: "AB",
-		In:  []Arc{{Place: a}, {Place: slotB, Filter: func(t Token) bool { return t.Color == SlotColor }}},
-		Out: []Arc{{Place: b}}})
-	n.AddTransition(&Transition{Name: "BA",
-		In:  []Arc{{Place: b}, {Place: slotA, Filter: func(t Token) bool { return t.Color == SlotColor }}},
-		Out: []Arc{{Place: a}}})
-	res := n.Explore(100)
-	if len(res.Deadlocks) == 0 {
-		t.Fatal("deadlock not detected")
-	}
-}
-
-func TestConservationChecker(t *testing.T) {
-	// Positive case: a closed ring where a resource token circulates —
-	// strictly conserved.
-	n := New()
-	a := n.Place("A")
-	b := n.Place("B")
-	a.Add(Token{Color: 0})
-	n.AddTransition(&Transition{Name: "ab", In: []Arc{{Place: a}}, Out: []Arc{{Place: b}}})
-	n.AddTransition(&Transition{Name: "ba", In: []Arc{{Place: b}}, Out: []Arc{{Place: a}}})
-	got, err := n.CheckConservation(0, 1024)
-	if err != nil || got != 1 {
-		t.Fatalf("ring conservation: got %d, err %v", got, err)
-	}
-
-	// Negative case: the checker must detect non-conserved colors. In a
-	// converted pipeline the bare slot count is NOT invariant (a fetched
-	// instruction holds a slot without a slot token existing anywhere), so
-	// SlotColor violates strict conservation — the checker must say so.
-	cn, _, err := Convert(fig2(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cn.CheckConservation(SlotColor, 4096); err == nil {
-		t.Fatal("expected a conservation violation for bare slot counts")
-	}
-}
-
-func TestMarkingCanonical(t *testing.T) {
-	n := New()
-	p := n.Place("P")
-	p.Add(Token{Color: 2})
-	p.Add(Token{Color: 1})
-	m1 := n.markingOf()
-	p.tokens = nil
-	p.Add(Token{Color: 1})
-	p.Add(Token{Color: 2})
-	m2 := n.markingOf()
-	if m1 != m2 {
-		t.Fatalf("marking not canonical: %q vs %q", m1, m2)
-	}
-	if !strings.Contains(string(m1), "1:1") {
-		t.Fatalf("marking format unexpected: %q", m1)
-	}
-}
-
-func TestStageInvariantOnConvertedNets(t *testing.T) {
-	// Fig. 2 pipeline: every reachable marking preserves slots+occupants ==
-	// capacity for both latches.
-	src := fig2(3)
-	cn, m, err := Convert(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cn.CheckStageInvariant(src, m, 4096); err != nil {
-		t.Fatalf("invariant violated: %v", err)
-	}
-}
-
-func TestStageInvariantWithReservations(t *testing.T) {
-	build := func() *core.Net {
-		n := core.NewNet(1)
-		l1 := n.Place("L1", n.Stage("L1", 1))
-		l2 := n.Place("L2", n.Stage("L2", 1))
-		end := n.EndPlace("end")
-		n.AddTransition(&core.Transition{Name: "D", Class: 0, From: l1, To: l2, ResOut: []*core.Place{l1}})
-		n.AddTransition(&core.Transition{Name: "B", Class: 0, From: l2, To: end, ResIn: []*core.Place{l1}})
-		made := 0
-		n.AddSource(&core.Source{
-			Name: "F", To: l1,
-			Guard: func() bool { return made < 2 },
-			Fire:  func() *core.Token { made++; return core.NewToken(0, made) },
-		})
-		n.MustBuild()
-		return n
-	}
-	src := build()
-	cn, m, err := Convert(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cn.CheckStageInvariant(src, m, 4096); err != nil {
-		t.Fatalf("invariant violated with reservation tokens: %v", err)
-	}
-}
-
-func TestCheckInvariantDetectsViolation(t *testing.T) {
-	// A net that duplicates a token breaks any conservation predicate.
-	n := New()
-	a := n.Place("A")
-	b := n.Place("B")
-	a.Add(Token{Color: 0})
-	n.AddTransition(&Transition{Name: "dup",
-		In:  []Arc{{Place: a}},
-		Out: []Arc{{Place: b}, {Place: b}}})
-	err := n.CheckInvariant(func() error {
-		if len(a.Tokens())+len(b.Tokens()) != 1 {
-			return fmt.Errorf("token count changed")
-		}
-		return nil
-	}, 100)
-	if err == nil {
-		t.Fatal("violation not detected")
 	}
 }

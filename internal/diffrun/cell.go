@@ -53,7 +53,7 @@ func RunCell(ctx context.Context, e Engine, p *arm.Program) (batch.Metrics, erro
 // stops it at the next chunk boundary; a program still running after two
 // billion instructions fails with the ISS's instruction-limit error.
 func GoldenInstret(ctx context.Context, p *arm.Program) (uint64, error) {
-	c := iss.New(p, 0)
+	c := iss.New(p)
 	c.MaxInstrs = 2_000_000_000
 	// The target is never reached: the run ends at exit, the limit or ctx.
 	_, err := batch.StepRetired(ctx, c, math.MaxInt64, 0, 0, nil)

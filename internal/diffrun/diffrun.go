@@ -208,7 +208,7 @@ func machineEngine(spec machine.Spec) Engine {
 // spec's route maps.
 var builtins = []Engine{
 	{Name: "iss", New: func(p *arm.Program, _ Config) (batch.CheckpointStepper, func() State, error) {
-		c := iss.New(p, 0)
+		c := iss.New(p)
 		return c, stateOf(c), nil
 	}},
 	{Name: "func", New: func(p *arm.Program, _ Config) (batch.CheckpointStepper, func() State, error) {
@@ -441,7 +441,7 @@ func Run(p *arm.Program, opt Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	golden := iss.New(p, 0)
+	golden := iss.New(p)
 	golden.MaxInstrs = maxInstrs
 	// The target is never reached: the run ends at exit, the limit or ctx.
 	if _, err := batch.StepRetired(ctx, golden, math.MaxInt64, 0, 0, nil); err != nil {

@@ -114,7 +114,7 @@ buf:
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := iss.New(p, 0)
+	golden := iss.New(p)
 	golden.MaxInstrs = 1000
 	if err := golden.Run(); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ func TestCheckpointLockstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	donor := New(p, 0)
+	donor := New(p)
 	if _, err := donor.RunN(5000); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCheckpointOfFinishedProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(p, 0)
+	c := New(p)
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRunNStopsAtTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(p, 0)
+	c := New(p)
 	ran, err := c.RunN(1234)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestRunNStopsAtTarget(t *testing.T) {
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ref := New(p, 0)
+	ref := New(p)
 	if err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestWarmStateCaptured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(p, 0)
+	c := New(p)
 	h := mem.DefaultStrongARM()
 	c.WarmI, c.WarmD, c.WarmPred = h.I, h.D, bpred.NewBimodal(128)
 	if _, err := c.RunN(5000); err != nil {

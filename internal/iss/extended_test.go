@@ -186,7 +186,7 @@ again:
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(p, 0)
+	c := New(p)
 	c.MaxInstrs = 1_000_000
 	if err := c.Run(); err != nil {
 		t.Fatal(err)

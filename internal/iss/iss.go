@@ -46,15 +46,12 @@ type CPU struct {
 }
 
 // New returns a CPU with the program image loaded and PC/SP initialized.
-// The stack pointer starts at stackTop (use 0 for the 0x00400000 default).
-func New(p *arm.Program, stackTop uint32) *CPU {
-	if stackTop == 0 {
-		stackTop = 0x00400000
-	}
+// The stack pointer starts at arch.StackTop.
+func New(p *arm.Program) *CPU {
 	c := &CPU{State: arch.State{Mem: mem.New()}, decode: newDecodeCache(p.Base, len(p.Bytes))}
 	c.Mem.LoadImage(p.Base, p.Bytes)
 	c.R[arm.PC] = p.Entry
-	c.R[arm.SP] = stackTop
+	c.R[arm.SP] = arch.StackTop
 	return c
 }
 

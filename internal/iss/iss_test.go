@@ -12,7 +12,7 @@ func run(t *testing.T, src string) *CPU {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(p, 0)
+	c := New(p)
 	c.MaxInstrs = 1_000_000
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestUndefinedInstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(p, 0)
+	c := New(p)
 	if err := c.Step(); err == nil {
 		t.Fatal("expected undefined-instruction error")
 	}
@@ -206,7 +206,7 @@ func TestInstructionLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(p, 0)
+	c := New(p)
 	c.MaxInstrs = 100
 	if err := c.Run(); err == nil {
 		t.Fatal("expected limit error")

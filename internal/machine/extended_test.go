@@ -17,7 +17,7 @@ func crossCheckAll(t *testing.T, src string) {
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	golden := iss.New(p, 0)
+	golden := iss.New(p)
 	golden.MaxInstrs = 2_000_000
 	if err := golden.Run(); err != nil {
 		t.Fatalf("iss: %v", err)

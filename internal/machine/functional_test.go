@@ -15,7 +15,7 @@ func runFunctional(t *testing.T, src string) *Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := iss.New(p, 0)
+	golden := iss.New(p)
 	golden.MaxInstrs = 5_000_000
 	if err := golden.Run(); err != nil {
 		t.Fatalf("iss: %v", err)

@@ -30,8 +30,6 @@ type Config struct {
 	Caches mem.Hierarchy
 	// Predictor is the branch predictor; nil means the model's default.
 	Predictor bpred.Predictor
-	// StackTop initializes sp (0 = 0x00400000).
-	StackTop uint32
 
 	// NoTokenCache disables the per-PC decoded-token cache (ablation of the
 	// paper's partial-evaluation/caching optimization).
@@ -138,9 +136,6 @@ func newMachine(name string, p *arm.Program, cfg Config, units func(*Config)) *M
 	if units != nil {
 		units(&cfg)
 	}
-	if cfg.StackTop == 0 {
-		cfg.StackTop = 0x00400000
-	}
 	m := &Machine{
 		State:     arch.State{Mem: mem.New()},
 		Name:      name,
@@ -161,7 +156,7 @@ func newMachine(name string, p *arm.Program, cfg Config, units func(*Config)) *M
 	}
 	m.psrReg = m.PSRF.Register("cpsr", 0)
 	m.Mem.LoadImage(p.Base, p.Bytes)
-	m.regs[arm.SP].Set(cfg.StackTop)
+	m.regs[arm.SP].Set(arch.StackTop)
 	m.pc = p.Entry
 	return m
 }

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"rcpn/internal/arm"
 	"rcpn/internal/bpred"
@@ -115,8 +116,9 @@ type Spec struct {
 	// that the *route* of each class begins at the last front-end stage.
 	FrontEnd []string
 	// Routes gives each operation class its back-end path, starting from
-	// the last front-end stage. The final Seg's Exit must be RoleWriteback
-	// (its destination is the virtual end place).
+	// the last front-end stage. Its work must come in order (checkRoute):
+	// one issue, one execute, at most one memory access, and a writeback
+	// as the final Exit (whose destination is the virtual end place).
 	Routes map[arm.Class][]Seg
 	// Bypass names the stages whose resident results feed the forwarding
 	// network (RegRef.CanReadIn states).
@@ -132,7 +134,8 @@ type Spec struct {
 
 // Generate lowers a Spec to a runnable Machine. The produced net has one
 // place per declared stage and one transition per route segment, with the
-// operation-class semantics of ops.go wired in by role.
+// operation-class semantics of ops.go wired in by role. It rejects a route
+// whose work is out of order and a stage that lies on no route.
 func Generate(p *arm.Program, spec Spec, cfg Config) (*Machine, error) {
 	m := newMachine(spec.Name, p, cfg, spec.Units)
 
@@ -181,6 +184,8 @@ func Generate(p *arm.Program, spec Spec, cfg Config) (*Machine, error) {
 		m.bodies = append(m.bodies, body)
 	}
 
+	// onRoute marks, by place id, each stage a path from fetch visits.
+	onRoute := make([]bool, len(spec.Stages))
 	// Shared front end: AnyClass pass transitions between successive stages.
 	for i := 0; i+1 < len(spec.FrontEnd); i++ {
 		from, err := lookup(spec.FrontEnd[i])
@@ -192,31 +197,20 @@ func Generate(p *arm.Program, spec Spec, cfg Config) (*Machine, error) {
 			return nil, err
 		}
 		add("fe."+spec.FrontEnd[i+1], core.AnyClass, BodyPass, from, to, 0)
+		onRoute[from.ID()] = true
 	}
-	routeStart, err := lookup(spec.FrontEnd[len(spec.FrontEnd)-1])
-	if err != nil {
-		return nil, err
-	}
-
 	for c := arm.Class(0); c < arm.NumClasses; c++ {
 		route, ok := spec.Routes[c]
 		if !ok || len(route) == 0 {
 			return nil, fmt.Errorf("adl: class %v has no route", c)
 		}
-		if last := route[len(route)-1].Exit; last != RoleWriteback && last != RoleMemWriteback {
-			return nil, fmt.Errorf("adl: class %v route must end with a writeback", c)
+		if err := checkRoute(c, spec.FrontEnd, route); err != nil {
+			return nil, err
 		}
-		from := routeStart
 		for si, seg := range route {
-			segStage, err := lookup(seg.Stage)
+			from, err := lookup(seg.Stage)
 			if err != nil {
 				return nil, err
-			}
-			if si == 0 && segStage != routeStart {
-				return nil, fmt.Errorf("adl: class %v route must start at %s", c, routeStart.Name)
-			}
-			if si > 0 && segStage != from {
-				return nil, fmt.Errorf("adl: class %v route is not contiguous at %s", c, seg.Stage)
 			}
 			to := end
 			if si+1 < len(route) {
@@ -224,20 +218,22 @@ func Generate(p *arm.Program, spec Spec, cfg Config) (*Machine, error) {
 					return nil, err
 				}
 			}
-			body, err := bodyOf(c, seg.Exit)
-			if err != nil {
-				return nil, err
-			}
+			onRoute[from.ID()] = true
+			body := bodyOf(c, seg.Exit)
 			name, priority := fmt.Sprintf("%s.%s.%s", c, seg.Stage, seg.Exit), 0
 			if body == BodyLSMLast || body == BodyLSMLastWriteback {
 				// A block transfer stays in the stage, moving one register
 				// per step while any is left; the lower-priority completion
 				// then moves it on.
-				add(name+"step", core.ClassID(c), BodyLSMStep, segStage, segStage, 0)
+				add(name+"step", core.ClassID(c), BodyLSMStep, from, from, 0)
 				name, priority = name+"last", 1
 			}
-			add(name, core.ClassID(c), body, segStage, to, priority)
-			from = to
+			add(name, core.ClassID(c), body, from, to, priority)
+		}
+	}
+	for _, ss := range spec.Stages {
+		if !onRoute[places[ss.Name].ID()] {
+			return nil, fmt.Errorf("adl: stage %q lies on no route", ss.Name)
 		}
 	}
 
@@ -277,29 +273,86 @@ func instOf(tok *core.Token) *Inst { return tok.Data.(*Inst) }
 var roleBodies = [...]Body{RolePass: BodyPass, RoleIssue: BodyIssue, RoleExecute: BodyExecute,
 	RoleMem: BodyPass, RoleWriteback: BodyWriteback, RoleMemWriteback: BodyWriteback}
 
+// checkRoute holds class c's route to the order of work the lowering
+// assumes: one issue, then one execute, then at most one memory access (one
+// is required of the load/store classes), and a writeback exactly at the
+// last exit. Passes may sit anywhere; a RoleMem on a class that makes no
+// access is one. The route starts at the last front-end stage, and no stage
+// repeats on the path from fetch.
+func checkRoute(c arm.Class, frontEnd []string, route []Seg) error {
+	if start := frontEnd[len(frontEnd)-1]; route[0].Stage != start {
+		return fmt.Errorf("adl: class %v route must start at %s", c, start)
+	}
+	path := make([]string, 0, 16)
+	visit := func(stage string) error {
+		if slices.Contains(path, stage) {
+			return fmt.Errorf("adl: class %v visits stage %s twice", c, stage)
+		}
+		path = append(path, stage)
+		return nil
+	}
+	for _, stage := range frontEnd[:len(frontEnd)-1] {
+		if err := visit(stage); err != nil {
+			return err
+		}
+	}
+	done := RolePass // the last work done: pass, issue, execute or mem
+	for i, seg := range route {
+		if err := visit(seg.Stage); err != nil {
+			return err
+		}
+		last, wb := i == len(route)-1, seg.Exit == RoleWriteback || seg.Exit == RoleMemWriteback
+		switch {
+		case last && !wb:
+			return fmt.Errorf("adl: class %v route must end with a writeback", c)
+		case wb && !last:
+			return fmt.Errorf("adl: class %v writes back at %s before its last stage", c, seg.Stage)
+		}
+		prev, inOrder := done, false
+		switch seg.Exit {
+		case RolePass:
+			continue
+		case RoleIssue:
+			inOrder, done = prev == RolePass, RoleIssue
+		case RoleExecute:
+			inOrder, done = prev == RoleIssue, RoleExecute
+		case RoleMem, RoleMemWriteback:
+			inOrder, done = prev == RoleExecute, RoleMem
+		case RoleWriteback:
+			inOrder = prev == RoleExecute || prev == RoleMem
+		default:
+			return fmt.Errorf("adl: class %v: unknown role %v at %s", c, seg.Exit, seg.Stage)
+		}
+		if !inOrder {
+			return fmt.Errorf("adl: class %v: %v at %s follows %v", c, seg.Exit, seg.Stage, prev)
+		}
+	}
+	if (c == arm.ClassLoadStore || c == arm.ClassLoadStoreM) && done != RoleMem {
+		return fmt.Errorf("adl: class %v route has no memory access", c)
+	}
+	return nil
+}
+
 // bodyOf picks the work a class performs when it leaves a stage in role:
 // the class-specific specials are the multiplier latency at issue, the
 // cache latency at execute and the block-transfer stay loop at mem.
-func bodyOf(c arm.Class, role Role) (Body, error) {
-	if int(role) >= len(roleBodies) {
-		return 0, fmt.Errorf("adl: unknown role %v", role)
-	}
+func bodyOf(c arm.Class, role Role) Body {
 	ls, lsm := c == arm.ClassLoadStore, c == arm.ClassLoadStoreM
 	switch {
 	case role == RoleIssue && c == arm.ClassMult:
-		return BodyIssueMult, nil
+		return BodyIssueMult
 	case role == RoleExecute && (ls || lsm):
-		return BodyExecuteMem, nil
+		return BodyExecuteMem
 	case role == RoleMem && ls:
-		return BodyMemAccess, nil
+		return BodyMemAccess
 	case role == RoleMem && lsm:
-		return BodyLSMLast, nil
+		return BodyLSMLast
 	case role == RoleMemWriteback && ls:
-		return BodyMemWriteback, nil
+		return BodyMemWriteback
 	case role == RoleMemWriteback && lsm:
-		return BodyLSMLastWriteback, nil
+		return BodyLSMLastWriteback
 	}
-	return roleBodies[role], nil
+	return roleBodies[role]
 }
 
 // bodyTransition builds a transition performing body, its closures

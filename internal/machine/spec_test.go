@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"rcpn/internal/arm"
@@ -26,7 +27,7 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := iss.New(p, 0)
+	golden := iss.New(p)
 	golden.MaxInstrs = 1_000_000
 	if err := golden.Run(); err != nil {
 		t.Fatal(err)
@@ -55,7 +56,7 @@ func TestARM9OnAllWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		golden := iss.New(p, 0)
+		golden := iss.New(p)
 		golden.MaxInstrs = 50_000_000
 		if err := golden.Run(); err != nil {
 			t.Fatal(err)
@@ -75,48 +76,58 @@ func TestARM9OnAllWorkloads(t *testing.T) {
 	}
 }
 
+// TestSpecValidation holds Generate to rejecting each malformed StrongARM
+// Spec with an error that names the class or stage at fault. The route
+// cases are ones a Spec could carry unnoticed into a run: a stage visited
+// twice hangs, an issue twice hangs, no issue runs to a wrong result, and a
+// load that never reaches memory loads nothing.
 func TestSpecValidation(t *testing.T) {
 	p, err := arm.Assemble("swi #0\n", 0x8000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := StrongARMSpec()
-
-	bad := base
-	bad.FrontEnd = nil
-	if _, err := Generate(p, bad, Config{}); err == nil {
-		t.Error("missing front end accepted")
+	roles := map[string]Role{}
+	for r := RolePass; r <= RoleMemWriteback; r++ {
+		roles[r.String()] = r
 	}
-
-	bad = StrongARMSpec()
-	bad.Routes[arm.ClassBranch] = nil
-	if _, err := Generate(p, bad, Config{}); err == nil {
-		t.Error("missing route accepted")
+	// route sets class's route from "stage role" segments.
+	route := func(class arm.Class, segs ...string) func(*Spec) {
+		return func(s *Spec) {
+			var r []Seg
+			for _, seg := range segs {
+				stage, role, _ := strings.Cut(seg, " ")
+				r = append(r, Seg{Stage: stage, Exit: roles[role]})
+			}
+			s.Routes[class] = r
+		}
 	}
-
-	bad = StrongARMSpec()
-	r := bad.Routes[arm.ClassDataProc]
-	r[len(r)-1].Exit = RolePass
-	if _, err := Generate(p, bad, Config{}); err == nil {
-		t.Error("route without writeback accepted")
-	}
-
-	bad = StrongARMSpec()
-	bad.Routes[arm.ClassDataProc][1].Stage = "NOPE"
-	if _, err := Generate(p, bad, Config{}); err == nil {
-		t.Error("unknown stage accepted")
-	}
-
-	bad = StrongARMSpec()
-	bad.Stages = append(bad.Stages, StageSpec{Name: "FD"})
-	if _, err := Generate(p, bad, Config{}); err == nil {
-		t.Error("duplicate stage accepted")
-	}
-
-	bad = StrongARMSpec()
-	bad.Bypass = []string{"missing"}
-	if _, err := Generate(p, bad, Config{}); err == nil {
-		t.Error("unknown bypass stage accepted")
+	for _, tc := range []struct {
+		name  string
+		spoil func(*Spec)
+		want  string // the class or stage the error must name
+	}{
+		{"no front end", func(s *Spec) { s.FrontEnd = nil }, "front end"},
+		{"no route", func(s *Spec) { s.Routes[arm.ClassBranch] = nil }, "Branch"},
+		{"no writeback", func(s *Spec) { s.Routes[arm.ClassDataProc][3].Exit = RolePass }, "DataProc"},
+		{"unknown stage", func(s *Spec) { s.Routes[arm.ClassDataProc][1].Stage = "NOPE" }, "NOPE"},
+		{"duplicate stage", func(s *Spec) { s.Stages = append(s.Stages, StageSpec{Name: "FD"}) }, "FD"},
+		{"unknown bypass stage", func(s *Spec) { s.Bypass = []string{"missing"} }, "missing"},
+		{"stage twice", route(arm.ClassDataProc, "FD issue", "EX pass", "EX execute", "ME mem", "WB wb"), "EX"},
+		{"issue twice", route(arm.ClassDataProc, "FD issue", "EX issue", "ME execute", "WB wb"), "DataProc"},
+		{"no issue", route(arm.ClassDataProc, "FD pass", "EX execute", "ME mem", "WB wb"), "DataProc"},
+		{"mid-route writeback", route(arm.ClassDataProc, "FD issue", "EX execute", "ME wb", "WB wb"), "ME"},
+		{"stage on no route", func(s *Spec) { s.Stages = append(s.Stages, StageSpec{Name: "XX"}) }, "XX"},
+		{"flow cycle", route(arm.ClassDataProc, "FD issue", "EX pass", "FD pass", "ME execute", "WB wb"), "FD"},
+		{"load without memory access", route(arm.ClassLoadStore, "FD issue", "EX execute", "ME pass", "WB wb"), "LoadStore"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := StrongARMSpec()
+			tc.spoil(&spec)
+			_, err := Generate(p, spec, Config{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Generate: %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -150,14 +150,6 @@ func (m *MetricsWriter) MultiGauge(name, help string, rows []LabeledValue) {
 	}
 }
 
-// MultiCounter emits one counter family with several label sets.
-func (m *MetricsWriter) MultiCounter(name, help string, rows []LabeledValue) {
-	m.header(name, help, "counter")
-	for _, r := range rows {
-		m.sample(name, r.Labels, r.Value)
-	}
-}
-
 // LabeledValue is one sample row of a multi-sample family.
 type LabeledValue struct {
 	Labels map[string]string

@@ -27,7 +27,6 @@ import (
 type Config struct {
 	Caches    mem.Hierarchy
 	Predictor bpred.Predictor
-	StackTop  uint32
 }
 
 // slot is a pipeline register entry: the raw instruction word plus the
@@ -112,9 +111,6 @@ func New(p *arm.Program, cfg Config) *Sim {
 	if cfg.Predictor == nil {
 		cfg.Predictor = bpred.NewNotTaken()
 	}
-	if cfg.StackTop == 0 {
-		cfg.StackTop = 0x00400000
-	}
 	s := &Sim{
 		State:  arch.State{Mem: mem.New()},
 		ICache: cfg.Caches.I,
@@ -124,7 +120,7 @@ func New(p *arm.Program, cfg Config) *Sim {
 	}
 	s.Driver = batch.NewDriver(s)
 	s.Mem.LoadImage(p.Base, p.Bytes)
-	s.R[arm.SP] = cfg.StackTop
+	s.R[arm.SP] = arch.StackTop
 	return s
 }
 

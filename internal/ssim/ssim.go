@@ -42,7 +42,6 @@ import (
 type Config struct {
 	Caches    mem.Hierarchy
 	Predictor bpred.Predictor
-	StackTop  uint32
 	RUUSize   int // register update unit entries (default 8)
 	IFQSize   int // fetch queue entries (default 4)
 	Width     int // fetch/dispatch/issue/commit width (default 1)
@@ -235,7 +234,7 @@ func New(p *arm.Program, cfg Config) *Sim {
 		cfg.DTLB = defaultTLB("dtlb")
 	}
 	s := &Sim{
-		oracle: iss.New(p, cfg.StackTop),
+		oracle: iss.New(p),
 		ICache: cfg.Caches.I,
 		DCache: cfg.Caches.D,
 		ITLB:   cfg.ITLB,

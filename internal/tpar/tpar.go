@@ -189,7 +189,7 @@ type Plan struct {
 // MinSegment. The plan is engine-independent: any engine can run it. The
 // pass stops early when opt.Context is cancelled.
 func NewPlan(p *arm.Program, opt Options) (*Plan, error) {
-	c := iss.New(p, 0)
+	c := iss.New(p)
 	exited, err := batch.StepRetired(opt.context(), c, maxInstrs, 0, opt.Chunk, nil)
 	if err != nil {
 		return nil, fmt.Errorf("tpar: leader: %w", err)
@@ -381,7 +381,7 @@ type leader struct {
 // checkpoint advances the leader to boundary b and captures its state.
 func (l *leader) checkpoint(b uint64) (*ckpt.Checkpoint, error) {
 	if l.cpu == nil {
-		l.cpu = iss.New(l.p, 0)
+		l.cpu = iss.New(l.p)
 		l.cpu.MaxInstrs = maxInstrs
 		if l.opt.Warm != nil {
 			l.opt.Warm(l.cpu)

@@ -31,7 +31,7 @@ func runISS(t *testing.T, w *Workload, scale int) *iss.CPU {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := iss.New(p, 0)
+	c := iss.New(p)
 	c.MaxInstrs = 200_000_000
 	if err := c.Run(); err != nil {
 		t.Fatalf("%s: iss: %v", w.Name, err)
